@@ -2,7 +2,9 @@
 named verification suites, and emit canonical JSON on standard output.
 
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage
-error (malformed signatures, non-interlacing pairs, k < 1, unknown suite).
+error (malformed signatures, non-interlacing pairs, mu outside the
+matrix-element window, k < 1, verify sizes below their minimum, unknown
+suite).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 
 from . import intertwiner, macops, suites
-from .combinat import interlaces, is_dominant, parse_signature
+from .combinat import in_window, interlaces, parse_signature
 from .qfield import UnitMono
 from .sympoly import npoly_to_json, sym_to_json
 
@@ -120,6 +122,8 @@ def _run(args):
         if len(mu) != len(lam) - 1:
             raise _UsageError("mu must be one entry shorter than lambda")
         k = _require_k(args.k)
+        if not in_window(mu, lam, k):
+            raise _UsageError("mu must satisfy lambda_{i+1} - (k-1) <= mu_i <= lambda_i")
         if args.route == "diag_sum":
             value = intertwiner.diag_coeff_sum(mu, lam, k)
         elif args.route == "cg_sq":
@@ -148,6 +152,11 @@ def _run(args):
         if not args.suite:
             raise _UsageError("verify needs --suite NAME or --list")
         _require_k(args.k)
+        for name, value, least in (("n", args.n, 1), ("l", args.l, 1),
+                                   ("samples", args.samples, 1),
+                                   ("maxdeg", args.maxdeg, 0)):
+            if value < least:
+                raise _UsageError(f"--{name} must be at least {least}")
         if args.suite == "all":
             names = list(suites.SUITES)
         elif args.suite in suites.SUITES:

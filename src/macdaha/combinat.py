@@ -40,14 +40,17 @@ def format_signature(sig):
     return ",".join(str(p) for p in sig)
 
 
+def in_window(mu, lam, k):
+    """True iff lam_{i+1} - (k-1) <= mu_i <= lam_i for every i: the window
+    outside which the level-k matrix elements c(mu, lam) vanish."""
+    if len(mu) != len(lam) - 1:
+        raise ValueError("mu must be one entry shorter than lam")
+    return all(lam[i + 1] - (k - 1) <= mu[i] <= lam[i] for i in range(len(mu)))
+
+
 def interlaces(mu, lam):
     """True iff lam_1 >= mu_1 >= lam_2 >= ... >= mu_{n-1} >= lam_n."""
-    if len(mu) != len(lam) - 1:
-        raise ValueError("interlacing requires len(mu) == len(lam) - 1")
-    for i in range(len(mu)):
-        if not (lam[i] >= mu[i] >= lam[i + 1]):
-            return False
-    return True
+    return in_window(mu, lam, 1)
 
 
 def interlacing_signatures(lam):

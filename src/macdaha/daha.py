@@ -174,34 +174,10 @@ def p1_Yinv_apply(f, p):
     """p_1(Y^{-1}) on a symmetric polynomial, as a difference operator:
 
         t^{-(n-1)/2} sum_i prod_{j != i} (t X_j - X_i)/(X_j - X_i) T_{q^{-1}, i}.
+
+    This is D^1 at shift q^{-1} and half-parameter t^{-1/2}.
     """
-    n = f.n
-    t2 = (p.thalf ** 2).as_coeffrat()
-    fn = to_npoly(f)
-    acc = NPoly.zero(n)
-    for i in range(n):
-        g = fn.scale_vars((i,), p.qhalf ** -2)
-        for j in range(n):
-            if j == i:
-                continue
-            ej = [0] * n
-            ei = [0] * n
-            ej[j] = 1
-            ei[i] = 1
-            g = g * NPoly(n, {tuple(ej): t2, tuple(ei): -CR_ONE})
-        for a, b in combinations(range(n), 2):
-            if a != i and b != i:
-                ea = [0] * n
-                eb = [0] * n
-                ea[a] = 1
-                eb[b] = 1
-                g = g * NPoly(n, {tuple(ea): CR_ONE, tuple(eb): -CR_ONE})
-        if (n - 1 - i) % 2:
-            g = -g
-        acc = acc + g
-    for a, b in combinations(range(n), 2):
-        acc = acc.divexact_binomial(a, b)
-    return from_npoly(acc.scalar_mul((p.thalf ** (1 - n)).as_coeffrat()))
+    return mac_apply(f, 1, MacParams(shift=p.qhalf ** -2, thalf=p.thalf.inv()))
 
 
 def p1_Yinv_via_y(f, p):

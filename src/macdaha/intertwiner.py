@@ -8,13 +8,13 @@ are rational in q.
 
 The closed formulas are ratios that can develop removable 0/0 at lattice
 points where bar-shifted coordinates collide (such points do occur inside
-trace summations).  Both rational routes therefore evaluate along an exact
+trace summations).  All three routes therefore evaluate along one exact
 one-parameter regularization: every q-number argument c is perturbed to
-c + z*d with a fixed generic integer direction d per coordinate pair, the
-whole expression is carried as a rational function of Z = q^z, and Z -> 1
-is substituted at the end.  A fast unregularized path handles the generic
-case; vanishing regularized factors cancel only when their directions
-match, which is an identity, not a limit.
+c + z*d with a fixed generic integer direction d per coordinate pair, and
+the limit Z = q^z -> 1 is taken by one engine, _limit.  It expands in
+eps = Z - 1 only as far as the number M of denominator factors that
+vanish at the limit; the numerator coefficients below eps^M must cancel
+(otherwise the point is a pole), and M = 0 is plain evaluation.
 """
 
 from __future__ import annotations
@@ -22,62 +22,69 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
-from .combinat import interlaces, is_dominant, shifted_chain_enumerate, sig_sum
+from .combinat import (in_window, interlaces, is_dominant,
+                       shifted_chain_enumerate, sig_sum)
 from .combinat import shift as sig_shift
 from .npoly import NPoly
-from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, qfact, qfall, qnum)
+from .qfield import (CR_ONE, CR_ZERO, L_ONE, CoeffRat, DomainViolationError,
+                     LaurentQT, UnitMono, _add, _mul, _scale, qfact, qfall)
 from .sympoly import SymLaurent, from_npoly
-
-
-class _NeedRegularization(Exception):
-    """Internal: an unmatched vanishing denominator factor was met."""
 
 
 def _bar(sig, k):
     return tuple(sig[i] - k * i for i in range(len(sig)))
 
 
+def _route_args(mu, lam, k):
+    mu, lam = tuple(mu), tuple(lam)
+    if len(mu) != len(lam) - 1:
+        raise ValueError("mu must be one entry shorter than lam")
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    return mu, lam
+
+
 # ---------------------------------------------------------------------------
-# Regularized evaluation core.  A factor (c, d) stands for the q-number
-# [c + z*d]; writing B(c, d) = q^c Z^d - q^{-c} Z^{-d} with Z = q^z, each
-# term of a sum is a signed q-power times a ratio of B-atoms (the powers of
-# q - q^{-1} are counted separately).  The whole sum is assembled over the
-# common atom denominator as one integer Laurent polynomial in (q, Z),
-# divided exactly by (Z - 1)^M, and evaluated at Z = 1.
+# The regularization limit.  A factor (c, d) stands for the q-number
+# [c + z*d] = B(c, d) / (q - q^{-1}) with B(c, d) = q^c Z^d - q^{-c} Z^{-d}.
+# Putting Z = 1 + eps, B(c, d) is a series in eps whose coefficients are
+# Laurent polynomials in q with generalized binomial coefficients; it
+# starts at eps^0 unless c = 0, where it starts at 2d * eps.  A sum of
+# terms is assembled over its common atom denominator, so the denominator
+# of a product of such sums is eps^M times a series with nonzero constant
+# term, M counting its c = 0 atoms.  Every series is truncated after
+# eps^M, and the limit is the eps^M coefficient of the numerator over that
+# constant term.  Series are lists of qfield term maps keyed (q_exp, 0).
+
+def _binom(d, j):
+    """The binomial coefficient d choose j for any integer d."""
+    if d >= 0:
+        return comb(d, j)
+    return -comb(j - d - 1, j) if j % 2 else comb(j - d - 1, j)
+
+
+def _atom_series(c, d, order):
+    return [_add(_scale({(c, 0): 1}, _binom(d, j)),
+                 _scale({(-c, 0): -1}, _binom(-d, j)))
+            for j in range(order + 1)]
+
+
+def _series_mul(A, B):
+    out = [{} for _ in A]
+    for i, a in enumerate(A):
+        if a:
+            for j in range(len(A) - i):
+                if B[j]:
+                    out[i + j] = _add(out[i + j], _mul(a, B[j]))
+    return out
+
 
 def _atom_norm(c, d):
     if c < 0 or (c == 0 and d < 0):
         return (-c, -d), -1
     return (c, d), 1
-
-
-def _atom_laurent(key):
-    c, d = key
-    return LaurentQT({(c, d): 1, (-c, -d): -1})
-
-
-_QMQI = LaurentQT({(1, 0): 1, (-1, 0): -1})
-
-
-def _div_z_minus_1(A):
-    """Exact division of a Laurent term map in (q, Z) by (Z - 1)."""
-    cols = {}
-    for (a, b), c in A.items():
-        cols.setdefault(a, {})[b] = c
-    out = {}
-    for a, col in cols.items():
-        bmax = max(col)
-        bmin = min(col)
-        h = 0
-        for b in range(bmax, bmin, -1):
-            h = col.get(b, 0) + h
-            if h:
-                out[(a, b - 1)] = h
-        if col.get(bmin, 0) + h != 0:
-            raise DomainViolationError("pole at the regularization limit")
-    return out
 
 
 def _normalize_term(mono, num, den):
@@ -104,101 +111,58 @@ def _normalize_term(mono, num, den):
         if m:
             cn[key] -= m
             cd[key] -= m
-    return (sign, mono.a, epow,
-            {k: v for k, v in cn.items() if v},
-            {k: v for k, v in cd.items() if v})
+    return sign, mono.a, epow, +cn, +cd
 
 
-def _combine_terms(terms):
-    """Sum terms over their common atom denominator.
+def _limit(factors):
+    """Exact Z -> 1 value of prod_f (sum_i mono_i prod [num_i] / prod [den_i])^p_f.
 
-    Returns (N, common, emin) with N a Laurent term map in (q, Z), common
-    the denominator atom multiset, and emin the net power of q - q^{-1};
-    None when every term dies."""
-    norm = [t for t in map(lambda a: _normalize_term(*a), terms) if t is not None]
-    if not norm:
-        return None
-    common = {}
-    for _, _, _, _, cd in norm:
-        for key, cnt in cd.items():
-            if common.get(key, 0) < cnt:
-                common[key] = cnt
-    emin = min(e for _, _, e, _, _ in norm)
-    N = {}
-    for sign, qa, epow, cn, cd in norm:
-        p = {(qa, 0): sign}
-        for key, cnt in cn.items():
-            for _ in range(cnt):
-                p = _lmul(p, _atom_laurent(key).terms)
-        for key, cnt in common.items():
-            for _ in range(cnt - cd.get(key, 0)):
-                p = _lmul(p, _atom_laurent(key).terms)
-        for _ in range(epow - emin):
-            p = _lmul(p, _QMQI.terms)
-        N = _ladd(N, p)
-    return N, common, emin
-
-
-def _finish_limit(N, common, emin):
-    """Exact Z -> 1 value of (q - q^{-1})^emin * N / prod(common atoms)."""
-    zero_order = sum(cnt for (c, _), cnt in common.items() if c == 0)
-    for _ in range(zero_order):
-        if not N:
-            break
-        N = _div_z_minus_1(N)
-    n1 = {}
-    for (a, b), c in N.items():
-        w = n1.get((a, 0), 0) + c
-        if w:
-            n1[(a, 0)] = w
-        else:
-            n1.pop((a, 0), None)
-    dlim = LaurentQT.const(1)
-    for (c, d), cnt in common.items():
-        if c == 0:
-            dlim = dlim * LaurentQT.const((2 * d) ** cnt)
-        else:
-            dlim = dlim * LaurentQT({(c, 0): 1, (-c, 0): -1}) ** cnt
-    value = CoeffRat(LaurentQT(n1), dlim)
-    if emin >= 0:
-        return value * CoeffRat.from_laurent(_QMQI ** emin)
-    return value / CoeffRat.from_laurent(_QMQI ** (-emin))
-
-
-def _limit_terms(terms):
-    """Exact Z -> 1 value of sum_i mono_i prod [num_i] / prod [den_i].
-
-    Each term is (mono, num, den) with mono a q-power UnitMono and num/den
-    lists of (c, d) factor descriptors.
+    factors lists pairs (terms, p_f); each term is (mono, num, den) with
+    mono a q-power UnitMono and num/den lists of (c, d) factor descriptors.
     """
-    combo = _combine_terms(terms)
-    if combo is None:
-        return CR_ZERO
-    return _finish_limit(*combo)
+    sums = []
+    for terms, power in factors:
+        norm = [t for t in (_normalize_term(*a) for a in terms) if t is not None]
+        if not norm:
+            return CR_ZERO
+        common = Counter()
+        for term in norm:
+            common |= term[4]
+        sums.append((norm, common, power))
+    order = sum(p * cnt for _, common, p in sums
+                for (c, _), cnt in common.items() if c == 0)
+    series = {}
 
+    def atom(key):
+        if key not in series:
+            series[key] = _atom_series(*key, order)
+        return series[key]
 
-def _lmul(A, B):
-    out = {}
-    for (a1, b1), c1 in A.items():
-        for (a2, b2), c2 in B.items():
-            key = (a1 + a2, b1 + b2)
-            w = out.get(key, 0) + c1 * c2
-            if w:
-                out[key] = w
-            else:
-                del out[key]
-    return out
-
-
-def _ladd(A, B):
-    out = dict(A)
-    for k, v in B.items():
-        w = out.get(k, 0) + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
+    num = [{(0, 0): 1}] + [{}] * order
+    den = L_ONE
+    emin = 0
+    for norm, common, power in sums:
+        e0 = min(term[2] for term in norm)
+        total = [{}] * (order + 1)
+        for sign, qa, epow, cn, cd in norm:
+            s = [{(qa, 0): sign}] + [{}] * order
+            for key, cnt in (cn + common - cd + Counter({(1, 0): epow - e0})).items():
+                for _ in range(cnt):
+                    s = _series_mul(s, atom(key))
+            total = [_add(x, y) for x, y in zip(total, s)]
+        for _ in range(power):
+            num = _series_mul(num, total)
+        for (c, d), cnt in common.items():
+            lead = atom((c, d))[1 if c == 0 else 0]
+            den = den * LaurentQT._raw(lead) ** (cnt * power)
+        emin += power * e0
+    if any(num[:order]):
+        raise DomainViolationError("pole at the regularization limit")
+    qmqi = LaurentQT._raw(atom((1, 0))[0])
+    top = LaurentQT._raw(num[order])
+    if emin >= 0:
+        return CoeffRat(top * qmqi ** emin, den)
+    return CoeffRat(top, den * qmqi ** (-emin))
 
 
 @lru_cache(maxsize=None)
@@ -238,24 +202,6 @@ def delta_cross(mu, lam, k):
         for j in range(i + 1, len(lam)):
             r = r * qfall(mb[i] - lb[j] - 1, k - 1)
     return r
-
-
-class DeltaFactors:
-    """Cached evaluators for the three falling-factorial products at level k."""
-
-    def __init__(self, k):
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        self.k = k
-
-    def d1(self, mu):
-        return delta1(tuple(mu), self.k)
-
-    def d2(self, mu):
-        return delta2(tuple(mu), self.k)
-
-    def cross(self, mu, lam):
-        return delta_cross(tuple(mu), tuple(lam), self.k)
 
 
 def psi_qnum(lam, mu, k):
@@ -321,40 +267,6 @@ def _diag_factor_lists(mu, lam, k, v):
     return num, den
 
 
-def _eval_plain(num, den):
-    """Evaluate factor lists without regularization.
-
-    Vanishing factors cancel pairwise only for matching directions; a
-    leftover vanishing numerator kills the summand (returns None), a
-    leftover vanishing denominator needs the regularized path.
-    """
-    nz = Counter()
-    dz = Counter()
-    for c, d in den:
-        if c == 0:
-            if d == 0:
-                raise DomainViolationError("identically vanishing denominator")
-            dz[d] += 1
-    for c, d in num:
-        if c == 0:
-            nz[d] += 1
-    for d in list(dz):
-        m = min(nz.get(d, 0), dz[d])
-        nz[d] -= m
-        dz[d] -= m
-    if any(x > 0 for x in dz.values()):
-        raise _NeedRegularization
-    if any(x > 0 for x in nz.values()):
-        return None
-    val = CR_ONE
-    for c, _ in num:
-        val = val * qnum(c)
-    dval = CR_ONE
-    for c, _ in den:
-        dval = dval * qnum(c)
-    return val / dval
-
-
 def diag_coeff_sum(mu, lam, k):
     """c(mu, lam) as the explicit finite sum over the shifted box.
 
@@ -363,37 +275,15 @@ def diag_coeff_sum(mu, lam, k):
     factors per summand, against the global prefactor
     (-1)^{(n-1)(k-1)} q^{(n-1)k(k-1)} / (Delta_2(lam) Delta_1(mu)).
     """
-    mu, lam = tuple(mu), tuple(lam)
-    n = len(lam)
-    m = n - 1
-    if len(mu) != m:
-        raise ValueError("mu must be one entry shorter than lam")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-
-    def scal(v):
-        sv = sum(v)
-        return UnitMono(-1 if sv % 2 else 1, -k * sv, 0).as_coeffrat()
-
+    mu, lam = _route_args(mu, lam, k)
+    m = len(mu)
     pref = UnitMono(-1 if (m * (k - 1)) % 2 else 1, m * k * (k - 1), 0)
-    try:
-        total = CR_ZERO
-        for v in product(range(k), repeat=m):
-            num, den = _diag_factor_lists(mu, lam, k, v)
-            term = _eval_plain(num, den)
-            if term is None:
-                continue
-            total = total + term * scal(v)
-        return total * pref.as_coeffrat()
-    except _NeedRegularization:
-        pass
     terms = []
     for v in product(range(k), repeat=m):
         num, den = _diag_factor_lists(mu, lam, k, v)
         sv = sum(v)
-        mono = UnitMono(-1 if sv % 2 else 1, -k * sv, 0) * pref
-        terms.append((mono, num, den))
-    return _limit_terms(terms)
+        terms.append((UnitMono(-1 if sv % 2 else 1, -k * sv, 0) * pref, num, den))
+    return _limit([(terms, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +318,9 @@ def mat_elt(mu, lam, k):
     product of factor atoms, so the whole value goes through the exact
     regularization limit in one pass.
     """
-    mu, lam = tuple(mu), tuple(lam)
+    mu, lam = _route_args(mu, lam, k)
     n = len(lam)
     m = n - 1
-    if len(mu) != m:
-        raise ValueError("mu must be one entry shorter than lam")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     lb = _bar(lam, k)
     mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
     den_global = []
@@ -476,7 +362,7 @@ def mat_elt(mu, lam, k):
                        num + addn, den + addd)
 
     expand(k - 1, mu, 0, 1, [], [])
-    return _limit_terms(terms)
+    return _limit([(terms, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +390,25 @@ def s_factorial_sq(a, b):
     return val
 
 
+def _cg_qpower(tau, p, tau_p, eta, r, eta_p):
+    """The exponent b of the q^{-b} prefactor of cg_reduced_squared."""
+    n = len(tau)
+    m = len(eta)
+    b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            b += (tau_p[i] - tau[i]) * (tau_p[j] - tau[j])
+    for i in range(m):
+        for j in range(i + 1, m):
+            b -= (eta_p[i] - eta[i]) * (eta_p[j] - eta[j])
+    for i in range(m):
+        b += (eta_p[i] - eta[i]) * (eta[i] - i)
+    for i in range(n):
+        b -= (tau_p[i] - tau[i]) * (tau[i] - i)
+    b += (p - r) * (sum(tau) - sum(eta))
+    return b
+
+
 def cg_reduced_squared(tau, p, tau_p, eta, r, eta_p):
     """Square of the reduced Clebsch-Gordan coefficient for
     L_{tau'} -> L_tau (x) Sym^p, between rows (eta, r) and (eta', ...).
@@ -520,18 +425,7 @@ def cg_reduced_squared(tau, p, tau_p, eta, r, eta_p):
     his = [min(eta_p[i], tau[i]) for i in range(m)]
     if any(lo > hi for lo, hi in zip(los, his)):
         return CR_ZERO
-    b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            b += (tau_p[i] - tau[i]) * (tau_p[j] - tau[j])
-    for i in range(m):
-        for j in range(i + 1, m):
-            b -= (eta_p[i] - eta[i]) * (eta_p[j] - eta[j])
-    for i in range(m):
-        b += (eta_p[i] - eta[i]) * (eta[i] - i)
-    for i in range(n):
-        b -= (tau_p[i] - tau[i]) * (tau[i] - i)
-    b += (p - r) * (sum(tau) - sum(eta))
+    b = _cg_qpower(tau, p, tau_p, eta, r, eta_p)
     pref = s_factorial_sq(eta_p, eta) * s_factorial_sq(tau, eta) \
         * s_factorial_sq(tau_p, tau_p) * s_factorial_sq(eta, eta) \
         / (s_factorial_sq(tau_p, tau) * s_factorial_sq(tau_p, eta_p))
@@ -606,14 +500,18 @@ def _telescope(fnum, fden):
     return num_atoms, den_atoms
 
 
-def _cg_chain_regularized(mu, lam, k):
-    """The chain value at boundary patterns, as one exact limit.
+def c_squared_chain(mu, lam, k):
+    """c(mu, lam)^2 assembled from the reduced Clebsch-Gordan square and
+    the two diagonal normalizations; zero outside the window
+    lam_{i+1} - (k-1) <= mu_i <= lam_i.
 
-    The reduced-coefficient square, the level normalization of mu and the
-    inverse normalization of lam are combined into a single sum of atom
-    products before the regularization limit, since the pieces can carry
-    compensating zeros and poles individually.
+    The three pieces can carry compensating factorial zeros and poles at
+    boundary patterns, so they are combined into one atom product times
+    the square of the sigma-sum before the regularization limit.
     """
+    mu, lam = _route_args(mu, lam, k)
+    if not in_window(mu, lam, k):
+        return CR_ZERO
     n = len(lam)
     m = n - 1
     tau_p = sig_shift(lam, k, "tilde")
@@ -623,18 +521,7 @@ def _cg_chain_regularized(mu, lam, k):
     p, r = n * (k - 1), m * (k - 1)
     dtau = [n + i for i in range(n)]
     deta = list(range(m))
-    b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            b += (tau_p[i] - tau[i]) * (tau_p[j] - tau[j])
-    for i in range(m):
-        for j in range(i + 1, m):
-            b -= (eta_p[i] - eta[i]) * (eta_p[j] - eta[j])
-    for i in range(m):
-        b += (eta_p[i] - eta[i]) * (eta[i] - i)
-    for i in range(n):
-        b -= (tau_p[i] - tau[i]) * (tau[i] - i)
-    b += (p - r) * (sum(tau) - sum(eta))
+    b = _cg_qpower(tau, p, tau_p, eta, r, eta_p)
     fnum = [(p - r, 0)]
     fden = []
     _s_sq_fact_atoms(eta_p, deta, eta, deta, fnum, fden)
@@ -663,7 +550,7 @@ def _cg_chain_regularized(mu, lam, k):
     # tau-side clips become soft zeros that the limit accounts for itself.
     # The sigma-summand factorials and the prefactor factorials each
     # telescope on their own (direction counts balance by construction), so
-    # the sum is assembled once and squared as a fraction.
+    # the sum is assembled once and squared as a truncated series.
     sig_terms = []
     for sigma in product(*(range(lo, hi + 1) for lo, hi in zip(eta, eta_p))):
         snum = []
@@ -677,49 +564,9 @@ def _cg_chain_regularized(mu, lam, k):
         na, da = _telescope(snum, sden)
         sig_terms.append((UnitMono(-1 if dsum % 2 else 1,
                                    (p - r + 1) * dsum, 0), na, da))
-    combo = _combine_terms(sig_terms)
-    if combo is None:
-        return CR_ZERO
-    n_s, common_s, emin_s = combo
     fa_num, fa_den = _telescope(fnum, fden)
-    final = _normalize_term(UnitMono(1, qconst, 0),
-                            fa_num + diag_num, fa_den + diag_den)
-    if final is None:
-        return CR_ZERO
-    sign, qa, epow, cn, cd = final
-    N = _lmul(n_s, n_s)
-    N = _lmul(N, {(qa, 0): sign})
-    for key, cnt in cn.items():
-        for _ in range(cnt):
-            N = _lmul(N, _atom_laurent(key).terms)
-    common = dict(cd)
-    for key, cnt in common_s.items():
-        common[key] = common.get(key, 0) + 2 * cnt
-    return _finish_limit(N, common, 2 * emin_s + epow)
-
-
-def c_squared_chain(mu, lam, k):
-    """c(mu, lam)^2 assembled from the reduced Clebsch-Gordan square and
-    the two diagonal normalizations.
-
-    Interior patterns compose the three closed pieces directly; boundary
-    patterns (where individual pieces hit factorial poles and zeros) are
-    evaluated through the combined regularization limit.
-    """
-    mu, lam = tuple(mu), tuple(lam)
-    n = len(lam)
-    tl = sig_shift(lam, k, "tilde")
-    tm = sig_shift(mu, k, "tilde")
-    try:
-        c2 = cg_reduced_squared(
-            tau=tuple(x - (k - 1) for x in tl), p=n * (k - 1), tau_p=tl,
-            eta=tuple(x - (k - 1) for x in tm), r=(n - 1) * (k - 1), eta_p=tm)
-        dmu = cg_diag_sq(mu, n - 1, k)
-        if not dmu:
-            raise ValueError("vanishing level normalization")
-        return c2 * dmu / cg_diag_sq(lam, n, k)
-    except (ValueError, ZeroDivisionError):
-        return _cg_chain_regularized(mu, lam, k)
+    final = (UnitMono(1, qconst, 0), fa_num + diag_num, fa_den + diag_den)
+    return _limit([([final], 1), (sig_terms, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,9 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "does-not-exist"],
         ["verify"],
         ["matelt", "--lambda", "2,0", "--mu", "1,1", "--k", "2"],
+        ["matelt", "--lambda", "2,1,0", "--mu", "5,5", "--k", "2"],   # off-window
+        ["verify", "--suite", "adjoint", "--samples", "-1"],
+        ["verify", "--suite", "trace", "--n", "0"],
     ]
     for argv in cases:
         rc, out, err = run(capsys, argv)

@@ -3,9 +3,9 @@ import pytest
 from conftest import partitions_upto, window
 
 from macdaha.combinat import interlacing_signatures, shift as sig_shift
-from macdaha.intertwiner import (DeltaFactors, branch_reconstruct_qk,
-                                 c_squared_chain, cg_diag_sq,
-                                 cg_reduced_squared, diag_coeff_sum,
+from macdaha.intertwiner import (branch_reconstruct_qk, c_squared_chain,
+                                 cg_diag_sq, cg_reduced_squared, delta1,
+                                 delta2, delta_cross, diag_coeff_sum,
                                  ek_denominator, mat_elt, psi_qnum,
                                  s_factorial_sq, trace_ratio,
                                  trace_reconstruct)
@@ -19,19 +19,17 @@ q = UnitMono.q
 
 
 def test_delta_factors_at_k1():
-    d = DeltaFactors(1)
-    assert d.d1((3, 1)) == CR_ONE
-    assert d.d2((3, 1)) == CR_ONE
-    assert d.cross((1,), (2, 0)) == CR_ONE
+    assert delta1((3, 1), 1) == CR_ONE
+    assert delta2((3, 1), 1) == CR_ONE
+    assert delta_cross((1,), (2, 0), 1) == CR_ONE
 
 
 def test_delta_factors_values():
-    d = DeltaFactors(2)
     # bar(3,1) = (3,-1): [3-(-1)+1]_1 = [5]
-    assert d.d1((3, 1)) == qnum(5)
-    assert d.d2((3, 1)) == qnum(3)
+    assert delta1((3, 1), 2) == qnum(5)
+    assert delta2((3, 1), 2) == qnum(3)
     # cross((1,),(2,0)): [bar(2)-bar(1)+1]_1 [bar(1)-bar(0,2nd)-1]_1
-    assert d.cross((1,), (2, 0)) == qnum(2) * qnum(2)
+    assert delta_cross((1,), (2, 0), 2) == qnum(2) * qnum(2)
 
 
 def test_psi_qnum_trivial_k1():
@@ -84,7 +82,7 @@ def test_c_frozen_small_values():
 
 def test_route_equality_small():
     for lam in [(1, 0), (1, 1), (2, 0), (1, 1, 0)]:
-        for k in (2, 3):
+        for k in (2, 3, 4):
             for mu in window(lam, k):
                 a = diag_coeff_sum(mu, lam, k)
                 assert a == mat_elt(mu, lam, k), (mu, lam, k)
@@ -101,10 +99,10 @@ def test_route_equality_boundary_rows():
 
 
 def test_vanishing_outside_window():
-    # The Clebsch-Gordan route carries the full pattern window and vanishes
-    # identically outside it; the box-summation display does not encode the
-    # window (its value off-window is generally nonzero and unused by the
-    # trace and branching pipelines, which only index window points).
+    # The Clebsch-Gordan route vanishes identically outside the window; the
+    # box-summation and operator displays do not encode the window (their
+    # value off-window is generally nonzero and unused by the trace and
+    # branching pipelines, which only index window points).
     for k in (2, 3):
         for lam in [(1, 0), (2, 0)]:
             lo = lam[1] - 2 * (k - 1)
@@ -113,8 +111,10 @@ def test_vanishing_outside_window():
                 if lam[1] - (k - 1) <= mu0 <= lam[0]:
                     continue
                 assert c_squared_chain((mu0,), lam, k).is_zero(), (mu0, lam, k)
-    # recorded counterexample for the box summation off-window:
+    assert c_squared_chain((-4, -3), (1, 0, 0), 2).is_zero()
+    # recorded counterexamples for the box summation off-window:
     assert diag_coeff_sum((-2,), (1, 0), 2) == -(qnum(4) / qnum(2))
+    assert diag_coeff_sum((-2, -1), (1, 0, 0), 1) == mat_elt((-2, -1), (1, 0, 0), 1)
 
 
 def test_s_factorial_sq():
@@ -131,7 +131,8 @@ def test_cg_window_empty_gives_zero():
 
 
 def test_cg_diagonal_closed_form():
-    for (lam, k) in [((2, 0), 2), ((3, 1), 2), ((2, 1, 0), 2), ((2, 0), 3)]:
+    for (lam, k) in [((2, 0), 2), ((3, 1), 2), ((2, 1, 0), 2), ((2, 0), 3),
+                     ((3, 1, 0), 3)]:
         n = len(lam)
         tl = sig_shift(lam, k, "tilde")
         tm = sig_shift(lam[:n - 1], k, "tilde")
@@ -145,6 +146,17 @@ def test_cg_diagonal_closed_form():
                 / qfall(lb[i] - lb[n - 1] + k - 1, k - 1)
         assert v == cf, (lam, k)
         assert v == cg_diag_sq(lam, n, k) / cg_diag_sq(lam[:n - 1], n - 1, k)
+        # the closed pieces are the reference for the regularized chain at
+        # window points with dominant mu, where none of them hits a pole
+        for mu in window(lam, k):
+            if any(mu[i] < mu[i + 1] for i in range(n - 2)):
+                continue
+            tm = sig_shift(mu, k, "tilde")
+            c2 = cg_reduced_squared(tuple(x - (k - 1) for x in tl), n * (k - 1),
+                                    tl, tuple(x - (k - 1) for x in tm),
+                                    (n - 1) * (k - 1), tm)
+            assert c_squared_chain(mu, lam, k) == \
+                c2 * cg_diag_sq(mu, n - 1, k) / cg_diag_sq(lam, n, k), (mu, lam, k)
 
 
 def test_ek_denominator():
