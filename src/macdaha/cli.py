@@ -4,7 +4,7 @@ named verification suites, and emit canonical JSON on standard output.
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage
 error (malformed signatures, non-interlacing pairs, mu outside the
 matrix-element window, k < 1, verify sizes below their minimum, unknown
-suite).
+suite), 3 internal error (any other exception, reported as one line).
 """
 
 from __future__ import annotations
@@ -198,6 +198,9 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def is_dominant(sig):
@@ -38,6 +38,11 @@ def parse_signature(text):
 
 def format_signature(sig):
     return ",".join(str(p) for p in sig)
+
+
+def inversions(seq):
+    """The number of pairs a < b with seq[a] > seq[b]."""
+    return sum(1 for a, b in combinations(range(len(seq)), 2) if seq[a] > seq[b])
 
 
 def in_window(mu, lam, k):

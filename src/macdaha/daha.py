@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from random import Random
 
+from .combinat import inversions
 from .macops import MacParams, mac_apply, mac_generator_apply
 from .npoly import NPoly
 from .qfield import CR_ONE, CoeffRat, UnitMono, qnum
@@ -124,16 +125,11 @@ def _perm_words(n):
                 nxt = list(perm)
                 nxt[i], nxt[i + 1] = nxt[i + 1], nxt[i]
                 nxt = tuple(nxt)
-                if nxt not in words and _inversions(nxt) == len(word) + 1:
+                if nxt not in words and inversions(nxt) == len(word) + 1:
                     words[nxt] = word + (i + 1,)
                     new.append(nxt)
         frontier = new
     return words
-
-
-def _inversions(perm):
-    return sum(1 for a, b in combinations(range(len(perm)), 2)
-               if perm[a] > perm[b])
 
 
 def act_e(f, p):
@@ -384,15 +380,9 @@ def verify_res_intertwine(n, l, seed=0, samples=5, maxdeg=3):
     # (X_a - q^2 X_b) vanishes on every ladder configuration, hence must
     # map to zero (vacuous at l = 1 where the substitution is injective).
     if l > 1:
-        kern = NPoly.one(n * l)
-        for a, b in combinations(range(n * l), 2):
-            for (x, y) in ((a, b), (b, a)):
-                ea = [0] * (n * l)
-                eb = [0] * (n * l)
-                ea[x] = 1
-                eb[y] = 1
-                kern = kern * NPoly(n * l, {tuple(ea): CR_ONE,
-                                            tuple(eb): -UnitMono.q(2).as_coeffrat()})
+        kern = NPoly.binomial_product(n * l, ((x, y, UnitMono.q(2))
+                                              for a, b in combinations(range(n * l), 2)
+                                              for x, y in ((a, b), (b, a))))
         kf = from_npoly(kern)
         okk = res_map(kf, n, l).is_zero()
         g = _rand_sym(rng, n * l, 2)

@@ -229,13 +229,11 @@ def _diag_factor_lists(mu, lam, k, v):
     Directions: coordinate i of mu carries d = i, coordinate j of lam
     carries d = n + j, so every pair difference has a nonzero direction.
     """
-    n = len(lam)
-    m = n - 1
-    lb = _bar(lam, k)
+    m = len(lam) - 1
     mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
     nbp = [mbp[i] - v[i] for i in range(m)]
-    num = []
-    den = []
+    num = _kernel_atoms(lam, k, [mu[i] - v[i] for i in range(m)])
+    den = _delta2_atoms(lam, k)
     for i in range(m):
         for c in range(1, k - v[i]):
             den.append((c, 0))
@@ -252,18 +250,6 @@ def _diag_factor_lists(mu, lam, k, v):
                 den.append((mbp[i] - nbp[j] - s, d))
             for s in range(k - 1):
                 den.append((A + k - 1 - s, d))
-    for j in range(m):
-        for i in range(j + 1):
-            for s in range(k - 1):
-                num.append((lb[i] - nbp[j] + k - 1 - s, (n + i) - j))
-    for i in range(m):
-        for j in range(i + 1, n):
-            for s in range(k - 1):
-                num.append((nbp[i] - lb[j] - 1 - s, i - (n + j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in range(k - 1):
-                den.append((lb[i] - lb[j] - 1 - s, i - j))
     return num, den
 
 
@@ -307,6 +293,13 @@ def _kernel_atoms(lam, k, nu):
     return atoms
 
 
+def _delta2_atoms(lam, k):
+    """Factor descriptors of Delta_2(lam) = prod_{i<j} [lambar_i - lambar_j - 1]_{k-1}."""
+    lb = _bar(lam, k)
+    return [(lb[i] - lb[j] - 1 - s, i - j)
+            for i, j in combinations(range(len(lam)), 2) for s in range(k - 1)]
+
+
 def mat_elt(mu, lam, k):
     """c(mu, lam) by applying prod_{a=1}^{k-1} D(q^{2a}; q^{-2}, q^{2(k-1)})
     to the kernel, evaluating at mu, and dividing by
@@ -319,19 +312,13 @@ def mat_elt(mu, lam, k):
     regularization limit in one pass.
     """
     mu, lam = _route_args(mu, lam, k)
-    n = len(lam)
-    m = n - 1
-    lb = _bar(lam, k)
+    m = len(lam) - 1
     mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
-    den_global = []
+    den_global = _delta2_atoms(lam, k)
     for i in range(m):
         for j in range(i, m):
             for s in range(k - 1):
                 den_global.append((mbp[i] - mbp[j] + k - 1 - s, i - j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in range(k - 1):
-                den_global.append((lb[i] - lb[j] - 1 - s, i - j))
     terms = []
 
     def expand(a, point, qexp, sign, num, den):
@@ -538,11 +525,11 @@ def c_squared_chain(mu, lam, k):
             for s in range(k - 1):
                 diag_num.append((mb[i] - mb[j] - 1 - s, i - j))
                 diag_den.append((mb[i] - mb[j] + k - 1 - s, i - j))
+    diag_den += _delta2_atoms(lam, k)
     lb = _bar(lam, k)
     for i in range(n):
         for j in range(i + 1, n):
             for s in range(k - 1):
-                diag_den.append((lb[i] - lb[j] - 1 - s, i - j))
                 diag_num.append((lb[i] - lb[j] + k - 1 - s, i - j))
     qconst = -b - m * (m - 1) * k * (k - 1) // 2 + n * (n - 1) * k * (k - 1) // 2
     # Only the eta-side window clips survive regularization exactly (their
@@ -600,16 +587,8 @@ def ek_denominator(n, k):
     """(x_1...x_n)^{-(k-1)(n-1)} prod_{s=1}^{k-1} prod_{i<j} (x_i - q^{2s} x_j).
 
     Not symmetric for k > 1; returned as a plain Laurent polynomial."""
-    out = NPoly.one(n)
-    for s in range(1, k):
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei = [0] * n
-                ej = [0] * n
-                ei[i] = 1
-                ej[j] = 1
-                out = out * NPoly(n, {tuple(ei): CR_ONE,
-                                      tuple(ej): -UnitMono.q(2 * s).as_coeffrat()})
+    out = NPoly.binomial_product(n, ((i, j, UnitMono.q(2 * s)) for s in range(1, k)
+                                     for i, j in combinations(range(n), 2)))
     return out.mul_monomial((-(k - 1) * (n - 1),) * n)
 
 

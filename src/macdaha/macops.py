@@ -9,6 +9,18 @@ so (S, tau) = (q^2, t) gives the classical operators with parameters
 (q^2, t^2) and eigenvalue e_r at the point (S^{lam_i} tau^{n+1-2i}).  The
 half-parameter keeps every computed quantity inside Q(q, t).
 
+The operators are applied in the a_delta-conjugated form (Macdonald,
+Symmetric Functions and Hall Polynomials, VI.3)
+
+    D^r = tau^{-r(n-1)} a_delta^{-1} sum_{w in S_n} eps(w) x^{w delta}
+          sum_{|I|=r} tau^{2 sum_{i in I} (w delta)_i} T_{S,I},
+
+with a_delta the Vandermonde determinant, delta = (n-1, ..., 0).  On an
+orbit monomial this turns every term into an alternant, so a column
+D^r m_lam has Laurent-polynomial coefficients and is computed without any
+division; the columns are cached per (lam, r, n, parameters) and an input
+is applied as the linear combination of its columns.
+
 Three independent constructions of the joint eigenfunctions are provided:
 a triangular eigenvalue solve, the branching recursion, and the
 Gelfand-Tsetlin summation formula.
@@ -18,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .combinat import gt_enumerate, interlaces, interlacing_signatures, is_dominant, sig_sum
+from .combinat import (gt_enumerate, gt_weight, interlaces, interlacing_signatures,
+                       inversions, is_dominant, sig_sum)
 from .npoly import NPoly
-from .qfield import CR_ONE, CR_ZERO, CoeffRat, UnitMono, poch_ratio, qfall
-from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, m_sym, mono_shift, orbit, to_npoly
+from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, UnitMono, poch_ratio,
+                     qfall)
+from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, mono_shift, orbit
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,13 @@ def generic_params():
 def mac_apply(f, r, params, half_root=None):
     """Apply D^r exactly to a symmetric Laurent polynomial.
 
+    The result is sum_lam f_lam * D^r m_lam.  Each column D^r m_lam is
+    cached per (lam, r, n, params) and built without division from the
+    a_delta form, with delta = (n-1, ..., 0):
+
+        a_delta D^r m_lam = tau^{-r(n-1)}
+            sum_{gamma in orbit(lam)} e_r(tau^{2 delta_j} S^{gamma_j}) a_{delta+gamma}.
+
     With half_root set to a square root of the shift, the input is read as
     (x_1...x_n)^{1/2} * f and the output in the same convention; this only
     multiplies the subset term by half_root^r.
@@ -51,38 +71,18 @@ def mac_apply(f, r, params, half_root=None):
         raise ValueError("need 0 <= r <= n")
     if f.is_zero():
         return f
-    tau = params.thalf
-    tau2 = (tau * tau).as_coeffrat()
-    fn = to_npoly(f)
-    acc = NPoly.zero(n)
-    for I in combinations(range(n), r):
-        iset = set(I)
-        comp = [j for j in range(n) if j not in iset]
-        inv = sum(1 for i in I for j in comp if i > j)
-        g = fn.scale_vars(I, params.shift)
-        for i in I:
-            for j in comp:
-                ei = [0] * n
-                ej = [0] * n
-                ei[i] = 1
-                ej[j] = 1
-                g = g * NPoly(n, {tuple(ei): tau2, tuple(ej): -CR_ONE})
-        for a, b in combinations(range(n), 2):
-            if (a in iset) == (b in iset):
-                ea = [0] * n
-                eb = [0] * n
-                ea[a] = 1
-                eb[b] = 1
-                g = g * NPoly(n, {tuple(ea): CR_ONE, tuple(eb): -CR_ONE})
-        if inv % 2:
-            g = -g
-        acc = acc + g
-    for a, b in combinations(range(n), 2):
-        acc = acc.divexact_binomial(a, b)
-    scale = (tau ** (r * (r - n))).as_coeffrat()
     if half_root is not None:
-        scale = scale * (half_root ** r).as_coeffrat()
-    return from_npoly(acc.scalar_mul(scale))
+        f = f.scalar_mul((half_root ** r).as_coeffrat())
+    out = {}
+    for lam, c in f.terms.items():
+        for nu, a in _op_column(lam, r, n, params).items():
+            w = out.get(nu)
+            w = a * c if w is None else w + a * c
+            if w:
+                out[nu] = w
+            else:
+                out.pop(nu, None)
+    return SymLaurent._raw(n, out)
 
 
 def mac_generator_apply(f, u, params, half_root=None):
@@ -150,9 +150,42 @@ def _dominance_key(mu):
 
 
 @lru_cache(maxsize=None)
-def _op_column(mu, n, params):
-    """Expansion of D^1 m_mu in the orbit basis."""
-    return mac_apply(m_sym(mu, n), 1, params).terms
+def _op_column(lam, r, n, params):
+    """D^r m_lam in the orbit basis, as {signature: CoeffRat}, from the
+    a_delta form in mac_apply.
+
+    An alternant a_beta vanishes when beta has a repeated entry and is
+    otherwise eps * a_delta s_mu, where eps is the sign of sorting beta
+    strictly decreasing and mu = sort(beta) - delta.  Kostka numbers,
+    counted as Gelfand-Tsetlin patterns, expand s_mu in orbit monomials.
+    Every coefficient is a Laurent polynomial in (q, t): nothing is divided.
+    """
+    delta = tuple(range(n - 1, -1, -1))
+    tau2 = params.thalf ** 2
+    schur = {}
+    for gamma in orbit(lam):
+        beta = tuple(d + g for d, g in zip(delta, gamma))
+        if len(set(beta)) < n:
+            continue
+        er = [L_ONE] + [L_ZERO] * r
+        for d, g in zip(delta, gamma):
+            y = (tau2 ** d * params.shift ** g).as_laurent()
+            for k in range(r, 0, -1):
+                er[k] = er[k] + er[k - 1] * y
+        c = -er[r] if inversions(tuple(-b for b in beta)) % 2 else er[r]
+        mu = tuple(b - d for b, d in zip(sorted(beta, reverse=True), delta))
+        schur[mu] = schur[mu] + c if mu in schur else c
+    unit = (params.thalf ** (-r * (n - 1))).as_laurent()
+    mono = {}
+    for mu, c in schur.items():
+        if not c:
+            continue
+        c = c * unit
+        for pattern in gt_enumerate(mu):
+            nu = gt_weight(pattern)
+            if is_dominant(nu):
+                mono[nu] = mono[nu] + c if nu in mono else c
+    return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +197,7 @@ def _eigen_cached(lam, n, params):
     if n == 1:
         return SymLaurent(1, {lam: CR_ONE})
     basis = sorted(_partitions_below(lam), key=_dominance_key, reverse=True)
-    cols = {mu: _op_column(mu, n, params) for mu in basis}
+    cols = {mu: _op_column(mu, 1, n, params) for mu in basis}
     eig = eigenvalue(lam, 1, n, params)
     coeffs = {lam: CR_ONE}
     for mu in basis:

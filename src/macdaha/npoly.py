@@ -44,6 +44,18 @@ class NPoly:
             return cls.zero(len(exps))
         return cls._raw(len(exps), {tuple(exps): coeff})
 
+    @classmethod
+    def binomial_product(cls, n, factors):
+        """prod (x_i - c*x_j) over the triples (i, j, c), c a unit monomial."""
+        out = cls.one(n)
+        for i, j, c in factors:
+            ei = [0] * n
+            ej = [0] * n
+            ei[i] = 1
+            ej[j] = 1
+            out = out * cls(n, {tuple(ei): CR_ONE, tuple(ej): -c.as_coeffrat()})
+        return out
+
     def is_zero(self):
         return not self.terms
 

@@ -1,12 +1,12 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from macdaha.npoly import NPoly
 from macdaha.qfield import CR_ONE
-from macdaha.sympoly import from_npoly
+from macdaha.sympoly import from_npoly, to_npoly
 
 
 def partitions_upto(maxdeg, n):
@@ -51,6 +51,49 @@ def schur_oracle(lam, n):
         for b in range(a + 1, n):
             num = num.divexact_binomial(a, b)
     return from_npoly(num)
+
+
+def mac_apply_oracle(f, r, params, half_root=None):
+    """D^r from its defining formula: multiply every subset term by its
+    (tau^2 x_i - x_j) factors and the Vandermonde factors within I and
+    within its complement, sum with the inversion sign, and divide exactly
+    by the Vandermonde product (mac_apply's conventions, half_root
+    included)."""
+    n = f.n
+    if f.is_zero():
+        return f
+    tau = params.thalf
+    tau2 = (tau * tau).as_coeffrat()
+    fn = to_npoly(f)
+    acc = NPoly.zero(n)
+    for I in combinations(range(n), r):
+        iset = set(I)
+        comp = [j for j in range(n) if j not in iset]
+        inv = sum(1 for i in I for j in comp if i > j)
+        g = fn.scale_vars(I, params.shift)
+        for i in I:
+            for j in comp:
+                ei = [0] * n
+                ej = [0] * n
+                ei[i] = 1
+                ej[j] = 1
+                g = g * NPoly(n, {tuple(ei): tau2, tuple(ej): -CR_ONE})
+        for a, b in combinations(range(n), 2):
+            if (a in iset) == (b in iset):
+                ea = [0] * n
+                eb = [0] * n
+                ea[a] = 1
+                eb[b] = 1
+                g = g * NPoly(n, {tuple(ea): CR_ONE, tuple(eb): -CR_ONE})
+        if inv % 2:
+            g = -g
+        acc = acc + g
+    for a, b in combinations(range(n), 2):
+        acc = acc.divexact_binomial(a, b)
+    scale = (tau ** (r * (r - n))).as_coeffrat()
+    if half_root is not None:
+        scale = scale * (half_root ** r).as_coeffrat()
+    return from_npoly(acc.scalar_mul(scale))
 
 
 def window(lam, k):

@@ -85,6 +85,22 @@ def test_usage_errors_exit_2(capsys):
         assert err.strip() and len(err.strip().splitlines()) == 1
 
 
+def test_crash_exits_3_and_failure_exits_1(capsys, monkeypatch):
+    def crash(**kwargs):
+        raise RuntimeError("simulated fault")
+
+    def fail(**kwargs):
+        return [{"name": "always-false", "pass": False}]
+
+    monkeypatch.setitem(SUITES, "qfield-axioms", (crash, "raises"))
+    rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
+    assert rc == 3 and out == ""
+    assert err == "internal error: RuntimeError: simulated fault\n"
+    monkeypatch.setitem(SUITES, "qfield-axioms", (fail, "fails"))
+    rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
+    assert rc == 1 and json.loads(out)["pass"] is False and err == ""
+
+
 def test_verify_suite_report_shape(capsys):
     rc, out, _ = run(capsys, ["verify", "--suite", "qfield-axioms",
                               "--samples", "4", "--seed", "1"])

@@ -168,6 +168,14 @@ def test_res_diff_suites():
         assert all(c["pass"] for c in rep), (n, l, rep)
 
 
+def test_res_diff_six_variables():
+    # The shape `macdaha verify --suite res-diff --n 3` runs, and its
+    # three-ladder transpose; both restrict from 6 variables.
+    for (n, l) in [(3, 2), (2, 3)]:
+        rep = verify_res_diff(n, l)
+        assert [c["pass"] for c in rep] == [True, True], (n, l, rep)
+
+
 def test_res_diff_explicit_e1():
     # single-ladder generating-operator identity on e_1
     n, l = 1, 2

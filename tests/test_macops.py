@@ -1,6 +1,8 @@
 import pytest
 
-from conftest import partitions_upto, schur_oracle
+from random import Random
+
+from conftest import mac_apply_oracle, partitions_upto, schur_oracle
 
 from macdaha.macops import (MacParams, eigenvalue, generic_params, mac_apply,
                             mac_generator_apply, macdonald_branch,
@@ -12,6 +14,39 @@ from macdaha.sympoly import SymLaurent, e_sym, eval_sym, m_sym, mono_shift
 P = generic_params()
 q = UnitMono.q
 t = UnitMono.t
+
+
+def _rand_sym(rng, n, lo, hi):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        sig = tuple(sorted((rng.randint(lo, hi) for _ in range(n)), reverse=True))
+        terms[sig] = CoeffRat.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return SymLaurent(n, terms)
+
+
+def test_mac_apply_matches_defining_formula():
+    # Seeded inputs, signatures with negative entries and P_lam with
+    # fractional coefficients, at generic, restriction (shift q^{-2l},
+    # thalf q) and negative-sign parameters, with and without half_root.
+    rng = Random(20141202)
+    params = [(P, None),
+              (MacParams(shift=q(-4), thalf=q(1)), q(-2)),
+              (MacParams(shift=q(-6), thalf=q(1)), None),
+              (MacParams(shift=UnitMono(-1, 1, 2), thalf=UnitMono(-1, 0, 1)), None)]
+    inputs = [_rand_sym(rng, n, -2, 2) for n in (1, 2, 3, 4) for _ in range(2)]
+    inputs += [macdonald_eigen((2, 0), 2), mono_shift(macdonald_eigen((2, 1, 0), 3), -1),
+               macdonald_eigen((1, 1, 0, 0), 4)]
+    for f in inputs:
+        for params_, half in params:
+            for r in range(f.n + 1):
+                want = mac_apply_oracle(f, r, params_)
+                assert mac_apply(f, r, params_) == want, (f, r, params_)
+                if half is not None:
+                    assert mac_apply(f, r, params_, half_root=half) == \
+                        mac_apply_oracle(f, r, params_, half_root=half)
+    f5 = _rand_sym(rng, 5, -1, 1)
+    for r in range(6):
+        assert mac_apply(f5, r, P) == mac_apply_oracle(f5, r, P), (f5, r)
 
 
 def test_mac_apply_single_variable():
