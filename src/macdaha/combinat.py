@@ -117,6 +117,37 @@ def gt_weight(pattern):
                  for i in range(n))
 
 
+def kostka_dominant(lam):
+    """{nu: number of Gelfand-Tsetlin patterns subordinate to lam with
+    weight nu} over the dominant nu: the Kostka numbers K_{lam, nu}.
+
+    Counted row by row without building patterns; the weight entries come
+    out in order, so a prefix that stops decreasing is dropped at once.
+    """
+    if not is_dominant(lam):
+        raise ValueError("signature must be dominant")
+    if not lam:
+        return {(): 1}
+    states = {(lam, ()): 1}
+    for _ in range(len(lam) - 1):
+        nxt = {}
+        for (row, prefix), cnt in states.items():
+            total = sig_sum(row)
+            for mu in interlacing_signatures(row):
+                w = total - sig_sum(mu)
+                if prefix and w > prefix[-1]:
+                    continue
+                key = (mu, prefix + (w,))
+                nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    out = {}
+    for ((last,), prefix), cnt in states.items():
+        if not prefix or last <= prefix[-1]:
+            nu = prefix + (last,)
+            out[nu] = out.get(nu, 0) + cnt
+    return out
+
+
 def rho(n):
     """rho_i = (n + 1 - 2i)/2 as exact fractions."""
     return tuple(Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1))

@@ -27,7 +27,7 @@ from .combinat import inversions
 from .macops import MacParams, mac_apply, mac_generator_apply
 from .npoly import NPoly
 from .qfield import CR_ONE, CoeffRat, UnitMono, qnum
-from .sympoly import SymLaurent, from_npoly, mono_shift, orbit, to_npoly
+from .sympoly import SymLaurent, e_sym, from_npoly, mono_shift, orbit, to_npoly
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,6 @@ def verify_res_intertwine(n, l, seed=0, samples=5, maxdeg=3):
         lhs2 = res_map(p1_Yinv_apply(f, src_daha), n, l)
         rhs2 = p1_Yinv_apply(rf, tgt_daha).scalar_mul(lnum)
         ok2 = ok2 and lhs2 == rhs2
-        from .sympoly import e_sym
         lhs3 = res_map(e_sym(1, n * l) * f, n, l)
         rhs3 = (e_sym(1, n) * rf).scalar_mul(lnum)
         ok3 = ok3 and lhs3 == rhs3

@@ -604,10 +604,14 @@ def trace_reconstruct(lam, n, k):
     if not is_dominant(lam):
         raise ValueError("signature must be dominant")
     acc = NPoly.zero(n)
+    links = {}      # (mu, lam') -> c(mu, lam'); chains share most links
     for chain in shifted_chain_enumerate(lam, k):
         coeff = CR_ONE
         for i in range(n - 1):
-            coeff = coeff * diag_coeff_sum(chain[i], chain[i + 1], k)
+            link = (chain[i], chain[i + 1])
+            if link not in links:
+                links[link] = diag_coeff_sum(*link, k)
+            coeff = coeff * links[link]
             if not coeff:
                 break
         if not coeff:

@@ -31,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinat import (gt_enumerate, gt_weight, interlaces, interlacing_signatures,
-                       inversions, is_dominant, sig_sum)
+from .combinat import (gt_enumerate, interlaces, interlacing_signatures, inversions,
+                       is_dominant, kostka_dominant, sig_sum)
 from .npoly import NPoly
-from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, UnitMono, poch_ratio,
-                     qfall)
+from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, LaurentQT, UnitMono,
+                     poch_ratio, qfall)
 from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, mono_shift, orbit
 
 
@@ -181,10 +181,9 @@ def _op_column(lam, r, n, params):
         if not c:
             continue
         c = c * unit
-        for pattern in gt_enumerate(mu):
-            nu = gt_weight(pattern)
-            if is_dominant(nu):
-                mono[nu] = mono[nu] + c if nu in mono else c
+        for nu, kostka in kostka_dominant(mu).items():
+            a = c * LaurentQT.const(kostka)
+            mono[nu] = mono[nu] + a if nu in mono else a
     return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items() if c}
 
 

@@ -10,11 +10,32 @@ genuine polynomial (no negative exponents, no monomial factor) whose
 leading coefficient under graded lex order (q before t) is positive.  The
 canonical form is unique per value, so equality is plain structural
 equality and string rendering is deterministic.
+
+Term maps with a single t exponent (every scalar of a one-variable Q(q)
+computation, and many t-contents) take an exact kernel over Z[q] built on
+Kronecker substitution: a polynomial u is packed into the one integer
+u(2^s), and two polynomials whose coefficients all lie inside
+(-2^(s-1), 2^(s-1)) are equal exactly when their values at 2^s are.
+- A product is one integer product, at a width s above the product's
+  coefficient bound.
+- A quotient is one integer division.  It is kept only when its digits
+  bound every coefficient of quotient * divisor below 2^(s-1), which
+  proves the division exact; a wider quotient goes to long division.
+- The gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+  1989).  With 2^s > 2 min(|u|, |v|) + 2 for primitive u and v, the
+  primitive part of the balanced base-2^s digits of gcd(u(2^s), v(2^s))
+  is gcd(u, v) as soon as it divides both.  The candidate is returned
+  only after both exact divisions (trivial for the candidate 1), whose
+  quotients are the cofactors.
+  After a few widths the pseudo-remainder gcd decides.
+Maps in both variables use recursive pseudo-remainder sequences over
+Z[q][t].
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache, reduce
 
 
@@ -52,6 +73,12 @@ def _mul(A, B):
         return {}
     if len(A) > len(B):
         A, B = B, A
+    if len(A) >= 4 and len(A) * len(B) >= _KRON_TERMS:
+        FA, FB = _to_t(A), _to_t(B)
+        if len(FA) == 1 and len(FB) == 1:
+            (ta, u), = FA.items()
+            (tb, v), = FB.items()
+            return {(a, ta + tb): c for a, c in _q_kron_mul(u, v).items()}
     C = {}
     for (a1, b1), c1 in A.items():
         for (a2, b2), c2 in B.items():
@@ -89,19 +116,9 @@ _ONE_D = {(0, 0): 1}
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery over Z[q, t] (non-negative exponents).  Recursive primitive
-# pseudo-remainder sequences: main variable t, coefficients in Z[q].
-
-def _to_t(A):
-    D = {}
-    for (a, b), c in A.items():
-        D.setdefault(b, {})[a] = c
-    return D
-
-
-def _from_t(D):
-    return {(a, b): c for b, u in D.items() for a, c in u.items()}
-
+# Schoolbook arithmetic in Z[q], as {q_exp: coeff}: the pseudo-remainder
+# gcd and long division are the fallbacks of the exact kernel below and
+# the oracles of its tests.
 
 def _q_sub(u, v):
     w = dict(u)
@@ -132,7 +149,7 @@ def _q_scale(u, c):
 
 
 def _q_int_content(u):
-    return reduce(math.gcd, (abs(c) for c in u.values()))
+    return math.gcd(*u.values())
 
 
 def _q_divexact_int(u, c):
@@ -190,8 +207,8 @@ def _q_gcd(u, v):
     return _q_scale(u, c)
 
 
-def _q_divexact(u, v):
-    """Exact division in Z[q]; raises ArithmeticError if not divisible."""
+def _q_longdiv(u, v):
+    """Exact long division in Z[q]; raises ArithmeticError if not divisible."""
     if not u:
         return {}
     dv = max(v)
@@ -219,12 +236,162 @@ def _q_divexact(u, v):
     return quo
 
 
-def _t_content(F):
-    return reduce(_q_gcd, F.values())
+# ---------------------------------------------------------------------------
+# The exact Z[q] kernel (see the module docstring).  A polynomial
+# {q_exp: coeff} is packed from its lowest exponent lo with w-byte digits,
+# w a power of two, at s = 8w bits.
+
+_DIGIT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # little-endian struct codes
+_KRON_TERMS = 128       # term-count product from which operands are packed
+_HEU_TRIES = 4          # GCDHEU widths tried before the pseudo-remainder gcd
 
 
-def _t_map(F, fn):
-    return {b: fn(u) for b, u in F.items()}
+def _width(bound):
+    """The least power-of-two byte count w with 2^(8w - 1) > bound."""
+    w = 1
+    while bound >> (8 * w - 1):
+        w *= 2
+    return w
+
+
+def _norm(u):
+    return max(map(abs, u.values()))
+
+
+def _offset(w, n):
+    """The integer with n digits 2^(8w-1): it makes balanced digits
+    non-negative."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little")
+
+
+def _pack(u, lo, w):
+    """sum c 2^(8w (a - lo)) over the terms c q^a of u; |c| < 2^(8w-1)."""
+    half = 1 << (8 * w - 1)
+    n = max(u) - lo + 1
+    digits = [half] * n
+    for a, c in u.items():
+        digits[a - lo] = half + c
+    if w in _DIGIT_FORMAT:
+        data = struct.pack(f"<{n}{_DIGIT_FORMAT[w]}", *digits)
+    else:
+        data = b"".join(d.to_bytes(w, "little") for d in digits)
+    return int.from_bytes(data, "little") - _offset(w, n)
+
+
+def _unpack(x, lo, w):
+    """The polynomial, exponents from lo, whose balanced base-2^(8w)
+    digits (each in [-2^(8w-1), 2^(8w-1))) make up the integer x."""
+    half = 1 << (8 * w - 1)
+    n = abs(x).bit_length() // (8 * w) + 2
+    data = (x + _offset(w, n)).to_bytes(n * w, "little")
+    if w in _DIGIT_FORMAT:
+        digits = struct.unpack(f"<{n}{_DIGIT_FORMAT[w]}", data)
+    else:
+        digits = [int.from_bytes(data[i:i + w], "little") for i in range(0, n * w, w)]
+    return {lo + i: d - half for i, d in enumerate(digits) if d != half}
+
+
+def _q_kron_mul(u, v):
+    """u * v in Z[q] as one integer product."""
+    w = _width(_norm(u) * _norm(v) * min(len(u), len(v)))
+    lu, lv = min(u), min(v)
+    return _unpack(_pack(u, lu, w) * _pack(v, lv, w), lu + lv, w)
+
+
+def _q_divexact(u, v):
+    """Exact division in Z[q]; raises ArithmeticError if not divisible.
+
+    A non-zero remainder of u(2^s) by v(2^s) disproves divisibility.  The
+    quotient Q read from the integer quotient satisfies
+    Q(2^s) v(2^s) = u(2^s), so when |Q| |v| min(#Q, #v) < 2^(s-1) bounds
+    every coefficient of Q v, Q v = u holds exactly.
+    """
+    if (len(u) - len(v) + 1) * len(u) < _KRON_TERMS:
+        return _q_longdiv(u, v)     # about (#quotient) * (#u) steps
+    lu, lv = min(u), min(v)
+    if lu < lv or max(u) - lu < max(v) - lv:
+        raise ArithmeticError("inexact polynomial division in Z[q]")
+    nv = _norm(v)
+    w = _width(_norm(u) * nv * min(len(u), len(v)))  # Q about as wide as u
+    quo, rem = divmod(_pack(u, lu, w), _pack(v, lv, w))
+    if rem:
+        raise ArithmeticError("inexact polynomial division in Z[q]")
+    Q = _unpack(quo, lu - lv, w)
+    if _norm(Q) * nv * min(len(Q), len(v)) < 1 << (8 * w - 1):
+        return Q
+    return _q_longdiv(u, v)
+
+
+def _q_gcd_cofactors(u, v):
+    """(g, u/g, v/g) for non-zero u, v in Z[q], with g = _q_gcd(u, v).
+
+    Negative exponents are allowed: g carries the power of q at the lower
+    of the two lowest exponents.
+    """
+    lu, lv = min(u), min(v)
+    cu, cv = _q_int_content(u), _q_int_content(v)
+    c, m = math.gcd(cu, cv), min(lu, lv)
+    g, f, h = _q_gcd_primitive(_q_rescale(u, -lu, 1, cu), _q_rescale(v, -lv, 1, cv))
+    return (_q_rescale(g, m, c, 1), _q_rescale(f, lu - m, cu // c, 1),
+            _q_rescale(h, lv - m, cv // c, 1))
+
+
+def _q_rescale(u, k, a, b):
+    """q^k u a / b (b divides every coefficient)."""
+    if not k and a == b:
+        return u
+    return {e + k: x * a // b for e, x in u.items()}
+
+
+def _q_gcd_primitive(u, v):
+    """(g, u/g, v/g) for primitive u, v in Z[q] with non-zero constant
+    terms: GCDHEU at growing widths, then the pseudo-remainder gcd."""
+    if len(u) == 1 or len(v) == 1:
+        return {0: 1}, u, v
+    if u == v:
+        s = 1 if u[max(u)] > 0 else -1
+        return _q_scale(u, s), {0: s}, {0: s}
+    w = _width(2 * max(_norm(u), _norm(v)) + 2)
+    for _ in range(_HEU_TRIES):
+        # The top balanced digit of a positive integer is positive.
+        g = _unpack(math.gcd(_pack(u, 0, w), _pack(v, 0, w)), 0, w)
+        g = _q_divexact_int(g, _q_int_content(g))
+        if g == {0: 1}:             # divides both: u and v are coprime
+            return g, u, v
+        try:
+            return g, _q_divexact(u, g), _q_divexact(v, g)
+        except ArithmeticError:
+            w *= 2
+    g = _q_gcd(u, v)
+    return g, _q_divexact(u, g), _q_divexact(v, g)
+
+
+# ---------------------------------------------------------------------------
+# gcd machinery over Z[q, t] (non-negative exponents).  Recursive primitive
+# pseudo-remainder sequences: main variable t, coefficients in Z[q].
+
+def _to_t(A):
+    D = {}
+    for (a, b), c in A.items():
+        D.setdefault(b, {})[a] = c
+    return D
+
+
+def _from_t(D):
+    return {(a, b): c for b, u in D.items() for a, c in u.items()}
+
+
+def _t_primitive(F):
+    """(c, F / c) with c the gcd in Z[q] of the t-coefficients of F; each
+    gcd step's cofactors make up the quotient."""
+    terms = iter(F.items())
+    b, c = next(terms)
+    P = {b: {0: 1}}
+    for b, u in terms:
+        c, f, P[b] = _q_gcd_cofactors(c, u)
+        if f != {0: 1}:
+            P = {b1: _q_mul(x, f) if b1 != b else x for b1, x in P.items()}
+    return c, P
 
 
 def _t_prem(F, G):
@@ -270,22 +437,17 @@ def _poly_gcd(A, B):
         c = reduce(math.gcd, (abs(v) for v in B.values()), c)
         return {(qa, tb): c}
     FA, FB = _to_t(A), _to_t(B)
-    if max(FA) == 0 and max(FB) == 0:
-        g = _q_gcd(FA[0], FB[0])
-        return {(a, 0): c for a, c in g.items()}
-    ca, cb = _t_content(FA), _t_content(FB)
-    cont = _q_gcd(ca, cb)
-    U = _t_map(FA, lambda u: _q_divexact(u, ca))
-    V = _t_map(FB, lambda u: _q_divexact(u, cb))
+    ca, U = _t_primitive(FA)
+    cb, V = _t_primitive(FB)
+    cont = _q_gcd_cofactors(ca, cb)[0]
     if max(U) < max(V):
         U, V = V, U
     while V:
         R = _t_prem(U, V)
         if R:
-            cr = _t_content(R)
-            R = _t_map(R, lambda u: _q_divexact(u, cr))
+            R = _t_primitive(R)[1]
         U, V = V, R
-    G = _from_t(_t_map(U, lambda u: _q_mul(u, cont)))
+    G = _from_t({b: _q_mul(u, cont) for b, u in U.items()})
     if _lead_coeff(G) < 0:
         G = _neg(G)
     return G
@@ -298,6 +460,12 @@ def _poly_divexact(A, B):
     if B == _ONE_D:
         return dict(A)
     F, G = _to_t(A), _to_t(B)
+    if len(F) == 1 and len(G) == 1:
+        (dF, u), = F.items()
+        (dG, v), = G.items()
+        if dF < dG:
+            raise ArithmeticError("inexact polynomial division in Z[q,t]")
+        return {(a, dF - dG): c for a, c in _q_divexact(u, v).items()}
     dG = max(G)
     lcG = G[dG]
     Q = {}
@@ -317,20 +485,31 @@ def _poly_divexact(A, B):
     return _from_t(Q)
 
 
-def _gcd_qt(A, B):
-    """Monomial-free gcd core of two Laurent term maps.
+def _gcd_cofactors(A, B):
+    """(g, A/g, B/g) for non-zero Laurent term maps A and B.
 
-    Monomials are units in the Laurent ring; the returned representative has
-    exponent minimum 0 in each variable, positive graded-lex leading
-    coefficient, and includes the integer content.
+    Monomials are units in the Laurent ring: g has exponent minimum 0 in
+    each variable, a positive graded-lex leading coefficient and the
+    integer content, and A/g and B/g keep the monomial parts of A and B.
+    Two maps with one t exponent each take the Z[q] kernel.
     """
-    if not A or not B:
-        return dict(_ONE_D)
-    qa1, tb1 = _min_exps(A)
-    qa2, tb2 = _min_exps(B)
-    A0 = _shift(A, -qa1, -tb1) if (qa1 or tb1) else A
-    B0 = _shift(B, -qa2, -tb2) if (qa2 or tb2) else B
-    return _poly_gcd(A0, B0)
+    FA, FB = _to_t(A), _to_t(B)
+    if len(FA) == 1 and len(FB) == 1:
+        (ta, u), = FA.items()
+        (tb, v), = FB.items()
+        g, f, h = _q_gcd_cofactors(u, v)
+        m = min(g)
+        return ({(a - m, 0): c for a, c in g.items()},
+                {(a + m, ta): c for a, c in f.items()},
+                {(a + m, tb): c for a, c in h.items()})
+    qa, ta = _min_exps(A)
+    qb, tb = _min_exps(B)
+    A0, B0 = _shift(A, -qa, -ta), _shift(B, -qb, -tb)
+    g = _poly_gcd(A0, B0)
+    if g == _ONE_D:
+        return g, A, B
+    return (g, _shift(_poly_divexact(A0, g), qa, ta),
+            _shift(_poly_divexact(B0, g), qb, tb))
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +668,11 @@ def _canonical(num, den):
         num = _shift(num, -da, -db)
     if den == _ONE_D:
         return num, dict(_ONE_D)
-    na, nb = _min_exps(num)
-    num0 = _shift(num, -na, -nb) if (na or nb) else num
-    g = _poly_gcd(num0, den)
-    if g != _ONE_D:
-        num0 = _poly_divexact(num0, g)
-        den = _poly_divexact(den, g)
+    _, num, den = _gcd_cofactors(num, den)
     if _lead_coeff(den) < 0:
-        num0 = _neg(num0)
+        num = _neg(num)
         den = _neg(den)
-    return _shift(num0, na, nb), den
+    return num, den
 
 
 class CoeffRat:
@@ -554,7 +728,7 @@ class CoeffRat:
         if b == d:
             n, dd = _canonical(_add(a, c), b)
             return CoeffRat._raw(LaurentQT._raw(n), LaurentQT._raw(dd))
-        g = _gcd_qt(b, d)
+        g, b1, d1 = _gcd_cofactors(b, d)
         if g == _ONE_D:
             num = _add(_mul(a, d), _mul(c, b))
             den = _mul(b, d)
@@ -563,17 +737,13 @@ class CoeffRat:
             if _lead_coeff(den) < 0:
                 num, den = _neg(num), _neg(den)
             return CoeffRat._raw(LaurentQT._raw(num), LaurentQT._raw(den))
-        b1 = _poly_divexact(b, g)
-        d1 = _poly_divexact(d, g)
         tnum = _add(_mul(a, d1), _mul(c, b1))
         if not tnum:
             return CR_ZERO
-        g2 = _gcd_qt(tnum, g)
-        if g2 != _ONE_D:
-            tnum = _div_laurent(tnum, g2)
-            den = _mul(b1, _poly_divexact(d, g2))
-        else:
-            den = _mul(b1, d)
+        # The sum is tnum / (b1 d1 g) and only g can share a factor with
+        # tnum; with g = g2 h it reduces to tnum' / (b1 d1 h).
+        g2, tnum, h = _gcd_cofactors(tnum, g)
+        den = _mul(b1, d) if g2 == _ONE_D else _mul(b1, _mul(d1, h))
         if _lead_coeff(den) < 0:
             tnum, den = _neg(tnum), _neg(den)
         return CoeffRat._raw(LaurentQT._raw(tnum), LaurentQT._raw(den))
@@ -595,14 +765,10 @@ class CoeffRat:
         c, d = other.num.terms, other.den.terms
         if not a or not c:
             return CR_ZERO
-        g1 = _gcd_qt(a, d) if d != _ONE_D else _ONE_D
-        g2 = _gcd_qt(c, b) if b != _ONE_D else _ONE_D
-        if g1 != _ONE_D:
-            a = _div_laurent(a, g1)
-            d = _poly_divexact(d, g1)
-        if g2 != _ONE_D:
-            c = _div_laurent(c, g2)
-            b = _poly_divexact(b, g2)
+        if d != _ONE_D:
+            _, a, d = _gcd_cofactors(a, d)
+        if b != _ONE_D:
+            _, c, b = _gcd_cofactors(c, b)
         num = _mul(a, c)
         den = _mul(b, d)
         if _lead_coeff(den) < 0:
@@ -656,15 +822,6 @@ class CoeffRat:
 
     def __repr__(self):
         return f"CoeffRat({self})"
-
-
-def _div_laurent(A, g):
-    """Exact division of a Laurent term map by a polynomial term map."""
-    if not A:
-        return {}
-    na, nb = _min_exps(A)
-    A0 = _shift(A, -na, -nb) if (na or nb) else A
-    return _shift(_poly_divexact(A0, g), na, nb)
 
 
 CR_ZERO = CoeffRat._raw(L_ZERO, L_ONE)

@@ -11,10 +11,8 @@ from itertools import product
 from random import Random
 
 from . import daha, indexops, intertwiner, macops
-from .combinat import interlacing_signatures, sig_sum
-from .npoly import NPoly
+from .combinat import interlacing_signatures
 from .qfield import CR_ONE, CoeffRat, LaurentQT, UnitMono, qfall, qnum, poch_ratio, subst
-from .sympoly import SymLaurent, e_sym, eval_sym, from_npoly, m_sym, mono_shift, orbit, to_npoly
 
 
 def _partitions(maxdeg, n):

@@ -6,8 +6,8 @@ from conftest import partitions_upto, schur_oracle
 
 from macdaha.combinat import (GTPattern, format_signature, gt_enumerate,
                               gt_weight, interlaces, interlacing_signatures,
-                              parse_signature, rho, rho_tilde, shift,
-                              shifted_chain_enumerate)
+                              is_dominant, kostka_dominant, parse_signature,
+                              rho, rho_tilde, shift, shifted_chain_enumerate)
 from macdaha.npoly import NPoly
 from macdaha.qfield import CR_ONE
 from macdaha.sympoly import from_npoly
@@ -65,6 +65,20 @@ def test_gt_weight_sum_is_schur():
         for p in gt_enumerate(lam):
             acc = acc + NPoly.monomial(gt_weight(p), CR_ONE)
         assert from_npoly(acc) == schur_oracle(lam, n)
+
+
+def test_kostka_dominant_counts_gt_patterns():
+    for lam in [(), (0,), (-2,), (1, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1, 0),
+                (1, -1), (0, -1, -3), (3, 1, 1, -2)]:
+        counts = {}
+        for p in gt_enumerate(lam):
+            nu = gt_weight(p)
+            if is_dominant(nu):
+                counts[nu] = counts.get(nu, 0) + 1
+        assert kostka_dominant(lam) == counts, lam
+    assert kostka_dominant((2, 1, 0)) == {(2, 1, 0): 1, (1, 1, 1): 2}
+    with pytest.raises(ValueError):
+        kostka_dominant((0, 1))
 
 
 def test_shifts():

@@ -2,7 +2,8 @@ import pytest
 
 from conftest import partitions_upto, window
 
-from macdaha.combinat import interlacing_signatures, shift as sig_shift
+from macdaha.combinat import interlacing_signatures, shifted_chain_enumerate
+from macdaha.combinat import shift as sig_shift
 from macdaha.intertwiner import (branch_reconstruct_qk, c_squared_chain,
                                  cg_diag_sq, cg_reduced_squared, delta1,
                                  delta2, delta_cross, diag_coeff_sum,
@@ -187,6 +188,22 @@ def test_trace_ratio_small():
 def test_trace_k3_two_variables():
     for lam in [(1, 0), (2, 0)]:
         assert trace_ratio(lam, 2, 3) == macdonald_qk(lam, 2, 3)
+
+
+def test_trace_reconstruct_equals_per_chain_sum():
+    # trace_reconstruct computes each (mu^i, mu^{i+1}) link once per call;
+    # the plain sum re-evaluates every link of every chain.
+    for lam, k in [((2, 1, 0), 2), ((3, 1, 0), 2), ((2, 0, 0), 3)]:
+        n = len(lam)
+        acc = NPoly.zero(n)
+        for chain in shifted_chain_enumerate(lam, k):
+            coeff = CR_ONE
+            for i in range(n - 1):
+                coeff = coeff * diag_coeff_sum(chain[i], chain[i + 1], k)
+            tsums = [sum(sig_shift(row, k, "tilde")) for row in chain]
+            exps = tuple(tsums[i] - (tsums[i - 1] if i else 0) for i in range(n))
+            acc = acc + NPoly.monomial(exps, coeff)
+        assert trace_reconstruct(lam, n, k) == acc, (lam, k)
 
 
 def test_branch_reconstruction_small():

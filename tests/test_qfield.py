@@ -144,3 +144,172 @@ def test_qnum_qinv_symmetry():
     for a in range(0, 7):
         assert subst(qnum(a), q_image=UnitMono.q(-1)) == qnum(a)
         assert qnum(-a) == -qnum(a)
+
+
+# ---------------------------------------------------------------------------
+# The exact Z[q] kernel: GCDHEU with cofactors, packed products, exact
+# division.  The pseudo-remainder gcd `_q_gcd` and schoolbook products are
+# the oracles.
+
+from random import Random
+
+from macdaha import qfield
+
+
+def q_poly(rng, terms, lo=0, hi=12, cmax=9):
+    u = {}
+    for _ in range(terms):
+        c = rng.randint(-cmax, cmax)
+        if c:
+            u[rng.randint(lo, hi)] = c
+    return u or {lo: 1}
+
+
+def q_number(a):
+    return {a - 1 - 2 * i + a: 1 for i in range(a)}   # q^a [a], a polynomial
+
+
+def q_numbers(*args):
+    r = {0: 1}
+    for a in args:
+        r = qfield._q_mul(r, q_number(a))
+    return r
+
+
+def schoolbook(A, B):
+    C = {}
+    for (a1, b1), c1 in A.items():
+        for (a2, b2), c2 in B.items():
+            k = (a1 + a2, b1 + b2)
+            C[k] = C.get(k, 0) + c1 * c2
+    return {k: c for k, c in C.items() if c}
+
+
+def gcd_cases():
+    rng = Random(20260418)
+    big = 2 ** 70 + 12345
+    cases = [
+        (q_numbers(3, 5, 7, 8), q_numbers(5, 8, 9, 11)),
+        (q_numbers(*range(2, 12)), q_numbers(*range(6, 15))),
+        (q_numbers(4, 4, 6), q_numbers(2, 3)),
+        ({0: 6, 2: -4}, {0: 9, 2: -6}),             # integer content 2 and 3
+        ({3: 1}, {1: 5, 4: 7}),                      # monomial
+        ({0: 7}, {0: 14, 1: 21}),                    # constant
+        ({0: -3}, {0: -3}),
+        ({0: 1, 1: 1}, {0: 1, 1: -1}),               # coprime
+        ({0: big, 5: -big}, {0: big * 3, 2: big}),   # beyond 2^64
+        ({0: -1, 2: 1}, {0: -1, 2: 1}),              # equal inputs
+    ]
+    for _ in range(40):
+        g = q_poly(rng, rng.randint(1, 6), hi=8)
+        u = qfield._q_mul(g, q_poly(rng, rng.randint(1, 8)))
+        v = qfield._q_mul(g, q_poly(rng, rng.randint(1, 8)))
+        cases.append((qfield._q_scale(u, rng.choice((1, -2, 3))),
+                      qfield._q_scale(v, rng.choice((1, 6, -big)))))
+    return cases
+
+
+@pytest.mark.parametrize("u, v", gcd_cases())
+def test_gcd_cofactors_match_prs_oracle(u, v):
+    g, f, h = qfield._q_gcd_cofactors(u, v)
+    assert g == qfield._q_gcd(u, v)
+    assert qfield._q_mul(g, f) == u
+    assert qfield._q_mul(g, h) == v
+
+
+@pytest.mark.parametrize("u, v", gcd_cases()[:20])
+def test_gcd_cofactors_fallback_agrees(u, v, monkeypatch):
+    expected = qfield._q_gcd_cofactors(u, v)
+    monkeypatch.setattr(qfield, "_HEU_TRIES", 0)
+    assert qfield._q_gcd_cofactors(u, v) == expected
+
+
+def test_gcd_cofactors_laurent_maps():
+    rng = Random(7)
+    for _ in range(30):
+        tfree = rng.random() < 0.5
+        g = {(a, 0 if tfree else rng.randint(0, 2)): c
+             for a, c in q_poly(rng, 3, hi=4).items()}
+        A = schoolbook(g, {(a - 6, 0 if tfree else 1): c
+                           for a, c in q_poly(rng, 5).items()})
+        B = schoolbook(g, {(a - 3, 2): c for a, c in q_poly(rng, 4).items()})
+        G, F, H = qfield._gcd_cofactors(A, B)
+        assert min(a for a, _ in G) == 0 and min(b for _, b in G) == 0
+        assert qfield._lead_coeff(G) > 0
+        assert schoolbook(G, F) == A and schoolbook(G, H) == B
+        # G is a gcd: it absorbs the planted factor up to a unit monomial.
+        a0, b0 = qfield._min_exps(g)
+        qfield._poly_divexact(G, qfield._shift(g, -a0, -b0))
+
+
+def test_packed_product_matches_schoolbook(monkeypatch):
+    packed = []
+    kron = qfield._q_kron_mul
+    monkeypatch.setattr(qfield, "_q_kron_mul",
+                        lambda u, v: packed.append(1) or kron(u, v))
+    rng = Random(11)
+    cases = [
+        # (1 + ... + q^31)(1 - q)(1 + q^32) = 1 - q^64: all else cancels.
+        ({(a, 0): 1 for a in range(32)},
+         {(0, 0): 1, (1, 0): -1, (32, 0): 1, (33, 0): -1}),
+        ({(a - 20, 3): (-1) ** a * (2 ** 80 + a) for a in range(30)},
+         {(-a, -1): -(3 ** a) for a in range(12)}),
+    ]
+    for _ in range(20):
+        cases.append(({(a - 10, 0): c for a, c in q_poly(rng, 40, hi=60).items()},
+                      {(a - 30, 0): c for a, c in
+                       q_poly(rng, 20, hi=40, cmax=10 ** rng.randint(1, 30)).items()}))
+    for A, B in cases:
+        assert qfield._mul(A, B) == schoolbook(A, B)
+        assert qfield._mul(A, qfield._neg(A)) == qfield._neg(schoolbook(A, A))
+    assert len(packed) == 2 * len(cases)
+    assert qfield._mul(*cases[0]) == {(0, 0): 1, (64, 0): -1}
+
+
+def test_divexact_exact_and_wide_quotients():
+    # (1 - q^10)^8 / (1 - q)^8 has quotient coefficients far wider than
+    # either operand's; the division must still return it.
+    u, v = {0: 1}, {0: 1}
+    for _ in range(8):
+        u = qfield._q_mul(u, {0: 1, 10: -1})
+        v = qfield._q_mul(v, {0: 1, 1: -1})
+    u = qfield._q_mul(u, q_numbers(*range(2, 20)))
+    quo = qfield._q_divexact(u, v)
+    assert qfield._q_mul(quo, v) == u
+    big = q_numbers(*range(3, 16))
+    for d in (q_numbers(4, 7), {0: 1}, {3: -2}, q_numbers(5, 5, 5, 9)):
+        assert qfield._q_divexact(qfield._q_mul(big, d), d) == big
+
+
+def test_t_free_poly_divexact_rejects_inexact():
+    two_d = lambda u, b=0: {(a, b): c for a, c in u.items()}
+    big = q_numbers(*range(3, 16))
+    for u, v in [
+        (big, q_numbers(17)),                       # packed path
+        (qfield._q_mul(big, q_numbers(6)), {0: 1, 1: 2, 2: 1}),  # (1 + q)^2
+        ({0: 1, 2: 1}, {0: 1, 1: 1}),               # long division
+        ({0: 3, 4: 3}, {0: 2}),
+        ({0: 1}, {1: 1}),                           # negative quotient power
+        (q_numbers(3), q_numbers(9)),               # divisor of higher degree
+    ]:
+        with pytest.raises(ArithmeticError):
+            qfield._poly_divexact(two_d(u), two_d(v))
+        with pytest.raises(ArithmeticError):
+            qfield._poly_divexact(two_d(u, 3), two_d(v, 1))
+    with pytest.raises(ArithmeticError):
+        qfield._poly_divexact(two_d({0: 1}), two_d({0: 1}, 1))
+    assert qfield._poly_divexact(two_d(qfield._q_mul(big, {2: 5}), 4),
+                                 two_d({2: 5}, 1)) == two_d(big, 3)
+
+
+def test_t_primitive_content_and_quotient():
+    from functools import reduce
+    rng = Random(5)
+    for _ in range(20):
+        g = q_poly(rng, 3, hi=5)
+        F = {b: qfield._q_mul(g, q_poly(rng, rng.randint(1, 5), hi=6))
+             for b in range(rng.randint(1, 4))}
+        c, P = qfield._t_primitive(F)
+        assert {b: qfield._q_mul(c, x) for b, x in P.items()} == F
+        if len(F) > 1:
+            assert c == reduce(qfield._q_gcd, F.values())
