@@ -3,7 +3,7 @@ polynomial representation, and Gelfand-Tsetlin trace reconstruction over
 the rational-function field Q(q, t)."""
 
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, poch_ratio, qfact, qfall, qnum, subst)
+                     UnitMono, clear_caches, poch_ratio, qfact, qfall, qnum, subst)
 from .combinat import (GTPattern, format_signature, gt_enumerate, gt_weight,
                        in_window, interlaces, interlacing_signatures, is_dominant,
                        parse_signature, rho, rho_tilde, shift,

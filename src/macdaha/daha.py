@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from random import Random
 
 from .combinat import inversions
 from .macops import MacParams, mac_apply, mac_generator_apply
 from .npoly import NPoly
-from .qfield import CR_ONE, CoeffRat, UnitMono, qnum
+from .qfield import CR_ONE, CoeffRat, UnitMono, cached, qnum
 from .sympoly import SymLaurent, e_sym, from_npoly, mono_shift, orbit, to_npoly
 
 
@@ -111,7 +110,7 @@ def act_Y_inv(i, f, p):
     return g
 
 
-@lru_cache(maxsize=None)
+@cached
 def _perm_words(n):
     """Reduced words for S_n: {one-line tuple: word of adjacent indices}."""
     identity = tuple(range(n))

@@ -11,13 +11,12 @@ shell: operator shifts never reach beyond it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
-from .qfield import CR_ONE, CR_ZERO, DomainViolationError, UnitMono, qnum
+from .qfield import CR_ONE, CR_ZERO, DomainViolationError, UnitMono, cached, qnum
 
 
-@lru_cache(maxsize=None)
+@cached
 def _qpow(a):
     return UnitMono.q(a).as_coeffrat()
 
@@ -171,6 +170,27 @@ def op_transform(f, params):
     return lambda mu: index_apply(f, params, mu)
 
 
+def _memo(fn):
+    """fn with its values kept, per point, for the life of the wrapper."""
+    values = {}
+
+    def at(mu):
+        if mu not in values:
+            values[mu] = fn(mu)
+        return values[mu]
+    return at
+
+
+def _nested(fn, variant, rseq, k):
+    """fn under the operators of rseq in turn.  Each operator image that
+    feeds another operator is memoized, so it is evaluated once per point
+    rather than once per shift path; fn itself and the last image are not,
+    which keeps the memos small."""
+    for i, r in enumerate(rseq):
+        fn = op_transform(_memo(fn) if i else fn, IndexOpParams(k=k, variant=variant, r=r))
+    return fn
+
+
 def verify_adjoint(f, g, box, rseq, k):
     """Exact summation-by-parts check.
 
@@ -183,12 +203,6 @@ def verify_adjoint(f, g, box, rseq, k):
     l = len(rseq)
     if not is_adapted(f, box, l):
         raise AdaptednessError("left factor is not adapted to the box")
-    lhs_fn = f
-    for r in rseq:
-        lhs_fn = op_transform(lhs_fn, IndexOpParams(k=k, variant="dagger", r=r))
-    rhs_fn = g
-    for r in reversed(rseq):
-        rhs_fn = op_transform(rhs_fn, IndexOpParams(k=k, variant="tilde", r=r))
-    lhs = jackson_inner(lhs_fn, g, box.raised(l))
-    rhs = jackson_inner(f, rhs_fn, box)
+    lhs = jackson_inner(_nested(f, "dagger", rseq, k), g, box.raised(l))
+    rhs = jackson_inner(f, _nested(g, "tilde", reversed(rseq), k), box)
     return lhs == rhs

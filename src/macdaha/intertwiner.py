@@ -19,8 +19,6 @@ vanish at the limit; the numerator coefficients below eps^M must cancel
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -28,8 +26,8 @@ from .combinat import (in_window, interlaces, is_dominant,
                        shifted_chain_enumerate, sig_sum)
 from .combinat import shift as sig_shift
 from .npoly import NPoly
-from .qfield import (CR_ONE, CR_ZERO, L_ONE, CoeffRat, DomainViolationError,
-                     LaurentQT, UnitMono, _add, _mul, _scale, qfact, qfall)
+from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
+                     UnitMono, _unpack, _width, cached, qfact, qfall)
 from .sympoly import SymLaurent, from_npoly
 
 
@@ -56,7 +54,27 @@ def _route_args(mu, lam, k):
 # of a product of such sums is eps^M times a series with nonzero constant
 # term, M counting its c = 0 atoms.  Every series is truncated after
 # eps^M, and the limit is the eps^M coefficient of the numerator over that
-# constant term.  Series are lists of qfield term maps keyed (q_exp, 0).
+# constant term.
+#
+# Packed representation (Kronecker substitution, as in qfield): a series
+# is a q-offset off and a list of M + 1 integers, coefficient i being
+# q^-off P_i(q) for an integer polynomial P_i stored as its value P_i(2^s).
+# With c >= 0 (see _normalize_term), B(c, d) = q^-c (q^{2c} Z^d - Z^{-d}),
+# so an atom raises off by c and adds binom(d, j) (x << 2cs) - binom(-d, j) x
+# to slot i + j for each j <= M; at M = 0 that is one shift and one
+# subtraction.  Terms are aligned to the largest offset by shifts and
+# added, and powers of sums are truncated big-integer products.
+# Evaluation at 2^s is a ring map, so every integer is exact, and it
+# decodes to the polynomial once every coefficient lies in
+# (-2^(s-1), 2^(s-1)).  L1 norms bound them.  An atom has norm at most
+# sum_{j<=M} |binom(d, j)| + |binom(-d, j)|, a term the product of its
+# atoms' norms, a sum the sum of its terms' norms, and L1 is
+# submultiplicative under truncated products, so every numerator
+# coefficient stays below prod (sum of term norms)^power * 2^max(emin, 0).
+# The denominator, a product of lead atoms q^-c (q^{2c} - 1) or 2d and of
+# (q - q^-1)^-emin, stays below the product of their norms.  qfield._width
+# of the larger bound gives s; the pole check any(num[:M]) is then exact
+# on the integers, and numerator and denominator are decoded once each.
 
 def _binom(d, j):
     """The binomial coefficient d choose j for any integer d."""
@@ -65,53 +83,63 @@ def _binom(d, j):
     return -comb(j - d - 1, j) if j % 2 else comb(j - d - 1, j)
 
 
-def _atom_series(c, d, order):
-    return [_add(_scale({(c, 0): 1}, _binom(d, j)),
-                 _scale({(-c, 0): -1}, _binom(-d, j)))
-            for j in range(order + 1)]
+def _normalize_term(mono, num, den):
+    """Normalized term (sign, q-power, epow, net) or None when an
+    identically-zero numerator atom kills the term.  Atoms are flipped to
+    c > 0 or c = 0 < d (B(-c, -d) = -B(c, d)), and net maps each atom to
+    its count in num minus its count in den."""
+    sign = mono.sign
+    net = {}
+    for c, d in num:
+        if c < 0 or (c == 0 and d < 0):
+            c, d, sign = -c, -d, -sign
+        elif c == 0 and d == 0:
+            return None
+        net[c, d] = net.get((c, d), 0) + 1
+    for c, d in den:
+        if c < 0 or (c == 0 and d < 0):
+            c, d, sign = -c, -d, -sign
+        elif c == 0 and d == 0:
+            raise DomainViolationError("identically vanishing denominator")
+        net[c, d] = net.get((c, d), 0) - 1
+    return sign, mono.a, len(den) - len(num), net
 
 
-def _series_mul(A, B):
-    out = [{} for _ in A]
-    for i, a in enumerate(A):
-        if a:
-            for j in range(len(A) - i):
-                if B[j]:
-                    out[i + j] = _add(out[i + j], _mul(a, B[j]))
+def _trunc_mul(a, b):
+    """The product of two packed series, truncated to the length of a."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
     return out
 
 
-def _atom_norm(c, d):
-    if c < 0 or (c == 0 and d < 0):
-        return (-c, -d), -1
-    return (c, d), 1
-
-
-def _normalize_term(mono, num, den):
-    """Normalized term (sign, q-power, epow, num Counter, den Counter) or
-    None when an identically-zero numerator atom kills the term."""
-    sign = mono.sign
-    epow = len(den) - len(num)
-    cn = Counter()
-    cd = Counter()
-    for c, d in num:
-        key, s = _atom_norm(c, d)
-        if key == (0, 0):
-            return None
-        sign *= s
-        cn[key] += 1
-    for c, d in den:
-        key, s = _atom_norm(c, d)
-        if key == (0, 0):
-            raise DomainViolationError("identically vanishing denominator")
-        sign *= s
-        cd[key] += 1
-    for key in list(cd):
-        m = min(cn.get(key, 0), cd[key])
-        if m:
-            cn[key] -= m
-            cd[key] -= m
-    return sign, mono.a, epow, +cn, +cd
+def _term_series(sign, qa, atoms, binoms, order, s):
+    """(off, packed series) of sign q^qa prod_{(c, d)} B(c, d)^count."""
+    ser = [sign] + [0] * order
+    off = -qa
+    for (c, d), cnt in atoms.items():
+        if not cnt:
+            continue
+        off += c * cnt
+        sh = 2 * c * s
+        if order == 0:
+            x = ser[0] if c else 0      # B(0, d) starts at eps^1
+            for _ in range(cnt):
+                x = (x << sh) - x
+            ser[0] = x
+            continue
+        bp, bm, _ = binoms[d]
+        for _ in range(cnt):
+            out = [0] * (order + 1)
+            for i, x in enumerate(ser):
+                if x:
+                    xs = x << sh
+                    for j in range(order + 1 - i):
+                        out[i + j] += bp[j] * xs - bm[j] * x
+            ser = out
+    return off, ser
 
 
 def _limit(factors):
@@ -125,47 +153,91 @@ def _limit(factors):
         norm = [t for t in (_normalize_term(*a) for a in terms) if t is not None]
         if not norm:
             return CR_ZERO
-        common = Counter()
+        common = {}             # atom -> the most any term has left in den
         for term in norm:
-            common |= term[4]
+            for key, v in term[3].items():
+                if v < -common.get(key, 0):
+                    common[key] = -v
         sums.append((norm, common, power))
     order = sum(p * cnt for _, common, p in sums
                 for (c, _), cnt in common.items() if c == 0)
-    series = {}
+    binoms = {}     # d -> binom(d, j), binom(-d, j) for j <= order, their L1 norm
 
-    def atom(key):
-        if key not in series:
-            series[key] = _atom_series(*key, order)
-        return series[key]
-
-    num = [{(0, 0): 1}] + [{}] * order
-    den = L_ONE
+    # Each term's atom counts over its sum's common denominator, with
+    # (q - q^-1) = B(1, 0) for its excess of den atoms over the fewest;
+    # and the bounds of the width.
     emin = 0
+    nbound = dbound = 1
+    expanded = []
     for norm, common, power in sums:
         e0 = min(term[2] for term in norm)
-        total = [{}] * (order + 1)
-        for sign, qa, epow, cn, cd in norm:
-            s = [{(qa, 0): sign}] + [{}] * order
-            for key, cnt in (cn + common - cd + Counter({(1, 0): epow - e0})).items():
-                for _ in range(cnt):
-                    s = _series_mul(s, atom(key))
-            total = [_add(x, y) for x, y in zip(total, s)]
-        for _ in range(power):
-            num = _series_mul(num, total)
+        items = []
+        total = 0
+        for sign, qa, epow, net in norm:
+            atoms = dict(common)
+            for key, v in net.items():
+                atoms[key] = atoms.get(key, 0) + v
+            if epow > e0:
+                atoms[1, 0] = atoms.get((1, 0), 0) + epow - e0
+            size = 1
+            for (_, d), cnt in atoms.items():
+                if cnt:
+                    if d not in binoms:
+                        bp = [_binom(d, j) for j in range(order + 1)]
+                        bm = [_binom(-d, j) for j in range(order + 1)]
+                        binoms[d] = bp, bm, sum(map(abs, bp + bm))
+                    size *= binoms[d][2] ** cnt
+            total += size
+            items.append((sign, qa, atoms))
+        nbound *= total ** power
         for (c, d), cnt in common.items():
-            lead = atom((c, d))[1 if c == 0 else 0]
-            den = den * LaurentQT._raw(lead) ** (cnt * power)
+            dbound *= (2 if c else 2 * d) ** (cnt * power)
         emin += power * e0
+        expanded.append((items, common, power))
+    w = _width(max(nbound << max(emin, 0), dbound << max(-emin, 0)))
+    s = 8 * w
+    qmqi = (1 << 2 * s) - 1             # q (q - q^-1) at q = 2^s
+
+    num = [1] + [0] * order
+    noff = 0
+    den = 1
+    doff = 0
+    for items, common, power in expanded:
+        series = [_term_series(*item, binoms, order, s) for item in items]
+        top = max(off for off, _ in series)
+        total = [0] * (order + 1)
+        for off, ser in series:
+            for i, x in enumerate(ser):
+                total[i] += x << (top - off) * s
+        for _ in range(power):
+            num = _trunc_mul(num, total)
+        noff += top * power
+        for (c, d), cnt in common.items():
+            e = cnt * power
+            if c:
+                den *= ((1 << 2 * c * s) - 1) ** e
+                doff += c * e
+            else:
+                den *= (2 * d) ** e
     if any(num[:order]):
         raise DomainViolationError("pole at the regularization limit")
-    qmqi = LaurentQT._raw(atom((1, 0))[0])
-    top = LaurentQT._raw(num[order])
+    top = num[order]
     if emin >= 0:
-        return CoeffRat(top * qmqi ** emin, den)
-    return CoeffRat(top, den * qmqi ** (-emin))
+        top *= qmqi ** emin
+        noff += emin
+    else:
+        den *= qmqi ** -emin
+        doff -= emin
+    return CoeffRat(_q_laurent(_unpack(top, -noff, w)),
+                    _q_laurent(_unpack(den, -doff, w)))
 
 
-@lru_cache(maxsize=None)
+def _q_laurent(u):
+    """The LaurentQT of a {q_exp: coeff} map."""
+    return LaurentQT._raw({(a, 0): c for a, c in u.items()})
+
+
+@cached
 def delta1(mu, k):
     """prod_{i<j} [mubar_i - mubar_j + (k-1)]_{k-1}."""
     b = _bar(mu, k)
@@ -176,7 +248,7 @@ def delta1(mu, k):
     return r
 
 
-@lru_cache(maxsize=None)
+@cached
 def delta2(mu, k):
     """prod_{i<j} [mubar_i - mubar_j - 1]_{k-1}."""
     b = _bar(mu, k)
@@ -187,7 +259,7 @@ def delta2(mu, k):
     return r
 
 
-@lru_cache(maxsize=None)
+@cached
 def delta_cross(mu, lam, k):
     """prod_{i<=j} [lambar_i - mubar_j + k-1]_{k-1}
        * prod_{i<j} [mubar_i - lambar_j - 1]_{k-1}."""

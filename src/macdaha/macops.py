@@ -29,13 +29,12 @@ Gelfand-Tsetlin summation formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .combinat import (gt_enumerate, interlaces, interlacing_signatures, inversions,
                        is_dominant, kostka_dominant, sig_sum)
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, LaurentQT, UnitMono,
-                     poch_ratio, qfall)
+                     cached, poch_ratio, qfall)
 from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, mono_shift, orbit
 
 
@@ -149,7 +148,7 @@ def _dominance_key(mu):
     return tuple(key)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _op_column(lam, r, n, params):
     """D^r m_lam in the orbit basis, as {signature: CoeffRat}, from the
     a_delta form in mac_apply.
@@ -187,7 +186,7 @@ def _op_column(lam, r, n, params):
     return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items() if c}
 
 
-@lru_cache(maxsize=None)
+@cached
 def _eigen_cached(lam, n, params):
     if lam and lam[-1] < 0:
         c = lam[-1]
@@ -229,7 +228,7 @@ def macdonald_eigen(lam, n, params=None):
     return _eigen_cached(lam, n, params)
 
 
-@lru_cache(maxsize=None)
+@cached
 def psi_branch(lam, mu):
     """Branching coefficient psi_{lam/mu}(q, t) as a finite Pochhammer product.
 
@@ -254,12 +253,12 @@ def psi_branch(lam, mu):
     return r
 
 
-@lru_cache(maxsize=None)
+@cached
 def _psi_for_params(lam, mu, params):
     return psi_branch(lam, mu).subst(params.shift, params.thalf ** 2)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _branch_cached(lam, n, params):
     if n == 0:
         return SymLaurent.one(0)
@@ -310,7 +309,7 @@ def macdonald_gt(lam, n, params=None):
     return from_npoly(acc)
 
 
-@lru_cache(maxsize=None)
+@cached
 def macdonald_qk(lam, n, k):
     """P_lam(x; q^2, q^{2k}): generic coefficients specialized at t = q^k."""
     f = macdonald_eigen(lam, n)

@@ -854,12 +854,32 @@ def _render_poly(A):
 
 
 # ---------------------------------------------------------------------------
+# The package's memo caches.  Every module memoizes through cached(), so
+# that clear_caches() reaches all of them.
+
+_CACHES = []
+
+
+def cached(fn):
+    """fn under an unbounded functools.lru_cache, registered for clear_caches."""
+    cache = lru_cache(maxsize=None)(fn)
+    _CACHES.append(cache)
+    return cache
+
+
+def clear_caches():
+    """Empty every memo cache of the package."""
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+# ---------------------------------------------------------------------------
 # q-numbers and friends.
 
 _QNUM_DEN = LaurentQT._raw({(1, 0): 1, (-1, 0): -1})
 
 
-@lru_cache(maxsize=None)
+@cached
 def qnum(a):
     """[a] = (q^a - q^-a)/(q - q^-1), expanded as a Laurent polynomial."""
     if a == 0:
@@ -870,7 +890,7 @@ def qnum(a):
         LaurentQT._raw({(a - 1 - 2 * i, 0): 1 for i in range(a)}), L_ONE)
 
 
-@lru_cache(maxsize=None)
+@cached
 def qfact(a):
     """[a]! = [a][a-1]...[1]; defined for a >= 0 only."""
     if a < 0:
@@ -880,7 +900,7 @@ def qfact(a):
     return qfact(a - 1) * qnum(a)
 
 
-@lru_cache(maxsize=None)
+@cached
 def qfall(a, m):
     """Falling q-factorial [a]_m = [a][a-1]...[a-m+1]."""
     if m < 0:
@@ -894,7 +914,7 @@ def qfall(a, m):
     return r
 
 
-@lru_cache(maxsize=None)
+@cached
 def poch_ratio(a, d, tpow):
     """prod_{m=a}^{a+d-1} (1 - q^m t^tpow), the gap-d Pochhammer ratio."""
     if d < 0:

@@ -277,5 +277,5 @@ def run_suite(name, n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
         "samples": samples,
         "seed": seed,
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
+        "pass": bool(checks) and all(c["pass"] for c in checks),
     }

@@ -8,15 +8,14 @@ which is exact and adequate at the scales used here (n <= 6, low degree).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 
 from .combinat import is_dominant
 from .npoly import NPoly
-from .qfield import CR_ONE, CR_ZERO, CoeffRat, UnitMono
+from .qfield import CR_ONE, CR_ZERO, CoeffRat, UnitMono, cached
 
 
-@lru_cache(maxsize=None)
+@cached
 def orbit(sig):
     """Distinct permutations of a signature, in a fixed order."""
     return tuple(sorted(set(permutations(sig))))

@@ -1,11 +1,14 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
+from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
 from macdaha.npoly import NPoly
-from macdaha.qfield import CR_ONE
+from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, CoeffRat, DomainViolationError,
+                            LaurentQT, _add, _mul, _scale)
 from macdaha.sympoly import from_npoly, to_npoly
 
 
@@ -94,6 +97,107 @@ def mac_apply_oracle(f, r, params, half_root=None):
     if half_root is not None:
         scale = scale * (half_root ** r).as_coeffrat()
     return from_npoly(acc.scalar_mul(scale))
+
+
+def _gen_binom(d, j):
+    if d >= 0:
+        return comb(d, j)
+    return -comb(j - d - 1, j) if j % 2 else comb(j - d - 1, j)
+
+
+def _series_atom(c, d):
+    """(key, sign) with B(c, d) = sign * B(key) and key = (c > 0) or (0, d > 0)."""
+    if c < 0 or (c == 0 and d < 0):
+        return (-c, -d), -1
+    return (c, d), 1
+
+
+def _series_term(mono, num, den):
+    sign = mono.sign
+    cn = Counter()
+    cd = Counter()
+    for c, d in num:
+        key, s = _series_atom(c, d)
+        if key == (0, 0):
+            return None
+        sign *= s
+        cn[key] += 1
+    for c, d in den:
+        key, s = _series_atom(c, d)
+        if key == (0, 0):
+            raise DomainViolationError("identically vanishing denominator")
+        sign *= s
+        cd[key] += 1
+    for key in list(cd):
+        m = min(cn.get(key, 0), cd[key])
+        if m:
+            cn[key] -= m
+            cd[key] -= m
+    return sign, mono.a, len(den) - len(num), +cn, +cd
+
+
+def _series_mul(A, B):
+    out = [{} for _ in A]
+    for i, a in enumerate(A):
+        if a:
+            for j in range(len(A) - i):
+                if B[j]:
+                    out[i + j] = _add(out[i + j], _mul(a, B[j]))
+    return out
+
+
+def limit_oracle(factors):
+    """The regularization limit of intertwiner._limit as truncated series
+    of q-term maps: with Z = 1 + eps, B(c, d) = q^c Z^d - q^-c Z^-d has the
+    eps^j coefficient binom(d, j) q^c - binom(-d, j) q^-c; each term is
+    multiplied out one atom at a time over its sum's common denominator,
+    modulo eps^(M+1) for M the c = 0 denominator atoms."""
+    sums = []
+    for terms, power in factors:
+        norm = [t for t in (_series_term(*a) for a in terms) if t is not None]
+        if not norm:
+            return CR_ZERO
+        common = Counter()
+        for term in norm:
+            common |= term[4]
+        sums.append((norm, common, power))
+    order = sum(p * cnt for _, common, p in sums
+                for (c, _), cnt in common.items() if c == 0)
+
+    series = {}
+
+    def atom(c, d):
+        if (c, d) not in series:
+            series[c, d] = [_add(_scale({(c, 0): 1}, _gen_binom(d, j)),
+                                 _scale({(-c, 0): -1}, _gen_binom(-d, j)))
+                            for j in range(order + 1)]
+        return series[c, d]
+
+    num = [{(0, 0): 1}] + [{}] * order
+    den = L_ONE
+    emin = 0
+    for norm, common, power in sums:
+        e0 = min(term[2] for term in norm)
+        total = [{}] * (order + 1)
+        for sign, qa, epow, cn, cd in norm:
+            s = [{(qa, 0): sign}] + [{}] * order
+            for key, cnt in (cn + common - cd + Counter({(1, 0): epow - e0})).items():
+                for _ in range(cnt):
+                    s = _series_mul(s, atom(*key))
+            total = [_add(x, y) for x, y in zip(total, s)]
+        for _ in range(power):
+            num = _series_mul(num, total)
+        for (c, d), cnt in common.items():
+            lead = atom(c, d)[1 if c == 0 else 0]
+            den = den * LaurentQT._raw(lead) ** (cnt * power)
+        emin += power * e0
+    if any(num[:order]):
+        raise DomainViolationError("pole at the regularization limit")
+    qmqi = LaurentQT._raw(atom(1, 0)[0])
+    top = LaurentQT._raw(num[order])
+    if emin >= 0:
+        return CoeffRat(top * qmqi ** emin, den)
+    return CoeffRat(top, den * qmqi ** (-emin))
 
 
 def window(lam, k):

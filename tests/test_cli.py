@@ -1,7 +1,7 @@
 import json
 
 from macdaha.cli import main
-from macdaha.suites import SUITES, list_suites
+from macdaha.suites import SUITES, list_suites, run_suite
 
 
 def run(capsys, argv):
@@ -99,6 +99,14 @@ def test_crash_exits_3_and_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(SUITES, "qfield-axioms", (fail, "fails"))
     rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
     assert rc == 1 and json.loads(out)["pass"] is False and err == ""
+
+
+def test_suite_with_no_checks_fails(capsys, monkeypatch):
+    monkeypatch.setitem(SUITES, "qfield-axioms", (lambda **kwargs: [], "runs nothing"))
+    assert run_suite("qfield-axioms")["pass"] is False
+    rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
+    doc = json.loads(out)
+    assert rc == 1 and doc["checks"] == [] and doc["pass"] is False and err == ""
 
 
 def test_verify_suite_report_shape(capsys):

@@ -1,4 +1,6 @@
 import pytest
+from collections import Counter
+from math import comb
 from random import Random
 
 from macdaha.indexops import (AdaptednessError, Box, IndexOpParams,
@@ -162,6 +164,26 @@ def test_adjoint_two_dimensional():
             g = qpow_fn((rng.randint(-1, 1), rng.randint(-1, 1)))
             rseq = [rng.randint(0, 2) for _ in range(l)]
             assert verify_adjoint(f, g, box, rseq, k)
+
+
+def test_adjoint_nesting_queries_each_point_boundedly():
+    # each operator image that feeds another is memoized per call, so a
+    # point of f is queried once per neighbour's first image (C(dim, r_1)
+    # of them), once by the adaptedness check and once by the right-hand
+    # pairing, however deep the nesting; unmemoized, the counts multiply
+    # by C(dim, r) per level
+    rng = Random(11)
+    box = Box((20, -20), (21, -19))
+    for rseq in ([1, 1, 1], [1, 2, 1]):
+        f0 = _adapted_sample(rng, box, len(rseq))
+        queries = Counter()
+
+        def f(mu):
+            queries[mu] += 1
+            return f0(mu)
+
+        assert verify_adjoint(f, qpow_fn((1, -1)), box, rseq, 2)
+        assert max(queries.values()) <= comb(2, rseq[0]) + 2, rseq
 
 
 def test_adjoint_trivial_and_precondition():

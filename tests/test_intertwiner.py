@@ -1,10 +1,15 @@
+import random
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import partitions_upto, window
+from conftest import limit_oracle, partitions_upto, window
 
+from macdaha import intertwiner
 from macdaha.combinat import interlacing_signatures, shifted_chain_enumerate
 from macdaha.combinat import shift as sig_shift
-from macdaha.intertwiner import (branch_reconstruct_qk, c_squared_chain,
+from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain,
                                  cg_diag_sq, cg_reduced_squared, delta1,
                                  delta2, delta_cross, diag_coeff_sum,
                                  ek_denominator, mat_elt, psi_qnum,
@@ -220,3 +225,111 @@ def test_preconditions():
         mat_elt((0,), (1, 0), 0)
     with pytest.raises(ValueError):
         trace_reconstruct((0, 1), 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# The packed limit engine against the truncated-series oracle.
+
+def test_limit_matches_oracle_on_route_factors(monkeypatch):
+    # every distinct factor list the three routes hand to _limit on the
+    # criterion-08 set and the n = 3, k = 4 window set
+    lists = {}
+
+    def spy(factors):
+        key = tuple((tuple((m.sign, m.a, tuple(a), tuple(b)) for m, a, b in terms), p)
+                    for terms, p in factors)
+        lists.setdefault(key, factors)
+        return _limit(factors)
+
+    monkeypatch.setattr(intertwiner, "_limit", spy)
+    points = [(mu, lam, k) for n in (2, 3) for lam in partitions_upto(4, n)
+              for k in (1, 2, 3) for mu in window(lam, k)]
+    points += [(mu, lam, 4) for lam in partitions_upto(3, 3) for mu in window(lam, 4)]
+    for mu, lam, k in points:
+        diag_coeff_sum(mu, lam, k)
+        mat_elt(mu, lam, k)
+        c_squared_chain(mu, lam, k)
+    monkeypatch.undo()
+    assert len(lists) > 1000
+    for factors in lists.values():
+        assert _limit(factors) == limit_oracle(factors)
+
+
+def _difference_sum(rng, M, natoms):
+    """Terms whose sum has a numerator series starting at eps^M.
+
+    M c = 0 atoms sit in a shared denominator.  The numerators are the M-th
+    finite difference, repeated by binomial multiplicity, of one atom
+    product whose directions move along a fixed step: the eps^j coefficient
+    of that product is a polynomial of degree j in the step, so every
+    coefficient below eps^M cancels in the sum.  One more term has as many
+    c = 0 atoms above its line as below, so it starts at eps^M on its own.
+    """
+    den = [(0, rng.choice([-1, 1]) * rng.randint(1, 10)) for _ in range(M)]
+    den += [(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(-10, 10))
+            for _ in range(rng.randint(0, 3))]
+    base = [(rng.randint(-4, 4), rng.randint(-6, 6)) for _ in range(natoms)]
+    steps = [rng.randint(-1, 1) for _ in base]
+    qa = rng.randint(-3, 3)
+    terms = []
+    for i in range(M + 1):
+        num = [(c, d + i * e) for (c, d), e in zip(base, steps)]
+        terms += [(UnitMono(-1 if i % 2 else 1, qa, 0), num, den)] * comb(M, i)
+    sub = rng.sample(den, rng.randint(0, len(den)))
+    num = [(0, rng.randint(1, 10)) for c, _ in sub if c == 0]
+    num += [(rng.randint(1, 4), rng.randint(-10, 10)) for _ in range(natoms // 2)]
+    terms.append((UnitMono(1, rng.randint(-3, 3), 0), num, sub))
+    return terms
+
+
+def test_limit_matches_oracle_on_synthetic_factors():
+    # M >= 4, |d| <= 10, and products wide enough for coefficients above 2^64
+    rng = random.Random(2014)
+    widest = 0
+    for case in range(24):
+        if case % 3 == 0:
+            factors = [(_difference_sum(rng, 4, rng.randint(4, 12)), 1)]
+        elif case % 3 == 1:
+            factors = [(_difference_sum(rng, 2, rng.randint(4, 12)), 2),
+                       (_difference_sum(rng, 1, rng.randint(2, 6)), 1)]
+        else:
+            factors = [(_difference_sum(rng, 2, 40), 2)]
+        value = _limit(factors)
+        assert value == limit_oracle(factors), case
+        coeffs = list(value.num.terms.values()) + list(value.den.terms.values())
+        widest = max(widest, max(map(abs, coeffs)))
+    assert widest > 1 << 64
+
+
+def test_limit_raise_paths():
+    one = UnitMono(1, 0, 0)
+    # 1 / [z]: the eps^0 numerator coefficient survives over an eps^1 lead
+    pole = [([(one, [], [(0, 1)])], 1)]
+    # ([2 + z] - [2 + 2z]) / [z] is finite at z = 0; adding 1 / [3z] to it
+    # leaves a simple pole, and squaring the sum a double one
+    diff = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)])]
+    for factors in (pole, [(diff + [(one, [(1, 0)], [(0, 3)])], 2)]):
+        for engine in (_limit, limit_oracle):
+            with pytest.raises(DomainViolationError, match="pole at the regularization limit"):
+                engine(factors)
+    assert _limit([(diff, 2)]) == limit_oracle([(diff, 2)])
+    vanishing = [([(one, [(3, 1)], [(2, 5), (0, 0)])], 1)]
+    for engine in (_limit, limit_oracle):
+        with pytest.raises(DomainViolationError, match="identically vanishing denominator"):
+            engine(vanishing)
+    # an identically zero numerator atom kills its term before the check
+    assert _limit([([(one, [(0, 0)], [(0, 0)])], 1)]) == CR_ZERO
+
+
+_dominant3 = st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(
+    lambda xs: tuple(sorted(xs, reverse=True))).filter(
+    lambda lam: sum(map(abs, lam)) <= 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dominant3, st.integers(1, 4), st.data())
+def test_routes_agree_property(lam, k, data):
+    mu = data.draw(st.sampled_from(list(window(lam, k))))
+    a = diag_coeff_sum(mu, lam, k)
+    assert a == mat_elt(mu, lam, k), (mu, lam, k)
+    assert a * a == c_squared_chain(mu, lam, k), (mu, lam, k)

@@ -1,5 +1,10 @@
+import importlib
+import pkgutil
+import sys
+
 from hypothesis import given, settings, strategies as st
 
+import macdaha
 from macdaha.qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError,
                             LaurentQT, UnitMono, poch_ratio, qfact, qfall,
                             qnum, subst)
@@ -313,3 +318,23 @@ def test_t_primitive_content_and_quotient():
         assert {b: qfield._q_mul(c, x) for b, x in P.items()} == F
         if len(F) > 1:
             assert c == reduce(qfield._q_gcd, F.values())
+
+
+def test_clear_caches_reaches_every_cache():
+    # the registry holds exactly the functools caches bound in the modules
+    for m in pkgutil.iter_modules(macdaha.__path__):
+        importlib.import_module(f"macdaha.{m.name}")
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "macdaha" or name.startswith("macdaha.")):
+            continue
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)) and callable(
+                    getattr(obj, "cache_info", None)):
+                found[id(obj)] = obj
+    assert found and {id(c) for c in qfield._CACHES} == set(found)
+    macdaha.trace_ratio((1, 0), 2, 2)
+    macdaha.macdonald_branch((2, 1, 0), 3)
+    assert any(c.cache_info().currsize for c in found.values())
+    macdaha.clear_caches()
+    assert all(c.cache_info().currsize == 0 for c in found.values())
