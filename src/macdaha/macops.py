@@ -34,7 +34,7 @@ from .combinat import (gt_enumerate, interlaces, interlacing_signatures, inversi
                        is_dominant, kostka_dominant, sig_sum)
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, LaurentQT, UnitMono,
-                     cached, poch_ratio, qfall)
+                     binomial_ratio, cached, qfall)
 from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, mono_shift, orbit
 
 
@@ -228,9 +228,20 @@ def macdonald_eigen(lam, n, params=None):
     return _eigen_cached(lam, n, params)
 
 
-@cached
 def psi_branch(lam, mu):
-    """Branching coefficient psi_{lam/mu}(q, t) as a finite Pochhammer product.
+    """Branching coefficient psi_{lam/mu}(q, t) of
+    P_lam = sum_mu psi_{lam/mu} x_n^{|lam|-|mu|} P_mu, for any sequences
+    lam and mu with mu interlacing lam.
+
+    It is the finite product of binomials 1 - q^m t^p in _psi_factors
+    (Macdonald, Symmetric Functions and Hall Polynomials, VI (6.24)),
+    reduced and expanded by qfield.binomial_ratio without a gcd.
+    """
+    return _psi_formal(tuple(lam), tuple(mu))
+
+
+def _psi_factors(lam, mu):
+    """psi_{lam/mu} as {(m, p): e}, the exponent e of (1 - q^m t^p).
 
     Each infinite Pochhammer pairs with the one sharing its t-power and an
     integer q-gap lam_i - mu_i >= 0 forced by interlacing, leaving four
@@ -238,24 +249,28 @@ def psi_branch(lam, mu):
     """
     if not interlaces(mu, lam):
         raise ValueError("mu must interlace lam")
-    r = CR_ONE
+    factors = {}
     lm = len(mu)
     for i in range(lm):
         d = lam[i] - mu[i]
-        if d == 0:
-            continue
         for j in range(i, lm):
-            num = poch_ratio(mu[i] - mu[j], d, j - i + 1) \
-                * poch_ratio(mu[i] - lam[j + 1] + 1, d, j - i)
-            den = poch_ratio(mu[i] - lam[j + 1], d, j - i + 1) \
-                * poch_ratio(mu[i] - mu[j] + 1, d, j - i)
-            r = r * num / den
-    return r
+            for a, p, e in ((mu[i] - mu[j], j - i + 1, 1),
+                            (mu[i] - lam[j + 1] + 1, j - i, 1),
+                            (mu[i] - lam[j + 1], j - i + 1, -1),
+                            (mu[i] - mu[j] + 1, j - i, -1)):
+                for m in range(a, a + d):
+                    factors[m, p] = factors.get((m, p), 0) + e
+    return factors
+
+
+@cached
+def _psi_formal(lam, mu):
+    return binomial_ratio(_psi_factors(lam, mu), UnitMono.q(), UnitMono.t())
 
 
 @cached
 def _psi_for_params(lam, mu, params):
-    return psi_branch(lam, mu).subst(params.shift, params.thalf ** 2)
+    return binomial_ratio(_psi_factors(lam, mu), params.shift, params.thalf ** 2)
 
 
 @cached

@@ -7,7 +7,7 @@ Hecke-operator action.  Supports exact division by binomials x_i - c*x_j.
 
 from __future__ import annotations
 
-from .qfield import CR_ONE, CR_ZERO, CoeffRat, UnitMono
+from .qfield import CR_ONE, CoeffRat, UnitMono
 
 
 class NPoly:

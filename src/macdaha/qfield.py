@@ -30,6 +30,26 @@ u(2^s), and two polynomials whose coefficients all lie inside
   After a few widths the pseudo-remainder gcd decides.
 Maps in both variables use recursive pseudo-remainder sequences over
 Z[q][t].
+
+Products of binomials prod (1 - q^a t^b)^e (the branching coefficients
+and the Pochhammer ratios) take binomial_ratio, which runs no gcd.
+- With g = gcd(a, b) and z = q^(a/g) t^(b/g) turned lexicographically
+  positive, 1 - q^a t^b is a unit monomial times z^g - 1, and
+  z^g - 1 = prod_{d | g} Phi_d(z) over the cyclotomic polynomials.
+- z is primitive, so a monomial change of variables makes it a variable:
+  each Phi_d(z) is irreducible and primitive in Z[q^+-1, t^+-1], and
+  distinct (d, z) are not associates.  Once the exponents are summed per
+  (d, z), numerator and denominator share no factor but integers, and
+  expanding each once gives the reduced fraction.
+- The exponents are cancelled formally, in (q, t), before q -> shift and
+  t -> t2 are substituted: a substitution can send two factors that
+  cancel to zero, or to one constant, and CoeffRat.subst likewise
+  substitutes into the reduced fraction.  A surviving Phi_d(z) goes to
+  Phi_d(y), y a signed monomial, which Moebius inversion
+  Phi_d(y) = prod_{e | d} (y^e - 1)^mu(d/e) turns back into binomials
+  (with -w - 1 = -(1 - w^2)/(1 - w)); those are factored and cancelled
+  again.  A factor sent to a constant becomes the integer Phi_d(+-1):
+  zero in the numerator gives 0, zero in the denominator raises.
 """
 
 from __future__ import annotations
@@ -916,13 +936,148 @@ def qfall(a, m):
 
 @cached
 def poch_ratio(a, d, tpow):
-    """prod_{m=a}^{a+d-1} (1 - q^m t^tpow), the gap-d Pochhammer ratio."""
+    """prod_{m=a}^{a+d-1} (1 - q^m t^tpow), the gap-d Pochhammer ratio
+    (0 when tpow = 0 and the range holds m = 0)."""
     if d < 0:
         raise ValueError("negative Pochhammer gap")
-    r = L_ONE
-    for m in range(a, a + d):
-        r = r * LaurentQT._raw({(0, 0): 1, (m, tpow): -1})
-    return CoeffRat.from_laurent(r)
+    return binomial_ratio({(m, tpow): 1 for m in range(a, a + d)},
+                          UnitMono.q(), UnitMono.t())
+
+
+# ---------------------------------------------------------------------------
+# Products of binomials (see the module docstring).
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _moebius_divisors(d):
+    """(e, mu(d/e)) for the divisors e of d with mu(d/e) != 0: d/e runs
+    over the squarefree divisors of d."""
+    out = [(d, 1)]
+    n, p = d, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out += [(e // p, -m) for e, m in out]
+        p += 1
+    return out
+
+
+@cached
+def _cyclotomic(d):
+    """The coefficients (c_0, ..., c_phi(d)) of the cyclotomic polynomial
+    Phi_d(x) = prod_{e | d} (x^e - 1)^mu(d/e)."""
+    c, divs = [1], []
+    for e, m in _moebius_divisors(d):
+        if m < 0:
+            divs.append(e)
+            continue
+        c = [(c[k - e] if k >= e else 0) - (c[k] if k < len(c) else 0)
+             for k in range(len(c) + e)]
+    for e in divs:      # exact: Q (x^e - 1) = c gives Q_k = Q_(k-e) - c_k
+        quo = []
+        for k in range(len(c) - e):
+            quo.append((quo[k - e] if k >= e else 0) - c[k])
+        c = quo
+    return tuple(c)
+
+
+def _add_binomial(counts, unit, a, b, e):
+    """Multiply (1 - q^a t^b)^e, (a, b) != (0, 0), into counts and unit.
+
+    With g = gcd(a, b) and z = q^(a/g) t^(b/g) turned lexicographically
+    positive, 1 - q^a t^b is -(z^g - 1) or q^a t^b (z^g - 1), and
+    z^g - 1 = prod_{d | g} Phi_d(z): counts[(d, u, v)] is the exponent of
+    Phi_d(q^u t^v), unit = [sign, q exponent, t exponent].
+    """
+    g = math.gcd(a, b)
+    u, v = a // g, b // g
+    if u > 0 or (u == 0 and v > 0):
+        if e % 2:
+            unit[0] = -unit[0]
+    else:
+        u, v = -u, -v
+        unit[1] += a * e
+        unit[2] += b * e
+    for d in _divisors(g):
+        key = (d, u, v)
+        counts[key] = counts.get(key, 0) + e
+
+
+def binomial_ratio(factors, shift, t2):
+    """prod (1 - q^a t^b)^e over a map {(a, b): e}, under q -> shift and
+    t -> t2 (unit monomials), as a canonical CoeffRat, with no gcd.
+
+    A factor with (a, b) = (0, 0) is zero: in the numerator it makes the
+    product 0, in the denominator it raises DomainViolationError, as does
+    a denominator that vanishes under the substitution.
+    """
+    zero = factors.get((0, 0), 0)
+    if zero < 0:
+        raise DomainViolationError("zero binomial in the denominator")
+    if zero > 0:
+        return CR_ZERO
+    unit, formal = [1, 0, 0], {}
+    for (a, b), e in factors.items():
+        if e:
+            _add_binomial(formal, unit, a, b, e)
+    sign, qa, tb = unit
+    y = shift ** qa * t2 ** tb
+    unit, counts = [sign * y.sign, y.a, y.b], {}
+    cnum = cden = 1
+    vanishes = False
+    for (d, u, v), c in formal.items():
+        if not c:
+            continue
+        y = shift ** u * t2 ** v
+        if not (y.a or y.b):
+            val = sum(x * y.sign ** k for k, x in enumerate(_cyclotomic(d)))
+            if not val:
+                if c < 0:
+                    raise DomainViolationError("denominator vanishes under substitution")
+                vanishes = True
+            elif c > 0:
+                cnum *= val ** c
+            else:
+                cden *= val ** -c
+            continue
+        # Phi_d(y) = prod_{e | d} (y^e - 1)^mu(d/e), and with w = |y^e|
+        # y^e - 1 is -(1 - w) or -(1 + w) = -(1 - w^2) / (1 - w).
+        for e, m in _moebius_divisors(d):
+            m *= c
+            if m % 2:
+                unit[0] = -unit[0]
+            if y.sign > 0 or e % 2 == 0:
+                _add_binomial(counts, unit, e * y.a, e * y.b, m)
+            else:
+                _add_binomial(counts, unit, 2 * e * y.a, 2 * e * y.b, m)
+                _add_binomial(counts, unit, e * y.a, e * y.b, -m)
+    if vanishes:
+        return CR_ZERO
+    # Distinct (d, z) are non-associate irreducibles and each Phi_d(z) is
+    # primitive, so the expansion is reduced once the integers are.
+    if cden < 0:
+        cnum, cden = -cnum, -cden
+    g = math.gcd(cnum, cden)
+    num = {(unit[1], unit[2]): unit[0] * cnum // g}
+    den = {(0, 0): cden // g}
+    for (d, u, v), c in counts.items():
+        if c:
+            phi = {(u * k, v * k): x for k, x in enumerate(_cyclotomic(d)) if x}
+            for _ in range(abs(c)):
+                if c > 0:
+                    num = _mul(num, phi)
+                else:
+                    den = _mul(den, phi)
+    da, db = _min_exps(den)
+    if _lead_coeff(den) < 0:
+        num, den = _neg(num), _neg(den)
+    return CoeffRat._raw(LaurentQT._raw(_shift(num, -da, -db)),
+                         LaurentQT._raw(_shift(den, -da, -db)))
 
 
 def subst(x, q_image=None, t_image=None):

@@ -1,11 +1,13 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
+from macdaha.combinat import interlaces
 from macdaha.npoly import NPoly
 from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, CoeffRat, DomainViolationError,
                             LaurentQT, _add, _mul, _scale)
@@ -198,6 +200,48 @@ def limit_oracle(factors):
     if emin >= 0:
         return CoeffRat(top * qmqi ** emin, den)
     return CoeffRat(top, den * qmqi ** (-emin))
+
+
+def _poch_oracle(a, d, tpow):
+    """prod_{m=a}^{a+d-1} (1 - q^m t^tpow), multiplied out term map by term
+    map."""
+    r = L_ONE
+    for m in range(a, a + d):
+        r = r * LaurentQT._raw(_add({(0, 0): 1}, {(m, tpow): -1}))
+    return CoeffRat(r)
+
+
+def psi_branch_oracle(lam, mu):
+    """psi_{lam/mu}(q, t) as a running product of Pochhammer ratios, each
+    reduced by the CoeffRat gcd (the formal psi before the binomial
+    kernel)."""
+    if not interlaces(mu, lam):
+        raise ValueError("mu must interlace lam")
+    r = CR_ONE
+    lm = len(mu)
+    for i in range(lm):
+        d = lam[i] - mu[i]
+        if d == 0:
+            continue
+        for j in range(i, lm):
+            num = _poch_oracle(mu[i] - mu[j], d, j - i + 1) \
+                * _poch_oracle(mu[i] - lam[j + 1] + 1, d, j - i)
+            den = _poch_oracle(mu[i] - lam[j + 1], d, j - i + 1) \
+                * _poch_oracle(mu[i] - mu[j] + 1, d, j - i)
+            r = r * num / den
+    return r
+
+
+def eval_fraction(x, q, t):
+    """The CoeffRat x at the integer point (q, t), in fractions.Fraction."""
+    def value(terms):
+        return sum(c * Fraction(q) ** a * Fraction(t) ** b for (a, b), c in terms.items())
+    return value(x.num.terms) / value(x.den.terms)
+
+
+def prime_point(rng):
+    """A seeded point (q, t) of two distinct primes."""
+    return tuple(rng.sample((2, 3, 5, 7, 11, 13), 2))
 
 
 def window(lam, k):

@@ -1,14 +1,21 @@
 import pytest
 
+from fractions import Fraction
+from itertools import product
+from math import gcd
 from random import Random
 
-from conftest import mac_apply_oracle, partitions_upto, schur_oracle
+from conftest import (eval_fraction, mac_apply_oracle, partitions_upto, prime_point,
+                      psi_branch_oracle, schur_oracle)
 
-from macdaha.macops import (MacParams, eigenvalue, generic_params, mac_apply,
-                            mac_generator_apply, macdonald_branch,
+from macdaha.combinat import interlacing_signatures, is_dominant
+
+from macdaha.macops import (MacParams, _psi_for_params, eigenvalue, generic_params,
+                            mac_apply, mac_generator_apply, macdonald_branch,
                             macdonald_eigen, macdonald_gt, macdonald_qk,
                             psi_branch, symmetry_check)
-from macdaha.qfield import CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, qnum, subst
+from macdaha.qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
+                            UnitMono, qnum, subst)
 from macdaha.sympoly import SymLaurent, e_sym, eval_sym, m_sym, mono_shift
 
 P = generic_params()
@@ -127,8 +134,80 @@ def test_psi_branch_values():
     num = LaurentQT({(0, 0): 1, (1, 0): 1}) * LaurentQT({(0, 0): 1, (0, 1): -1})
     den = LaurentQT({(0, 0): 1, (1, 1): -1})
     assert psi_branch((2, 0), (1,)) == CoeffRat(num, den)
+    assert psi_branch([2, 0], [1]) == CoeffRat(num, den)
     with pytest.raises(ValueError):
         psi_branch((2, 0), (3,))
+
+
+def _psi_cases():
+    lams = [lam for n in range(1, 5) for lam in product(range(-2, 7), repeat=n)
+            if is_dominant(lam) and sum(map(abs, lam)) <= 6]
+    return [(lam, mu) for lam in lams for mu in interlacing_signatures(lam)]
+
+
+_PSI_PARAMS = [
+    P,
+    MacParams(shift=q(-4), thalf=q(1)), MacParams(shift=q(-6), thalf=q(1)),
+    MacParams(shift=q(-2), thalf=q(2)), MacParams(shift=q(-2), thalf=q(3)),
+    MacParams(shift=UnitMono(-1, 2, 0), thalf=UnitMono(-1, 0, 1)),
+    # q -> -1 sends every t-free factor Phi_d(q) to the integer Phi_d(-1)
+    MacParams(shift=UnitMono(-1, 0, 0), thalf=t(1)),
+]
+
+
+def test_psi_matches_oracle():
+    # psi_branch and _psi_for_params against the running product of
+    # CoeffRat-reduced Pochhammer ratios, substituted after reduction;
+    # the vanishing denominators must raise in both.
+    raised = contents = 0
+    for lam, mu in _psi_cases():
+        want = psi_branch_oracle(lam, mu)
+        assert psi_branch(lam, mu) == want, (lam, mu)
+        for p in _PSI_PARAMS:
+            try:
+                w = want.subst(p.shift, p.thalf ** 2)
+            except DomainViolationError:
+                raised += 1
+                with pytest.raises(DomainViolationError):
+                    _psi_for_params(lam, mu, p)
+                continue
+            got = _psi_for_params(lam, mu, p)
+            assert got == w, (lam, mu, p)
+            contents += max(gcd(*got.num.terms.values()), gcd(*got.den.terms.values())) > 1
+    assert raised and contents
+
+
+def _psi_value(lam, mu, q, t):
+    """psi_{lam/mu} at the integer point (q, t) from Macdonald VI (6.24),
+    with f(u) = (tu; q)_inf / (qu; q)_inf and
+    f(v) / f(q^k v) = (tv; q)_k / (qv; q)_k."""
+    q, t = Fraction(q), Fraction(t)
+
+    def poch(x, k):
+        r = Fraction(1)
+        for m in range(k):
+            r *= 1 - x * q ** m
+        return r
+
+    r = Fraction(1)
+    for i in range(len(mu)):
+        k = lam[i] - mu[i]
+        for j in range(i, len(mu)):
+            v1 = q ** (mu[i] - mu[j]) * t ** (j - i)
+            v2 = q ** (mu[i] - lam[j + 1]) * t ** (j - i)
+            r *= poch(t * v1, k) / poch(q * v1, k) * poch(q * v2, k) / poch(t * v2, k)
+    return r
+
+
+def test_psi_values_at_prime_points():
+    rng = Random(1618)
+    cases = _psi_cases()
+    for lam, mu in rng.sample(cases, 150):
+        q0, t0 = prime_point(rng)
+        assert eval_fraction(psi_branch(lam, mu), q0, t0) == _psi_value(lam, mu, q0, t0)
+        # generic parameters: psi(q^2, t^2)
+        assert eval_fraction(_psi_for_params(lam, mu, P), q0, t0) == \
+            _psi_value(lam, mu, q0 ** 2, t0 ** 2)
 
 
 def test_psi_branch_is_eigen_coefficient():

@@ -42,6 +42,9 @@ def test_poch_ratio_values():
     assert poch_ratio(7, 0, 3) == CR_ONE
     assert poch_ratio(0, 1, 1) == CoeffRat(L({(0, 0): 1, (0, 1): -1}))
     assert poch_ratio(2, 1, 0) == CoeffRat(L({(0, 0): 1, (2, 0): -1}))
+    # the factor 1 - q^0 t^0 = 0 lies in the range
+    assert poch_ratio(0, 1, 0) == CR_ZERO
+    assert poch_ratio(-2, 3, 0) == CR_ZERO
 
 
 def test_subst_examples():
@@ -338,3 +341,91 @@ def test_clear_caches_reaches_every_cache():
     assert any(c.cache_info().currsize for c in found.values())
     macdaha.clear_caches()
     assert all(c.cache_info().currsize == 0 for c in found.values())
+
+
+# ---------------------------------------------------------------------------
+# Products of binomials: cyclotomic factors, the binomial_ratio kernel, and
+# values at integer points in fractions.Fraction.
+
+from fractions import Fraction
+
+from conftest import eval_fraction, prime_point
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in range(1, 61):
+        want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+        assert qfield._cyclotomic(d) == tuple(want), d
+
+
+def _binomial_product(factors):
+    r = CR_ONE
+    for (a, b), e in factors.items():
+        f = CoeffRat(L({(0, 0): 1}) - L({(a, b): 1}))
+        r = r * f ** e if e >= 0 else r / f ** -e
+    return r
+
+
+def test_binomial_ratio_matches_field_arithmetic():
+    # Random exponent maps, reduced through CoeffRat's gcd and then
+    # substituted, including images that make a factor constant or zero.
+    rng = Random(404)
+    images = [UnitMono.q(), UnitMono.t(), UnitMono.q(2), UnitMono(-1, 1, 0),
+              UnitMono(-1, 0, 1), UnitMono.one(), UnitMono(-1, 0, 0),
+              UnitMono(1, 1, -1), UnitMono(-1, -2, 1), UnitMono(1, 0, 3)]
+    raised = 0
+    for _ in range(120):
+        factors = {}
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.randint(-4, 4), rng.randint(-2, 2)
+            if (a, b) != (0, 0):
+                factors[a, b] = factors.get((a, b), 0) + rng.choice((-2, -1, 1, 1, 2))
+        want = _binomial_product(factors)
+        shift, t2 = rng.choice(images), rng.choice(images)
+        try:
+            want = want.subst(shift, t2)
+        except DomainViolationError:
+            raised += 1
+            with pytest.raises(DomainViolationError):
+                qfield.binomial_ratio(factors, shift, t2)
+            continue
+        assert qfield.binomial_ratio(factors, shift, t2) == want, (factors, shift, t2)
+    assert raised
+
+
+def test_binomial_ratio_zero_factor():
+    q, t = UnitMono.q(), UnitMono.t()
+    assert qfield.binomial_ratio({(0, 0): 1, (1, 0): -1}, q, t) == CR_ZERO
+    with pytest.raises(DomainViolationError):
+        qfield.binomial_ratio({(0, 0): -1, (1, 0): 1}, q, t)
+    # 1 - q vanishes at q = 1: a zero numerator gives 0, a zero
+    # denominator raises, and a cancelled pair is never substituted.
+    one = UnitMono.one()
+    assert qfield.binomial_ratio({(1, 0): 1, (0, 1): -1}, one, t) == CR_ZERO
+    with pytest.raises(DomainViolationError):
+        qfield.binomial_ratio({(1, 0): -1, (0, 1): 1}, one, t)
+    assert qfield.binomial_ratio({(2, 0): 1, (1, 0): -1}, one, t) == CoeffRat.from_int(2)
+
+
+def _qnum_value(a, q):
+    return (Fraction(q) ** a - Fraction(q) ** -a) / (Fraction(q) - Fraction(1, q))
+
+
+def test_scalar_values_at_prime_points():
+    # Schwartz-Zippel: distinct rational functions of low degree almost
+    # never agree at a random integer point.
+    rng = Random(2718)
+    for _ in range(40):
+        q, t = prime_point(rng)
+        a, d, b = rng.randint(-4, 4), rng.randint(0, 5), rng.randint(-2, 2)
+        want = Fraction(1)
+        for m in range(a, a + d):
+            want *= 1 - Fraction(q) ** m * Fraction(t) ** b
+        assert eval_fraction(poch_ratio(a, d, b), q, t) == want
+        a, m = rng.randint(-5, 8), rng.randint(0, 5)
+        want = Fraction(1)
+        for i in range(m):
+            want *= _qnum_value(a - i, q)
+        assert eval_fraction(qfall(a, m), q, t) == want
