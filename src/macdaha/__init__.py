@@ -9,7 +9,7 @@ from .combinat import (GTPattern, format_signature, gt_enumerate, gt_weight,
                        parse_signature, rho, rho_tilde, shift,
                        shifted_chain_enumerate)
 from .npoly import NPoly
-from .sympoly import (EvalPoint, SymLaurent, e_sym, eval_sym, from_npoly,
+from .sympoly import (SymLaurent, e_sym, eval_sym, from_npoly,
                       m_sym, mono_shift, sym_to_json, to_npoly)
 from .macops import (MacParams, eigenvalue, generic_params, mac_apply,
                      mac_generator_apply, macdonald_branch, macdonald_eigen,

@@ -3,8 +3,9 @@ named verification suites, and emit canonical JSON on standard output.
 
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage
 error (malformed signatures, non-interlacing pairs, mu outside the
-matrix-element window, k < 1, verify sizes below their minimum, unknown
-suite), 3 internal error (any other exception, reported as one line).
+matrix-element window, k < 1, --vars < 1, verify sizes below their minimum,
+unknown suite), 3 internal error (any other exception, reported as one
+line).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 
 from . import intertwiner, macops, suites
 from .combinat import in_window, interlaces, parse_signature
-from .qfield import UnitMono
 from .sympoly import npoly_to_json, sym_to_json
 
 
@@ -83,25 +83,39 @@ def _require_k(k):
     return k
 
 
+def _signature(text):
+    try:
+        return parse_signature(text)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _require_vars(n):
+    if n < 1:
+        raise _UsageError("--vars must be at least 1")
+    return n
+
+
 def _run(args):
     if args.verb == "poly":
-        lam = parse_signature(args.lam)
-        n = args.vars
+        lam = _signature(args.lam)
+        n = _require_vars(args.vars)
         if len(lam) != n:
             raise _UsageError("signature length must equal --vars")
         method = {"eigen": macops.macdonald_eigen,
                   "branch": macops.macdonald_branch,
                   "gt": macops.macdonald_gt}[args.method]
-        f = method(lam, n)
         if args.k is not None:
             _require_k(args.k)
-            f = _specialize(f, args.k)
+        f = method(lam, n)
+        if args.k is not None:
+            f = macops.specialize_qk(f, args.k)
         _emit(sym_to_json(f))
         return 0
 
     if args.verb == "psi":
-        lam = parse_signature(args.lam)
-        mu = parse_signature(args.mu)
+        lam = _signature(args.lam)
+        mu = _signature(args.mu)
         if len(mu) != len(lam) - 1:
             raise _UsageError("mu must be one entry shorter than lambda")
         if not interlaces(mu, lam):
@@ -117,8 +131,8 @@ def _run(args):
         return 0
 
     if args.verb == "matelt":
-        lam = parse_signature(args.lam)
-        mu = parse_signature(args.mu)
+        lam = _signature(args.lam)
+        mu = _signature(args.mu)
         if len(mu) != len(lam) - 1:
             raise _UsageError("mu must be one entry shorter than lambda")
         k = _require_k(args.k)
@@ -134,8 +148,8 @@ def _run(args):
         return 0
 
     if args.verb == "trace":
-        lam = parse_signature(args.lam)
-        n = args.vars
+        lam = _signature(args.lam)
+        n = _require_vars(args.vars)
         if len(lam) != n:
             raise _UsageError("signature length must equal --vars")
         k = _require_k(args.k)
@@ -176,26 +190,12 @@ def _run(args):
     raise _UsageError(f"unknown verb {args.verb!r}")
 
 
-def _specialize(f, k):
-    qk = UnitMono.q(k)
-    out = {}
-    for sig, c in f.terms.items():
-        w = c.subst(t_image=qk)
-        if w:
-            out[sig] = w
-    from .sympoly import SymLaurent
-    return SymLaurent._raw(f.n, out)
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _run(args)
     except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

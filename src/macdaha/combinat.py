@@ -58,13 +58,26 @@ def interlaces(mu, lam):
     return in_window(mu, lam, 1)
 
 
-def interlacing_signatures(lam):
-    """All mu of length len(lam)-1 with mu interlacing lam, in lex order."""
+def interlacing_signatures(lam, k=1):
+    """All mu of length len(lam)-1 in the level-k window of lam (see
+    in_window), in lex order; at k = 1 these are the mu interlacing lam."""
     n = len(lam)
     if n == 0:
         raise ValueError("no signatures interlace the empty signature")
-    ranges = [range(lam[i + 1], lam[i] + 1) for i in range(n - 1)]
+    ranges = [range(lam[i + 1] - (k - 1), lam[i] + 1) for i in range(n - 1)]
     return [tuple(mu) for mu in product(*ranges)]
+
+
+def partitions(d, n):
+    """All partitions of d into n weakly decreasing nonnegative parts, in
+    decreasing lex order."""
+    rows = [((), d)]
+    for left in range(n, 0, -1):
+        # ceil(rem / left) is the least part that leaves room for the rest
+        rows = [(pre + (p,), rem - p)
+                for pre, rem in rows
+                for p in range(min(pre[-1] if pre else rem, rem), -(-rem // left) - 1, -1)]
+    return [pre for pre, rem in rows if rem == 0]
 
 
 @dataclass(frozen=True)
@@ -94,19 +107,9 @@ def gt_enumerate(lam):
 
     Ordered lexicographically on the concatenation of rows bottom-up.
     """
-    if not is_dominant(lam):
-        raise ValueError("signature must be dominant")
-    n = len(lam)
-    if n == 0:
+    if not lam:
         return [GTPattern(rows=())]
-    chains = [(lam,)]
-    for _ in range(n - 1):
-        chains = [(mu,) + chain
-                  for chain in chains
-                  for mu in interlacing_signatures(chain[0])]
-    patterns = [GTPattern(rows=chain) for chain in chains]
-    patterns.sort(key=GTPattern.sort_key)
-    return patterns
+    return [GTPattern(rows=chain) for chain in shifted_chain_enumerate(lam, 1)]
 
 
 def gt_weight(pattern):
@@ -178,16 +181,10 @@ def shifted_chain_enumerate(lam, k):
     """
     if not is_dominant(shift(lam, k, "tilde")):
         raise ValueError("tilde-shifted top row must be dominant")
-    n = len(lam)
     chains = [(lam,)]
-    for _ in range(n - 1):
-        new = []
-        for chain in chains:
-            top = chain[0]
-            ranges = [range(top[j + 1] - (k - 1), top[j] + 1)
-                      for j in range(len(top) - 1)]
-            for mu in product(*ranges):
-                new.append((tuple(mu),) + chain)
-        chains = new
+    for _ in range(len(lam) - 1):
+        chains = [(mu,) + chain
+                  for chain in chains
+                  for mu in interlacing_signatures(chain[0], k)]
     chains.sort(key=lambda ch: tuple(x for row in ch for x in row))
     return chains

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .combinat import shift
 from .qfield import CR_ONE, CR_ZERO, DomainViolationError, UnitMono, cached, qnum
 
 
@@ -93,10 +94,6 @@ def is_adapted(f, box, l):
     return True
 
 
-def _bar(mu, k):
-    return tuple(mu[i] - k * i for i in range(len(mu)))
-
-
 def _qnum_nonzero(d):
     v = qnum(d)
     if not v:
@@ -113,7 +110,7 @@ def plain_apply(f, mu, r, qdir, m, k):
     np_ = len(mu)
     if not 0 <= r <= np_:
         raise ValueError("need 0 <= r <= arity")
-    bar = _bar(mu, k)
+    bar = shift(mu, k, "bar")
     total = CR_ZERO
     for I in combinations(range(np_), r):
         iset = set(I)
@@ -140,7 +137,7 @@ def index_apply(f, params, mu):
     k, r = params.k, params.r
     if params.variant == "plain":
         return plain_apply(f, mu, r, +1, k, k)
-    bar = _bar(mu, k)
+    bar = shift(mu, k, "bar")
     np_ = len(mu)
     if not 0 <= r <= np_:
         raise ValueError("need 0 <= r <= arity")

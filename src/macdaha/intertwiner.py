@@ -22,17 +22,12 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .combinat import (in_window, interlaces, is_dominant,
-                       shifted_chain_enumerate, sig_sum)
-from .combinat import shift as sig_shift
+from .combinat import in_window, interlaces, is_dominant, shift
+from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, _unpack, _width, cached, qfact, qfall)
-from .sympoly import SymLaurent, from_npoly
-
-
-def _bar(sig, k):
-    return tuple(sig[i] - k * i for i in range(len(sig)))
+                     UnitMono, _unpack, _width, qfact, qfall)
+from .sympoly import from_npoly
 
 
 def _route_args(mu, lam, k):
@@ -237,10 +232,9 @@ def _q_laurent(u):
     return LaurentQT._raw({(a, 0): c for a, c in u.items()})
 
 
-@cached
 def delta1(mu, k):
     """prod_{i<j} [mubar_i - mubar_j + (k-1)]_{k-1}."""
-    b = _bar(mu, k)
+    b = shift(mu, k, "bar")
     r = CR_ONE
     for i in range(len(mu)):
         for j in range(i + 1, len(mu)):
@@ -248,10 +242,9 @@ def delta1(mu, k):
     return r
 
 
-@cached
 def delta2(mu, k):
     """prod_{i<j} [mubar_i - mubar_j - 1]_{k-1}."""
-    b = _bar(mu, k)
+    b = shift(mu, k, "bar")
     r = CR_ONE
     for i in range(len(mu)):
         for j in range(i + 1, len(mu)):
@@ -259,12 +252,11 @@ def delta2(mu, k):
     return r
 
 
-@cached
 def delta_cross(mu, lam, k):
     """prod_{i<=j} [lambar_i - mubar_j + k-1]_{k-1}
        * prod_{i<j} [mubar_i - lambar_j - 1]_{k-1}."""
-    lb = _bar(lam, k)
-    mb = _bar(mu, k)
+    lb = shift(lam, k, "bar")
+    mb = shift(mu, k, "bar")
     m = len(mu)
     r = CR_ONE
     for j in range(m):
@@ -351,7 +343,7 @@ def _kernel_atoms(lam, k, nu):
     """Factor descriptors of the falling-factorial kernel at the point nu."""
     n = len(lam)
     m = n - 1
-    lb = _bar(lam, k)
+    lb = shift(lam, k, "bar")
     nbp = [nu[j] + (k - 1) - k * j for j in range(m)]
     atoms = []
     for j in range(m):
@@ -367,7 +359,7 @@ def _kernel_atoms(lam, k, nu):
 
 def _delta2_atoms(lam, k):
     """Factor descriptors of Delta_2(lam) = prod_{i<j} [lambar_i - lambar_j - 1]_{k-1}."""
-    lb = _bar(lam, k)
+    lb = shift(lam, k, "bar")
     return [(lb[i] - lb[j] - 1 - s, i - j)
             for i, j in combinations(range(len(lam)), 2) for s in range(k - 1)]
 
@@ -506,7 +498,7 @@ def cg_diag_sq(lam, n, k):
     ratio over pairs.  (Each single level-j step squared carries
     q^{-(j-1)k(k-1)} times its pair ratio.)"""
     lam = tuple(lam)
-    lb = _bar(lam, k)
+    lb = shift(lam, k, "bar")
     val = UnitMono.q(-n * (n - 1) * k * (k - 1) // 2).as_coeffrat()
     for i in range(n):
         for j in range(i + 1, n):
@@ -573,9 +565,9 @@ def c_squared_chain(mu, lam, k):
         return CR_ZERO
     n = len(lam)
     m = n - 1
-    tau_p = sig_shift(lam, k, "tilde")
+    tau_p = shift(lam, k, "tilde")
     tau = tuple(x - (k - 1) for x in tau_p)
-    eta_p = sig_shift(mu, k, "tilde")
+    eta_p = shift(mu, k, "tilde")
     eta = tuple(x - (k - 1) for x in eta_p)
     p, r = n * (k - 1), m * (k - 1)
     dtau = [n + i for i in range(n)]
@@ -591,14 +583,14 @@ def c_squared_chain(mu, lam, k):
     _s_sq_fact_atoms(tau_p, dtau, eta_p, deta, fden, fnum)
     diag_num = []
     diag_den = []
-    mb = _bar(mu, k)
+    mb = shift(mu, k, "bar")
     for i in range(m):
         for j in range(i + 1, m):
             for s in range(k - 1):
                 diag_num.append((mb[i] - mb[j] - 1 - s, i - j))
                 diag_den.append((mb[i] - mb[j] + k - 1 - s, i - j))
     diag_den += _delta2_atoms(lam, k)
-    lb = _bar(lam, k)
+    lb = shift(lam, k, "bar")
     for i in range(n):
         for j in range(i + 1, n):
             for s in range(k - 1):
@@ -634,25 +626,11 @@ def c_squared_chain(mu, lam, k):
 def branch_reconstruct_qk(lam, n, k):
     """Assemble sum over interlacing mu of x_n^{|lam|-|mu|} P_mu psi at
     t = q^k; equals P_lam(x; q^2, q^{2k}) exactly."""
-    from .combinat import interlacing_signatures
-    from .macops import macdonald_qk
-    from .sympoly import orbit
-
     lam = tuple(lam)
     if len(lam) != n:
         raise ValueError("signature length must equal the variable count")
-    if n == 1:
-        return SymLaurent(1, {lam: CR_ONE})
-    acc = NPoly.zero(n)
-    for mu in interlacing_signatures(lam):
-        psi = psi_qnum(lam, mu, k)
-        sub = macdonald_qk(mu, n - 1, k)
-        xn = sum(lam) - sum(mu)
-        for sig, c in sub.terms.items():
-            w = c * psi
-            for e in orbit(sig):
-                acc = acc + NPoly.monomial(e + (xn,), w)
-    return from_npoly(acc)
+    return branch_sum(lam, lambda mu: psi_qnum(lam, mu, k),
+                      lambda mu: macdonald_qk(mu, n - 1, k))
 
 
 def ek_denominator(n, k):
@@ -675,23 +653,7 @@ def trace_reconstruct(lam, n, k):
         raise ValueError("signature length must equal the variable count")
     if not is_dominant(lam):
         raise ValueError("signature must be dominant")
-    acc = NPoly.zero(n)
-    links = {}      # (mu, lam') -> c(mu, lam'); chains share most links
-    for chain in shifted_chain_enumerate(lam, k):
-        coeff = CR_ONE
-        for i in range(n - 1):
-            link = (chain[i], chain[i + 1])
-            if link not in links:
-                links[link] = diag_coeff_sum(*link, k)
-            coeff = coeff * links[link]
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        tsums = [sig_sum(sig_shift(row, k, "tilde")) for row in chain]
-        exps = tuple(tsums[i] - (tsums[i - 1] if i else 0) for i in range(n))
-        acc = acc + NPoly.monomial(exps, coeff)
-    return acc
+    return chain_sum(lam, k, lambda mu, nu: diag_coeff_sum(mu, nu, k))
 
 
 def trace_ratio(lam, n, k):

@@ -23,15 +23,18 @@ is applied as the linear combination of its columns.
 
 Three independent constructions of the joint eigenfunctions are provided:
 a triangular eigenvalue solve, the branching recursion, and the
-Gelfand-Tsetlin summation formula.
+Gelfand-Tsetlin summation formula.  The last two are written on
+branch_sum and chain_sum, which intertwiner shares for the reconstruction
+at t = q^k and for the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import (gt_enumerate, interlaces, interlacing_signatures, inversions,
-                       is_dominant, kostka_dominant, sig_sum)
+from .combinat import (interlaces, interlacing_signatures, inversions, is_dominant,
+                       kostka_dominant, partitions, shift, shifted_chain_enumerate,
+                       sig_sum)
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, LaurentQT, UnitMono,
                      binomial_ratio, cached, qfall)
@@ -115,30 +118,6 @@ def eigenvalue(lam, r, n, params):
     return eval_sym(e_sym(r, n), eigen_point(lam, n, params))
 
 
-def _partitions_below(lam):
-    """Partitions of |lam| with len(lam) parts, dominated by lam."""
-    n = len(lam)
-    d = sum(lam)
-    psum = [sum(lam[:i + 1]) for i in range(n)]
-    out = []
-
-    def rec(prefix, rem, mx):
-        i = len(prefix)
-        if i == n:
-            if rem == 0:
-                out.append(tuple(prefix))
-            return
-        top = min(mx, psum[i] - (d - rem))
-        lo = -(-rem // (n - i))  # ceil: keep room for weak decrease
-        for p in range(top, lo - 1, -1):
-            if p * (n - i) < rem:
-                break
-            rec(prefix + [p], rem - p, p)
-
-    rec([], d, lam[0] if lam else 0)
-    return out
-
-
 def _dominance_key(mu):
     s = 0
     key = []
@@ -194,7 +173,10 @@ def _eigen_cached(lam, n, params):
         return mono_shift(base, c)
     if n == 1:
         return SymLaurent(1, {lam: CR_ONE})
-    basis = sorted(_partitions_below(lam), key=_dominance_key, reverse=True)
+    top = _dominance_key(lam)
+    basis = sorted((mu for mu in partitions(sum(lam), n)
+                    if all(a <= b for a, b in zip(_dominance_key(mu), top))),
+                   key=_dominance_key, reverse=True)
     cols = {mu: _op_column(mu, 1, n, params) for mu in basis}
     eig = eigenvalue(lam, 1, n, params)
     coeffs = {lam: CR_ONE}
@@ -273,22 +255,30 @@ def _psi_for_params(lam, mu, params):
     return binomial_ratio(_psi_factors(lam, mu), params.shift, params.thalf ** 2)
 
 
-@cached
-def _branch_cached(lam, n, params):
-    if n == 0:
-        return SymLaurent.one(0)
+def branch_sum(lam, psi, sub):
+    """sum over mu interlacing lam of psi(mu) x_n^{|lam|-|mu|} sub(mu),
+    where sub(mu) is a SymLaurent in len(lam) - 1 variables: the branching
+    rule when psi is a branching coefficient and sub(mu) is P_mu."""
+    n = len(lam)
     if n == 1:
         return SymLaurent(1, {lam: CR_ONE})
     acc = NPoly.zero(n)
     for mu in interlacing_signatures(lam):
-        psi = _psi_for_params(lam, mu, params)
-        sub = _branch_cached(mu, n - 1, params)
+        c_mu = psi(mu)
         xn = sig_sum(lam) - sig_sum(mu)
-        for sig, c in sub.terms.items():
-            w = c * psi
+        for sig, c in sub(mu).terms.items():
+            w = c * c_mu
             for e in orbit(sig):
                 acc = acc + NPoly.monomial(e + (xn,), w)
     return from_npoly(acc)
+
+
+@cached
+def _branch_cached(lam, n, params):
+    if n == 0:
+        return SymLaurent.one(0)
+    return branch_sum(lam, lambda mu: _psi_for_params(lam, mu, params),
+                      lambda mu: _branch_cached(mu, n - 1, params))
 
 
 def macdonald_branch(lam, n, params=None):
@@ -303,6 +293,33 @@ def macdonald_branch(lam, n, params=None):
     return _branch_cached(lam, n, params)
 
 
+def chain_sum(lam, k, link):
+    """The chain sum, sum_chain prod_i link(mu^i, mu^{i+1}) x^w, as an NPoly.
+
+    The chains mu^1, ..., mu^n = lam are those of shifted_chain_enumerate,
+    and w_i = |tilde mu^i| - |tilde mu^{i-1}| with the level-k tilde shift
+    and |tilde mu^0| = 0.  Chains share most links, so each distinct link
+    is evaluated once; a chain stops at its first zero link.
+    """
+    n = len(lam)
+    acc = NPoly.zero(n)
+    links = {}
+    for chain in shifted_chain_enumerate(lam, k):
+        coeff = CR_ONE
+        for pair in zip(chain, chain[1:]):
+            if pair not in links:
+                links[pair] = link(*pair)
+            coeff = coeff * links[pair]
+            if not coeff:
+                break
+        if not coeff:
+            continue
+        tsums = [sig_sum(shift(row, k, "tilde")) for row in chain]
+        exps = tuple(tsums[i] - (tsums[i - 1] if i else 0) for i in range(n))
+        acc = acc + NPoly.monomial(exps, coeff)
+    return acc
+
+
 def macdonald_gt(lam, n, params=None):
     """Same polynomial as a sum over Gelfand-Tsetlin patterns."""
     lam = tuple(lam)
@@ -312,29 +329,28 @@ def macdonald_gt(lam, n, params=None):
         raise ValueError("signature must be dominant")
     if params is None:
         params = generic_params()
-    acc = NPoly.zero(n)
-    for pattern in gt_enumerate(lam):
-        rows = ((),) + pattern.rows
-        coeff = CR_ONE
-        for i in range(1, len(rows)):
-            coeff = coeff * _psi_for_params(rows[i], rows[i - 1], params)
-        exps = tuple(sig_sum(rows[i]) - sig_sum(rows[i - 1])
-                     for i in range(1, len(rows)))
-        acc = acc + NPoly.monomial(exps, coeff)
-    return from_npoly(acc)
+    return from_npoly(chain_sum(lam, 1, lambda mu, nu: _psi_for_params(nu, mu, params)))
+
+
+def macdonald_qk(lam, n, k):
+    """P_lam(x; q^2, q^{2k}): generic coefficients specialized at t = q^k."""
+    return _qk_cached(tuple(lam), n, k)
 
 
 @cached
-def macdonald_qk(lam, n, k):
-    """P_lam(x; q^2, q^{2k}): generic coefficients specialized at t = q^k."""
-    f = macdonald_eigen(lam, n)
+def _qk_cached(lam, n, k):
+    return specialize_qk(macdonald_eigen(lam, n), k)
+
+
+def specialize_qk(f, k):
+    """The SymLaurent f with t -> q^k in every coefficient."""
     qk = UnitMono.q(k)
     out = {}
     for sig, c in f.terms.items():
         w = c.subst(t_image=qk)
         if w:
             out[sig] = w
-    return SymLaurent._raw(n, out)
+    return SymLaurent._raw(f.n, out)
 
 
 def symmetry_check(lam, mu, k):
@@ -346,8 +362,8 @@ def symmetry_check(lam, mu, k):
     n = len(lam)
     if len(mu) != n:
         raise ValueError("lam and mu must have equal length")
-    p_lam = macdonald_qk(tuple(lam), n, k)
-    p_mu = macdonald_qk(tuple(mu), n, k)
+    p_lam = macdonald_qk(lam, n, k)
+    p_mu = macdonald_qk(mu, n, k)
     pt_mu = tuple(UnitMono.q(2 * mu[i] + k * (n - 1 - 2 * i)) for i in range(n))
     pt_lam = tuple(UnitMono.q(2 * lam[i] + k * (n - 1 - 2 * i)) for i in range(n))
     lhs = eval_sym(p_lam, pt_mu)

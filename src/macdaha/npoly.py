@@ -1,11 +1,14 @@
 """Sparse Laurent polynomials in n variables over the scalar field Q(q, t).
 
 Workhorse representation behind the symmetric-polynomial layer, the
-difference operators (which divide exactly by Vandermonde factors) and the
-Hecke-operator action.  Supports exact division by binomials x_i - c*x_j.
+Hecke-operator action, the branching and Gelfand-Tsetlin chain sums and the
+traces.  Supports exact division by binomials x_i - c*x_j, as the
+Demazure-Lusztig operators and the trace ratio need.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 from .qfield import CR_ONE, CoeffRat, UnitMono
 
@@ -182,13 +185,6 @@ class NPoly:
             raise ArithmeticError("polynomial not divisible by binomial")
         return NPoly._raw(self.n, out)
 
-    def is_symmetric(self):
-        try:
-            self.fold_symmetric()
-        except ArithmeticError:
-            return False
-        return True
-
     def fold_symmetric(self):
         """Collect a symmetric polynomial into {dominant exponent: coeff}.
 
@@ -223,8 +219,6 @@ class NPoly:
 
 
 def _orbit_size(sig):
-    from math import factorial
-
     size = factorial(len(sig))
     run = 1
     for i in range(1, len(sig)):

@@ -7,28 +7,16 @@ Identical arguments and seed give identical output.
 
 from __future__ import annotations
 
-from itertools import product
 from random import Random
 
 from . import daha, indexops, intertwiner, macops
-from .combinat import interlacing_signatures
+from .combinat import interlacing_signatures, partitions
 from .qfield import CR_ONE, CoeffRat, LaurentQT, UnitMono, qfall, qnum, poch_ratio, subst
 
 
-def _partitions(maxdeg, n):
-    out = []
-
-    def rec(pre, rem, mx):
-        if len(pre) == n:
-            if rem == 0:
-                out.append(tuple(pre))
-            return
-        for p in range(min(mx, rem), -1, -1):
-            rec(pre + [p], rem - p, p)
-
-    for d in range(maxdeg + 1):
-        rec([], d, d)
-    return out
+def _partitions_upto(maxdeg, n):
+    """The partitions of 0, 1, ..., maxdeg into n parts."""
+    return [lam for d in range(maxdeg + 1) for lam in partitions(d, n)]
 
 
 def _rand_coeffrat(rng):
@@ -71,7 +59,7 @@ def suite_qfield_axioms(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
 def suite_macops_eigen(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     params = macops.generic_params()
     checks = []
-    for lam in _partitions(maxdeg, n):
+    for lam in _partitions_upto(maxdeg, n):
         f = macops.macdonald_eigen(lam, n)
         ok = all(macops.mac_apply(f, r, params)
                  == f.scalar_mul(macops.eigenvalue(lam, r, n, params))
@@ -82,7 +70,7 @@ def suite_macops_eigen(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
 
 def suite_constructor_agreement(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     checks = []
-    for lam in _partitions(maxdeg, n):
+    for lam in _partitions_upto(maxdeg, n):
         a = macops.macdonald_eigen(lam, n)
         b = macops.macdonald_branch(lam, n)
         c = macops.macdonald_gt(lam, n)
@@ -93,7 +81,7 @@ def suite_constructor_agreement(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
 
 def suite_symmetry(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     checks = []
-    parts = _partitions(maxdeg, n)
+    parts = _partitions_upto(maxdeg, n)
     for lam in parts:
         ok = True
         for mu in parts:
@@ -174,16 +162,11 @@ def suite_res_diff(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
                                 samples=max(2, samples // 3), maxdeg=min(maxdeg, 2))
 
 
-def _window(lam, k):
-    m = len(lam) - 1
-    return product(*[range(lam[i + 1] - (k - 1), lam[i] + 1) for i in range(m)])
-
-
 def suite_matelt_routes(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     checks = []
-    for lam in _partitions(maxdeg, n):
+    for lam in _partitions_upto(maxdeg, n):
         ok = True
-        for mu in _window(lam, k):
+        for mu in interlacing_signatures(lam, k):
             a = intertwiner.diag_coeff_sum(mu, lam, k)
             ok = ok and a == intertwiner.mat_elt(mu, lam, k)
             ok = ok and a * a == intertwiner.c_squared_chain(mu, lam, k)
@@ -193,7 +176,7 @@ def suite_matelt_routes(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
 
 def suite_branch(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     checks = []
-    for lam in _partitions(maxdeg, n):
+    for lam in _partitions_upto(maxdeg, n):
         lhs = intertwiner.branch_reconstruct_qk(lam, n, k)
         ok = lhs == macops.macdonald_qk(lam, n, k)
         for mu in interlacing_signatures(lam):
@@ -208,7 +191,7 @@ def suite_trace(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     zero = (0,) * n
     ok0 = intertwiner.trace_reconstruct(zero, n, k) == intertwiner.ek_denominator(n, k)
     checks.append({"name": "trace-at-zero", "pass": bool(ok0)})
-    for lam in _partitions(min(maxdeg, 3), n):
+    for lam in _partitions_upto(min(maxdeg, 3), n):
         ok = intertwiner.trace_ratio(lam, n, k) == macops.macdonald_qk(lam, n, k)
         checks.append({"name": f"trace[{','.join(map(str, lam))}]", "pass": bool(ok)})
     return checks

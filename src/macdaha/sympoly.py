@@ -133,24 +133,9 @@ def from_npoly(p):
     return SymLaurent._raw(p.n, p.fold_symmetric())
 
 
-class EvalPoint:
-    """Evaluation point whose coordinates are unit monomials."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
 def eval_sym(f, point):
     """Exact evaluation of a SymLaurent at a unit-monomial point."""
-    if isinstance(point, EvalPoint):
-        coords = point.coords
-    else:
-        coords = tuple(point)
+    coords = tuple(point)
     if len(coords) != f.n:
         raise ValueError("point dimension mismatch")
     total = CR_ZERO

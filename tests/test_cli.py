@@ -78,6 +78,8 @@ def test_usage_errors_exit_2(capsys):
         ["matelt", "--lambda", "2,1,0", "--mu", "5,5", "--k", "2"],   # off-window
         ["verify", "--suite", "adjoint", "--samples", "-1"],
         ["verify", "--suite", "trace", "--n", "0"],
+        ["poly", "--lambda=", "--vars", "0"],
+        ["trace", "--lambda=", "--vars", "0", "--k", "2"],
     ]
     for argv in cases:
         rc, out, err = run(capsys, argv)
@@ -89,6 +91,9 @@ def test_crash_exits_3_and_failure_exits_1(capsys, monkeypatch):
     def crash(**kwargs):
         raise RuntimeError("simulated fault")
 
+    def value_error(**kwargs):
+        raise ValueError("simulated internal check")
+
     def fail(**kwargs):
         return [{"name": "always-false", "pass": False}]
 
@@ -96,6 +101,10 @@ def test_crash_exits_3_and_failure_exits_1(capsys, monkeypatch):
     rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
     assert rc == 3 and out == ""
     assert err == "internal error: RuntimeError: simulated fault\n"
+    monkeypatch.setitem(SUITES, "qfield-axioms", (value_error, "raises"))
+    rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
+    assert rc == 3 and out == ""
+    assert err == "internal error: ValueError: simulated internal check\n"
     monkeypatch.setitem(SUITES, "qfield-axioms", (fail, "fails"))
     rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
     assert rc == 1 and json.loads(out)["pass"] is False and err == ""

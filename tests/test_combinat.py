@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,10 +8,24 @@ from conftest import partitions_upto, schur_oracle
 from macdaha.combinat import (GTPattern, format_signature, gt_enumerate,
                               gt_weight, interlaces, interlacing_signatures,
                               is_dominant, kostka_dominant, parse_signature,
-                              rho, rho_tilde, shift, shifted_chain_enumerate)
+                              partitions, rho, rho_tilde, shift,
+                              shifted_chain_enumerate)
 from macdaha.npoly import NPoly
 from macdaha.qfield import CR_ONE
 from macdaha.sympoly import from_npoly
+
+
+def decreasing(t):
+    return all(t[i] >= t[i + 1] for i in range(len(t) - 1))
+
+
+def signatures(n, lo, hi):
+    """Weakly decreasing n-tuples with entries in [lo, hi], filtered from the box."""
+    return [t for t in product(range(lo, hi + 1), repeat=n) if decreasing(t)]
+
+
+def in_level_window(mu, lam, k):
+    return all(lam[i + 1] - (k - 1) <= mu[i] <= lam[i] for i in range(len(mu)))
 
 
 def weyl_dim(lam):
@@ -92,10 +107,45 @@ def test_shifts():
 
 
 def test_chains_at_k1_are_gt_patterns():
-    for lam in [(1, 0), (2, 0, 0), (2, 1, 0)]:
-        chains = shifted_chain_enumerate(lam, 1)
-        pats = gt_enumerate(lam)
-        assert sorted(chains) == sorted(tuple(p.rows) for p in pats)
+    for n in (1, 2, 3, 4):
+        for lam in signatures(n, -2, 2 if n < 4 else 1):
+            chains = shifted_chain_enumerate(lam, 1)
+            assert [p.rows for p in gt_enumerate(lam)] == chains, lam
+    assert gt_enumerate(()) == [GTPattern(rows=())]
+
+
+def test_window_matches_box_filter():
+    # The window as the lex-ordered filter of the box [lam_n - (k-1), lam_1]^(n-1).
+    for n in (1, 2, 3, 4):
+        for lam in signatures(n, -2, 2):
+            for k in (1, 2, 3):
+                box = product(range(lam[-1] - (k - 1), lam[0] + 1), repeat=n - 1)
+                expected = [mu for mu in box if in_level_window(mu, lam, k)]
+                assert interlacing_signatures(lam, k) == expected, (lam, k)
+    assert interlacing_signatures((2, 0)) == [(0,), (1,), (2,)]
+
+
+def test_shifted_chains_match_box_filter():
+    # Row l of a level-k chain lies in [lam_n - (n-1)(k-1), lam_1]^l.
+    for n in (1, 2, 3):
+        for lam in signatures(n, -2, 2):
+            for k in (1, 2, 3):
+                vals = range(lam[-1] - (n - 1) * (k - 1), lam[0] + 1)
+                rows = [list(product(vals, repeat=l)) for l in range(1, n)]
+                expected = sorted(
+                    (chain + (lam,) for chain in product(*rows)
+                     if all(in_level_window(a, b, k)
+                            for a, b in zip(chain, chain[1:] + (lam,)))),
+                    key=lambda ch: tuple(x for row in ch for x in row))
+                assert shifted_chain_enumerate(lam, k) == expected, (lam, k)
+
+
+def test_partitions_match_filtered_product():
+    for d in range(7):
+        for n in range(5):
+            expected = [t for t in product(range(d, -1, -1), repeat=n)
+                        if sum(t) == d and decreasing(t)]
+            assert partitions(d, n) == expected, (d, n)
 
 
 def test_chain_window_example():

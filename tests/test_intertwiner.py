@@ -36,6 +36,9 @@ def test_delta_factors_values():
     assert delta2((3, 1), 2) == qnum(3)
     # cross((1,),(2,0)): [bar(2)-bar(1)+1]_1 [bar(1)-bar(0,2nd)-1]_1
     assert delta_cross((1,), (2, 0), 2) == qnum(2) * qnum(2)
+    assert delta1([3, 1], 2) == qnum(5)
+    assert delta2([3, 1], 2) == qnum(3)
+    assert delta_cross([1], [1, 0], 2) == delta_cross((1,), (1, 0), 2)
 
 
 def test_psi_qnum_trivial_k1():

@@ -239,6 +239,7 @@ def test_gt_specializes_to_schur():
     for lam in [(2, 0), (2, 1, 0), (3, 1)]:
         n = len(lam)
         assert macdonald_qk(lam, n, 1) == schur_oracle(lam, n)
+    assert macdonald_qk([1, 0], 2, 2) == macdonald_qk((1, 0), 2, 2)
 
 
 def test_eigen_identity_all_r():

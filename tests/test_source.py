@@ -29,3 +29,26 @@ def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def function_imports(source):
+    """Names of the functions in source whose body contains an import."""
+    tree = ast.parse(source)
+    return sorted(fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(node, (ast.Import, ast.ImportFrom))
+                          for stmt in fn.body for node in ast.walk(stmt)))
+
+
+def test_function_imports_detected():
+    source = ("import math\n"
+              "def f():\n    from .qfield import qnum\n    return qnum(1)\n"
+              "def g():\n    def h():\n        import os\n    return math.pi\n"
+              "class C:\n    def m(self):\n        return 1\n")
+    assert function_imports(source) == ["f", "g", "h"]
+
+
+def test_no_imports_inside_functions():
+    found = {path.name: function_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
