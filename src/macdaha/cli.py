@@ -4,8 +4,26 @@ named verification suites, and emit canonical JSON on standard output.
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage
 error (malformed signatures, non-interlacing pairs, mu outside the
 matrix-element window, k < 1, --vars < 1, verify sizes below their minimum,
-unknown suite), 3 internal error (any other exception, reported as one
-line).
+sizes outside an envelope below, unknown suite), 3 internal error (any
+other exception, reported as one line).
+
+Size envelopes, checked before any computation:
+- `poly` takes at most 10 variables, and for n variables a degree
+  d = |lambda| - n*lambda_n (lambda shifted to lambda_n = 0) up to a
+  bound per method (`_POLY_MAX_DEGREE`; for n = 2, 3, 4: eigen 25, 16,
+  14, branch 39, 17, 13, gt 39, 16, 11).  Each bound is the largest d at
+  which the slowest signatures of the method took at most 20 s on a
+  2-vCPU Xeon (the shapes (d, 0, ...), (d-1, 1, 0, ...), (d-2, 2, 0, ...)
+  and (d-3, 3, 0, ...), the slowest in full sweeps of smaller d); at
+  d + 1 one took longer, or all together over 40 s.  In 11 variables
+  eigen took 12 s already at d = 0.
+- `verify` runs the restriction suites in n*l variables only for
+  n*l <= 5 (res-intertwine) and n*l <= 10 (res-diff), also through
+  `--suite all`.  At the default samples and maxdeg and seeds 0-3, the
+  slowest res-intertwine run inside took 4.1 s, while at n*l = 6 it took
+  47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
+  seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
+  (4, 3).  Their time grows with --samples.
 """
 
 from __future__ import annotations
@@ -21,6 +39,17 @@ from .sympoly import npoly_to_json, sym_to_json
 
 class _UsageError(Exception):
     pass
+
+
+# The size envelope of `poly` (see the module docstring): per method and
+# number n of variables, the largest d = |lambda| - n*lambda_n.
+_POLY_MAX_DEGREE = {
+    "eigen": {1: 0, 2: 25, 3: 16, 4: 14, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
+    "branch": {1: 0, 2: 39, 3: 17, 4: 13, 5: 11, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
+    "gt": {1: 0, 2: 39, 3: 16, 4: 11, 5: 9, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
+}
+# The size envelopes of the restriction suites: the largest n*l.
+_RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,12 +125,30 @@ def _require_vars(n):
     return n
 
 
+def _require_poly_envelope(lam, n, method):
+    bounds = _POLY_MAX_DEGREE[method]
+    if n not in bounds:
+        raise _UsageError(f"poly supports at most {max(bounds)} variables")
+    d = sum(lam) - n * lam[-1]
+    if d > bounds[n]:
+        raise _UsageError(f"|lambda| - n*lambda_n = {d} exceeds {bounds[n]}, the "
+                          f"poly --method {method} size envelope for {n} variables")
+
+
+def _require_res_envelope(names, n, l):
+    for name in names:
+        if n * l > _RES_MAX_VARS.get(name, n * l):
+            raise _UsageError(f"{name} takes n*l <= {_RES_MAX_VARS[name]} "
+                              f"variables (got --n {n} --l {l})")
+
+
 def _run(args):
     if args.verb == "poly":
         lam = _signature(args.lam)
         n = _require_vars(args.vars)
         if len(lam) != n:
             raise _UsageError("signature length must equal --vars")
+        _require_poly_envelope(lam, n, args.method)
         method = {"eigen": macops.macdonald_eigen,
                   "branch": macops.macdonald_branch,
                   "gt": macops.macdonald_gt}[args.method]
@@ -177,6 +224,7 @@ def _run(args):
             names = [args.suite]
         else:
             raise _UsageError(f"unknown suite {args.suite!r}")
+        _require_res_envelope(names, args.n, args.l)
         reports = [suites.run_suite(name, n=args.n, l=args.l, k=args.k,
                                     maxdeg=args.maxdeg, samples=args.samples,
                                     seed=args.seed)

@@ -20,7 +20,8 @@ u(2^s), and two polynomials whose coefficients all lie inside
   coefficient bound.
 - A quotient is one integer division.  It is kept only when its digits
   bound every coefficient of quotient * divisor below 2^(s-1), which
-  proves the division exact; a wider quotient goes to long division.
+  proves the division exact; a wider quotient is divided again at doubled
+  widths, and after a few widths long division decides.
 - The gcd is GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
   1989).  With 2^s > 2 min(|u|, |v|) + 2 for primitive u and v, the
   primitive part of the balanced base-2^s digits of gcd(u(2^s), v(2^s))
@@ -28,8 +29,17 @@ u(2^s), and two polynomials whose coefficients all lie inside
   only after both exact divisions (trivial for the candidate 1), whose
   quotients are the cofactors.
   After a few widths the pseudo-remainder gcd decides.
-Maps in both variables use recursive pseudo-remainder sequences over
-Z[q][t].
+Maps in both variables take the same gcd one level up (Liao and Fateman,
+ISSAC 1995): with their integer contents removed, t is evaluated at 2^s
+with 2^(s-1) > 2 min(|A|, |B|) + 2, the Z[q] kernel gives the gcd g of the
+two images and both cofactors, and G, the primitive part of the balanced
+base-2^s digits in t of g, is gcd(A, B) as soon as it divides both.  The
+cofactors are read from digits too.  Each is accepted only when |A| and
+its product bound with G lie below 2^(s-1), so that G * cofactor and A,
+equal at t = 2^s, are equal (else an exact division decides); the
+candidate 1 needs no check.  After a few widths the recursive
+pseudo-remainder gcd over Z[q][t] decides.  An exact division in Z[q, t]
+is one in Z[q], through t -> q^D for D above the dividend's q-degree.
 
 Products of binomials prod (1 - q^a t^b)^e (the branching coefficients
 and the Pochhammer ratios) take binomial_ratio, which runs no gcd.
@@ -263,7 +273,8 @@ def _q_longdiv(u, v):
 
 _DIGIT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}  # little-endian struct codes
 _KRON_TERMS = 128       # term-count product from which operands are packed
-_HEU_TRIES = 4          # GCDHEU widths tried before the pseudo-remainder gcd
+_HEU_TRIES = 4          # widths tried by GCDHEU and packed division before
+                        # the pseudo-remainder gcd and long division
 
 
 def _width(bound):
@@ -324,7 +335,9 @@ def _q_divexact(u, v):
     A non-zero remainder of u(2^s) by v(2^s) disproves divisibility.  The
     quotient Q read from the integer quotient satisfies
     Q(2^s) v(2^s) = u(2^s), so when |Q| |v| min(#Q, #v) < 2^(s-1) bounds
-    every coefficient of Q v, Q v = u holds exactly.
+    every coefficient of Q v, Q v = u holds exactly.  A quotient too wide
+    for that bound is divided again at doubled widths, and after
+    _HEU_TRIES widths long division decides.
     """
     if (len(u) - len(v) + 1) * len(u) < _KRON_TERMS:
         return _q_longdiv(u, v)     # about (#quotient) * (#u) steps
@@ -333,12 +346,14 @@ def _q_divexact(u, v):
         raise ArithmeticError("inexact polynomial division in Z[q]")
     nv = _norm(v)
     w = _width(_norm(u) * nv * min(len(u), len(v)))  # Q about as wide as u
-    quo, rem = divmod(_pack(u, lu, w), _pack(v, lv, w))
-    if rem:
-        raise ArithmeticError("inexact polynomial division in Z[q]")
-    Q = _unpack(quo, lu - lv, w)
-    if _norm(Q) * nv * min(len(Q), len(v)) < 1 << (8 * w - 1):
-        return Q
+    for _ in range(_HEU_TRIES):
+        quo, rem = divmod(_pack(u, lu, w), _pack(v, lv, w))
+        if rem:
+            raise ArithmeticError("inexact polynomial division in Z[q]")
+        Q = _unpack(quo, lu - lv, w)
+        if _norm(Q) * nv * min(len(Q), len(v)) < 1 << (8 * w - 1):
+            return Q
+        w *= 2
     return _q_longdiv(u, v)
 
 
@@ -388,7 +403,8 @@ def _q_gcd_primitive(u, v):
 
 # ---------------------------------------------------------------------------
 # gcd machinery over Z[q, t] (non-negative exponents).  Recursive primitive
-# pseudo-remainder sequences: main variable t, coefficients in Z[q].
+# pseudo-remainder sequences, main variable t and coefficients in Z[q]: the
+# fallback of the heuristic gcd below and the oracle of its tests.
 
 def _to_t(A):
     D = {}
@@ -474,35 +490,88 @@ def _poly_gcd(A, B):
 
 
 def _poly_divexact(A, B):
-    """Exact division in Z[q, t]; raises ArithmeticError if not divisible."""
+    """Exact division in Z[q, t] of maps with non-negative exponents;
+    raises ArithmeticError if not divisible.
+
+    With D above the q-degree of A, t -> q^D maps both maps into Z[q],
+    injectively on q-degrees below D.  The quotient there, read back with
+    base-D exponents, is the quotient in Z[q, t] when its q-degree and
+    B's add up to less than D, since then its product with B is A.
+    """
     if not A:
         return {}
     if B == _ONE_D:
         return dict(A)
-    F, G = _to_t(A), _to_t(B)
-    if len(F) == 1 and len(G) == 1:
-        (dF, u), = F.items()
-        (dG, v), = G.items()
-        if dF < dG:
-            raise ArithmeticError("inexact polynomial division in Z[q,t]")
-        return {(a, dF - dG): c for a, c in _q_divexact(u, v).items()}
-    dG = max(G)
-    lcG = G[dG]
-    Q = {}
-    while F:
-        dF = max(F)
-        if dF < dG:
-            raise ArithmeticError("inexact polynomial division in Z[q,t]")
-        qc = _q_divexact(F[dF], lcG)
-        Q[dF - dG] = qc
-        for b, u in G.items():
-            k = b + dF - dG
-            w = _q_sub(F.get(k, {}), _q_mul(u, qc))
-            if w:
-                F[k] = w
+    D = max(a for a, _ in A) + 1
+    Q = _q_divexact({a + D * b: c for (a, b), c in A.items()},
+                    {a + D * b: c for (a, b), c in B.items()})
+    Q = {(e % D, e // D): c for e, c in Q.items()}
+    if max(a for a, _ in Q) + max(a for a, _ in B) >= D:
+        raise ArithmeticError("inexact polynomial division in Z[q,t]")
+    return Q
+
+
+# ---------------------------------------------------------------------------
+# The bivariate heuristic gcd (see the module docstring).  t is evaluated
+# at 2^s, s = 8w, and term maps are read back from balanced base-2^s
+# digits in t.
+
+def _t_eval(A, s):
+    """A(q, 2^s) in Z[q] for a map A with non-negative t exponents."""
+    u = {}
+    for (a, b), c in A.items():
+        u[a] = u.get(a, 0) + (c << s * b)
+    return {a: c for a, c in u.items() if c}
+
+
+def _t_interp(u, w):
+    """The map whose balanced base-2^(8w) digits in t make up every
+    coefficient of u in Z[q]."""
+    return {(a, b): c for a, x in u.items() for b, c in _unpack(x, 0, w).items()}
+
+
+def _t_cofactor(X, G, Y, w):
+    """X / G, or None if G does not divide X.
+
+    Y is read from digits with G(q, 2^s) Y(q, 2^s) = X(q, 2^s).  When |X|
+    and the coefficient bound |G| |Y| min(#G, #Y) of G Y lie below
+    2^(s-1), both sides are their own balanced digits, so G Y = X;
+    otherwise exact division decides.
+    """
+    half = 1 << (8 * w - 1)
+    if _norm(X) < half and _norm(G) * _norm(Y) * min(len(G), len(Y)) < half:
+        return Y
+    try:
+        return _poly_divexact(X, G)
+    except ArithmeticError:
+        return None
+
+
+def _qt_heu_gcd(A, B):
+    """(g, A/g, B/g) for non-monomial A, B in Z[q, t] with exponent minima
+    0, g normalized as _poly_gcd normalizes it; None after _HEU_TRIES
+    widths without a proven candidate."""
+    ca, cb = _q_int_content(A), _q_int_content(B)
+    A, B = _q_divexact_int(A, ca), _q_divexact_int(B, cb)
+    w = _width(2 * min(_norm(A), _norm(B)) + 2)
+    for _ in range(_HEU_TRIES):
+        u, v = _t_eval(A, 8 * w), _t_eval(B, 8 * w)
+        if u and v:
+            g, f, h = _q_gcd_cofactors(u, v)
+            G = _t_interp(g, w)
+            cg = _q_int_content(G)
+            G = _q_divexact_int(G, cg)
+            if G == _ONE_D:         # divides both: A and B are coprime
+                F, H = A, B
             else:
-                F.pop(k, None)
-    return _from_t(Q)
+                F = _t_cofactor(A, G, _t_interp(_q_scale(f, cg), w), w)
+                H = F and _t_cofactor(B, G, _t_interp(_q_scale(h, cg), w), w)
+            if H:
+                c = math.gcd(ca, cb)
+                s = 1 if _lead_coeff(G) > 0 else -1
+                return _scale(G, s * c), _scale(F, s * ca // c), _scale(H, s * cb // c)
+        w *= 2
+    return None
 
 
 def _gcd_cofactors(A, B):
@@ -511,7 +580,9 @@ def _gcd_cofactors(A, B):
     Monomials are units in the Laurent ring: g has exponent minimum 0 in
     each variable, a positive graded-lex leading coefficient and the
     integer content, and A/g and B/g keep the monomial parts of A and B.
-    Two maps with one t exponent each take the Z[q] kernel.
+    Two maps with one t exponent each take the Z[q] kernel, other
+    non-monomial maps the heuristic gcd, and the pseudo-remainder gcd
+    decides when that gives up.
     """
     FA, FB = _to_t(A), _to_t(B)
     if len(FA) == 1 and len(FB) == 1:
@@ -525,11 +596,13 @@ def _gcd_cofactors(A, B):
     qa, ta = _min_exps(A)
     qb, tb = _min_exps(B)
     A0, B0 = _shift(A, -qa, -ta), _shift(B, -qb, -tb)
-    g = _poly_gcd(A0, B0)
+    r = _qt_heu_gcd(A0, B0) if len(A0) > 1 and len(B0) > 1 else None
+    g = r[0] if r else _poly_gcd(A0, B0)
     if g == _ONE_D:
         return g, A, B
-    return (g, _shift(_poly_divexact(A0, g), qa, ta),
-            _shift(_poly_divexact(B0, g), qb, tb))
+    if r is None:
+        r = g, _poly_divexact(A0, g), _poly_divexact(B0, g)
+    return g, _shift(r[1], qa, ta), _shift(r[2], qb, tb)
 
 
 # ---------------------------------------------------------------------------

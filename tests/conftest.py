@@ -7,11 +7,22 @@ from math import comb
 
 import pytest
 
+from macdaha import qfield
 from macdaha.combinat import interlaces
 from macdaha.npoly import NPoly
 from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, CoeffRat, DomainViolationError,
                             LaurentQT, _add, _mul, _scale)
 from macdaha.sympoly import from_npoly, to_npoly
+
+
+@pytest.fixture(params=["heuristic", "prs"])
+def qt_gcd_path(request, monkeypatch):
+    """Runs a test on both gcd paths for maps in both variables: the
+    heuristic gcd, and the pseudo-remainder gcd `_poly_gcd` with the
+    heuristic giving up at once."""
+    if request.param == "prs":
+        monkeypatch.setattr(qfield, "_qt_heu_gcd", lambda A, B: None)
+    return request.param
 
 
 def partitions_upto(maxdeg, n):

@@ -1,4 +1,5 @@
 import json
+import time
 
 from macdaha.cli import main
 from macdaha.suites import SUITES, list_suites, run_suite
@@ -166,3 +167,37 @@ def test_verify_all_small(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert len(doc["suites"]) == len(SUITES)
+
+
+def test_poly_size_envelope(capsys):
+    # Just outside each method's envelope (d = |lambda| - n*lambda_n one
+    # above its bound in 4 variables, and 11 variables): a usage error
+    # before any computation.
+    outside = [("eigen", "--lambda=14,-1,-1,-1", "4"), ("branch", "--lambda=7,5,2,0", "4"),
+               ("gt", "--lambda=12,0,0,0", "4")]
+    outside += [(m, "--lambda=" + ",".join(["0"] * 11), "11")
+                for m in ("eigen", "branch", "gt")]
+    for method, lam, n in outside:
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["poly", lam, "--vars", n, "--method", method])
+        assert time.perf_counter() - t0 < 1, (method, lam)
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, (method, lam)
+    # Just inside (d = 14 in 4 variables, the eigen bound) still prints.
+    rc, out, _ = run(capsys, ["poly", "--lambda=7,5,2,0", "--vars", "4"])
+    assert rc == 0 and json.loads(out)["n"] == 4
+
+
+def test_verify_restriction_envelope(capsys):
+    # 6 variables for res-intertwine (also through --suite all) and 12
+    # for res-diff are outside; both exit 2 at once.
+    for argv in (["--suite", "res-intertwine", "--n", "3"],
+                 ["--suite", "all", "--n", "6", "--l", "1"],
+                 ["--suite", "res-diff", "--n", "4", "--l", "3"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+    for suite, n in (("res-intertwine", "5"), ("res-diff", "6")):
+        rc, out, _ = run(capsys, ["verify", "--suite", suite, "--n", n, "--l", "1",
+                                  "--samples", "1"])
+        assert rc == 0 and json.loads(out)["pass"] is True

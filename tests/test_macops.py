@@ -8,6 +8,7 @@ from random import Random
 from conftest import (eval_fraction, mac_apply_oracle, partitions_upto, prime_point,
                       psi_branch_oracle, schur_oracle)
 
+from macdaha import clear_caches
 from macdaha.combinat import interlacing_signatures, is_dominant
 
 from macdaha.macops import (MacParams, _psi_for_params, eigenvalue, generic_params,
@@ -228,6 +229,21 @@ def test_constructors_agree_smoke():
         n = len(lam)
         a = macdonald_eigen(lam, n)
         assert a == macdonald_branch(lam, n) == macdonald_gt(lam, n)
+
+
+def test_constructors_agree_on_both_gcd_paths(qt_gcd_path):
+    # Cleared caches make every constructor run on the gcd path under test.
+    clear_caches()
+    lam = (4, 2, 0)
+    a = macdonald_eigen(lam, 3)
+    assert a == macdonald_branch(lam, 3) == macdonald_gt(lam, 3)
+
+
+def test_eigen_beyond_pseudo_remainder_reach():
+    # Past 100 s with the pseudo-remainder gcd alone; about 1 s now.
+    lam = (7, 5, 2, 0)
+    f = macdonald_eigen(lam, 4)
+    assert mac_apply(f, 1, P) == f.scalar_mul(eigenvalue(lam, 1, 4, P))
 
 
 def test_branch_base_cases():

@@ -159,6 +159,7 @@ def test_qnum_qinv_symmetry():
 # division.  The pseudo-remainder gcd `_q_gcd` and schoolbook products are
 # the oracles.
 
+from math import gcd
 from random import Random
 
 from macdaha import qfield
@@ -289,6 +290,22 @@ def test_divexact_exact_and_wide_quotients():
         assert qfield._q_divexact(qfield._q_mul(big, d), d) == big
 
 
+def test_divexact_wide_quotient_doubles_width(monkeypatch):
+    # The quotient of (1 - q^10)^8 [2]...[19] by (1 - q)^8 is wider than
+    # the first width: the packed division is redone at twice the width,
+    # and long division is never reached.
+    u, v = q_numbers(*range(2, 20)), {0: 1}
+    for _ in range(8):
+        u = qfield._q_mul(u, {0: 1, 10: -1})
+        v = qfield._q_mul(v, {0: 1, 1: -1})
+    widths = []
+    unpack = qfield._unpack
+    monkeypatch.setattr(qfield, "_unpack", lambda x, lo, w: widths.append(w) or unpack(x, lo, w))
+    monkeypatch.setattr(qfield, "_q_longdiv", None)
+    quo = qfield._q_divexact(u, v)
+    assert widths == [8, 16] and qfield._q_mul(quo, v) == u
+
+
 def test_t_free_poly_divexact_rejects_inexact():
     two_d = lambda u, b=0: {(a, b): c for a, c in u.items()}
     big = q_numbers(*range(3, 16))
@@ -321,6 +338,135 @@ def test_t_primitive_content_and_quotient():
         assert {b: qfield._q_mul(c, x) for b, x in P.items()} == F
         if len(F) > 1:
             assert c == reduce(qfield._q_gcd, F.values())
+
+
+# ---------------------------------------------------------------------------
+# The heuristic gcd of maps in both variables: cofactors against the
+# pseudo-remainder `_poly_gcd` and re-multiplication, on both paths.
+
+def binomials(*pairs):
+    """prod (1 - q^a t^b) over the pairs, as a term map."""
+    r = {(0, 0): 1}
+    for a, b in pairs:
+        r = schoolbook(r, {(0, 0): 1, (a, b): -1})
+    return r
+
+
+def qt_poly(rng, terms, hi=4, cmax=9):
+    A = {(rng.randint(0, hi), rng.randint(0, hi)): rng.randint(-cmax, cmax)
+         for _ in range(terms)}
+    A = {k: c for k, c in A.items() if c}
+    return A if len(A) > 1 else {(0, 0): 1, (1, 1): 2}
+
+
+def t_poly(q_exp, coeffs):
+    return {(q_exp, b): c for b, c in enumerate(coeffs) if c}
+
+
+one_minus_t = {(0, 0): 1, (0, 1): -1}
+# (1 + q t)(130 + t) against (1 + q t)(q + 2): the width is one byte, and
+# the digits of 130 + 2^8 in t read back as 2 t - 126, a wrong cofactor
+# whose product bound 2 * 126 lies below 2^8 but not below 2^7.
+wide_pair = (schoolbook({(0, 0): 1, (1, 1): 1}, {(0, 0): 130, (0, 1): 1}),
+             schoolbook({(0, 0): 1, (1, 1): 1}, {(1, 0): 1, (0, 0): 2}))
+# Coprime maps whose images at t = 2^8 share the content 257: every
+# t-coefficient p has p(-1) = 257 and 2^8 = -1 (mod 257), so the first
+# candidate is t + 1.
+spurious_pair = (
+    {**t_poly(1, (9, -62, 62, -62, 62)), **t_poly(0, (13, -61, 61, -61, 61))},
+    {**t_poly(1, (17, -60, 60, -60, 60)), **t_poly(0, (21, -59, 59, -59, 59))})
+
+
+def qt_gcd_cases():
+    rng = Random(20261018)
+    big = 2 ** 70 + 12345
+    cases = [
+        (binomials((1, 1), (2, 1), (1, 2), (3, 0)), binomials((2, 1), (1, 2), (0, 3))),
+        (binomials(*[(a, b) for a in range(4) for b in range(1, 3)]),
+         binomials(*[(a, b) for a in range(1, 5) for b in range(2)])),
+        (binomials((1, 1)), binomials((2, 2))),
+        (binomials((1, 1), (1, 1), (2, 3)), binomials((1, 1), (1, 0))),
+        # common factors only in the t-content
+        (schoolbook(one_minus_t, {(1, 0): 1, (0, 0): 2}),
+         schoolbook(one_minus_t, {(1, 0): 1, (0, 0): -3})),
+        (schoolbook(binomials((0, 1), (0, 2)), {(1, 0): 3, (0, 0): 2}),
+         schoolbook(binomials((0, 2), (0, 3)), {(2, 0): 1, (0, 0): -5})),
+        # coprime, with images sharing the integer factor 3 at every
+        # t = 2^(8w), since 2^(8w) = 1 (mod 3)
+        ({(1, 1): 1, (1, 0): 2, (0, 1): 1, (0, 0): -4},
+         {(1, 1): 1, (1, 0): 5, (0, 1): 2, (0, 0): 1}),
+        spurious_pair,
+        wide_pair,
+        # integer contents, negative and wider than 2^64 coefficients
+        (qfield._scale(binomials((1, 1), (0, 2)), 6),
+         qfield._scale(binomials((1, 1), (2, 0)), -10)),
+        (qfield._scale(binomials((1, 2), (2, 1)), big),
+         qfield._scale(binomials((1, 2), (1, 1)), -3 * big)),
+        (schoolbook(binomials((1, 1)), {(0, 0): big, (1, 2): -big - 1}),
+         schoolbook(binomials((1, 1)), {(2, 0): 7, (0, 1): -(3 ** 50)})),
+        (binomials((1, 2), (2, 1)), binomials((1, 2), (2, 1))),   # equal inputs
+        (binomials((1, 2)), qfield._neg(binomials((1, 2), (3, 1)))),
+    ]
+    for _ in range(30):
+        g = qt_poly(rng, rng.randint(2, 4), hi=3)
+        A = schoolbook(g, qt_poly(rng, rng.randint(2, 6)))
+        B = schoolbook(g, qt_poly(rng, rng.randint(2, 6), cmax=rng.choice((9, big))))
+        cases.append((qfield._scale(A, rng.choice((1, -1, 4))), B))
+    return cases
+
+
+@pytest.mark.parametrize("A, B", qt_gcd_cases())
+def test_qt_gcd_cofactors_match_prs_oracle(A, B, qt_gcd_path):
+    qa, ta = qfield._min_exps(A)
+    qb, tb = qfield._min_exps(B)
+    A0, B0 = qfield._shift(A, -qa, -ta), qfield._shift(B, -qb, -tb)
+    G, F, H = qfield._gcd_cofactors(A, B)
+    assert G == qfield._poly_gcd(A0, B0)
+    assert schoolbook(G, F) == A and schoolbook(G, H) == B
+
+
+@pytest.mark.parametrize("A, B", qt_gcd_cases())
+def test_qt_heuristic_decides_planted_cases(A, B):
+    # On every case the heuristic itself finds the gcd within its widths.
+    qa, ta = qfield._min_exps(A)
+    qb, tb = qfield._min_exps(B)
+    A0, B0 = qfield._shift(A, -qa, -ta), qfield._shift(B, -qb, -tb)
+    if len(A0) == 1 or len(B0) == 1:
+        return
+    G, F, H = qfield._qt_heu_gcd(A0, B0)
+    assert G == qfield._poly_gcd(A0, B0)
+    assert schoolbook(G, F) == A0 and schoolbook(G, H) == B0
+
+
+def test_qt_heuristic_rejects_wrong_candidates(monkeypatch):
+    u, v = (qfield._t_eval(X, 8) for X in spurious_pair)
+    assert gcd(*u.values(), *v.values()) == 257
+    candidates = []
+    interp = qfield._t_interp
+    monkeypatch.setattr(qfield, "_t_interp",
+                        lambda u, w: candidates.append(interp(u, w)) or candidates[-1])
+    G, F, H = qfield._qt_heu_gcd(*spurious_pair)
+    assert candidates[0] == {(0, 0): 1, (0, 1): 1} and G == {(0, 0): 1}
+    assert (F, H) == spurious_pair
+    # The cofactor read from digits fails the bound, and exact division
+    # gives the right one.
+    G, F, H = qfield._qt_heu_gcd(*wide_pair)
+    assert F == {(0, 0): 130, (0, 1): 1} and schoolbook(G, H) == wide_pair[1]
+
+
+def test_poly_divexact_both_variables():
+    rng = Random(99)
+    for _ in range(40):
+        g = qt_poly(rng, rng.randint(1, 5))
+        g = qfield._shift(g, *(-e for e in qfield._min_exps(g)))
+        f = qt_poly(rng, rng.randint(1, 8), hi=6, cmax=rng.choice((9, 2 ** 80)))
+        assert qfield._poly_divexact(schoolbook(g, f), g) == f
+        with pytest.raises(ArithmeticError):
+            qfield._poly_divexact(qfield._add(schoolbook(g, f), {(0, 0): 1}), g)
+    # With D = 2, t -> q^2 sends t + q t to q (q + q^2), the image of
+    # q (q + t): the quotient q wraps past q-degree 1 and is rejected.
+    with pytest.raises(ArithmeticError):
+        qfield._poly_divexact({(0, 1): 1, (1, 1): 1}, {(1, 0): 1, (0, 1): 1})
 
 
 def test_clear_caches_reaches_every_cache():
