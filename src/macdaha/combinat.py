@@ -18,6 +18,17 @@ def is_dominant(sig):
     return all(sig[i] >= sig[i + 1] for i in range(len(sig) - 1))
 
 
+def check_signature(lam, n):
+    """lam as a tuple, once it is checked to be a dominant signature of
+    length n; raises ValueError otherwise."""
+    lam = tuple(lam)
+    if len(lam) != n:
+        raise ValueError("signature length must equal the variable count")
+    if not is_dominant(lam):
+        raise ValueError("signature must be dominant")
+    return lam
+
+
 def sig_sum(sig):
     return sum(sig)
 

@@ -24,7 +24,7 @@ from random import Random
 
 from .combinat import inversions
 from .macops import MacParams, mac_apply, mac_generator_apply
-from .npoly import NPoly
+from .npoly import NPoly, add_terms
 from .qfield import CR_ONE, CoeffRat, UnitMono, cached, qnum
 from .sympoly import SymLaurent, e_sym, from_npoly, mono_shift, orbit, to_npoly
 
@@ -148,10 +148,6 @@ def act_e(f, p):
     return acc.scalar_mul(norm)
 
 
-def _mac_params(p):
-    return MacParams(shift=p.qhalf ** 2, thalf=p.thalf)
-
-
 def e_r_Y_apply(f, r, p):
     """e_r(Y_1..Y_n) on a symmetric polynomial, via the Y operators."""
     n = f.n
@@ -195,18 +191,19 @@ def res_map(f, n, l):
     """
     if f.n != n * l:
         raise ValueError("source must be symmetric in n*l variables")
-    out = NPoly.zero(n)
-    for sig, c in f.terms.items():
-        for e in orbit(sig):
-            qexp = 0
-            packed = [0] * n
-            for idx, ex in enumerate(e):
-                a = idx % l
-                packed[idx // l] += ex
-                qexp += (1 - l + 2 * a) * ex
-            out = out + NPoly.monomial(tuple(packed),
-                                       c * UnitMono.q(qexp).as_coeffrat())
-    return from_npoly(out)
+
+    def terms():
+        for sig, c in f.terms.items():
+            for e in orbit(sig):
+                qexp = 0
+                packed = [0] * n
+                for idx, ex in enumerate(e):
+                    a = idx % l
+                    packed[idx // l] += ex
+                    qexp += (1 - l + 2 * a) * ex
+                yield tuple(packed), c * UnitMono.q(qexp).as_coeffrat()
+
+    return from_npoly(NPoly._raw(n, add_terms({}, terms())))
 
 
 def res_map_half(f, n, l):

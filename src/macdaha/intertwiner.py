@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .combinat import in_window, interlaces, is_dominant, shift
+from .combinat import check_signature, in_window, interlaces, shift
 from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
@@ -626,9 +626,7 @@ def c_squared_chain(mu, lam, k):
 def branch_reconstruct_qk(lam, n, k):
     """Assemble sum over interlacing mu of x_n^{|lam|-|mu|} P_mu psi at
     t = q^k; equals P_lam(x; q^2, q^{2k}) exactly."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("signature length must equal the variable count")
+    lam = check_signature(lam, n)
     return branch_sum(lam, lambda mu: psi_qnum(lam, mu, k),
                       lambda mu: macdonald_qk(mu, n - 1, k))
 
@@ -648,11 +646,7 @@ def trace_reconstruct(lam, n, k):
     The weight exponent of x_i is |tilde mu^i| - |tilde mu^{i-1}|; the
     result is a plain Laurent polynomial whose ratio against
     ek_denominator is symmetric."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("signature length must equal the variable count")
-    if not is_dominant(lam):
-        raise ValueError("signature must be dominant")
+    lam = check_signature(lam, n)
     return chain_sum(lam, k, lambda mu, nu: diag_coeff_sum(mu, nu, k))
 
 

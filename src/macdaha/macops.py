@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import (interlaces, interlacing_signatures, inversions, is_dominant,
+from .combinat import (check_signature, interlaces, interlacing_signatures, inversions,
                        kostka_dominant, partitions, shift, shifted_chain_enumerate,
                        sig_sum)
-from .npoly import NPoly
+from .npoly import NPoly, add_terms
 from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, LaurentQT, UnitMono,
                      binomial_ratio, cached, qfall)
 from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, mono_shift, orbit
@@ -77,13 +77,7 @@ def mac_apply(f, r, params, half_root=None):
         f = f.scalar_mul((half_root ** r).as_coeffrat())
     out = {}
     for lam, c in f.terms.items():
-        for nu, a in _op_column(lam, r, n, params).items():
-            w = out.get(nu)
-            w = a * c if w is None else w + a * c
-            if w:
-                out[nu] = w
-            else:
-                out.pop(nu, None)
+        add_terms(out, ((nu, a * c) for nu, a in _op_column(lam, r, n, params).items()))
     return SymLaurent._raw(n, out)
 
 
@@ -152,17 +146,14 @@ def _op_column(lam, r, n, params):
                 er[k] = er[k] + er[k - 1] * y
         c = -er[r] if inversions(tuple(-b for b in beta)) % 2 else er[r]
         mu = tuple(b - d for b, d in zip(sorted(beta, reverse=True), delta))
-        schur[mu] = schur[mu] + c if mu in schur else c
+        add_terms(schur, ((mu, c),))
     unit = (params.thalf ** (-r * (n - 1))).as_laurent()
     mono = {}
     for mu, c in schur.items():
-        if not c:
-            continue
         c = c * unit
-        for nu, kostka in kostka_dominant(mu).items():
-            a = c * LaurentQT.const(kostka)
-            mono[nu] = mono[nu] + a if nu in mono else a
-    return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items() if c}
+        add_terms(mono, ((nu, c * LaurentQT.const(kostka))
+                         for nu, kostka in kostka_dominant(mu).items()))
+    return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items()}
 
 
 @cached
@@ -200,11 +191,7 @@ def _eigen_cached(lam, n, params):
 def macdonald_eigen(lam, n, params=None):
     """Joint eigenfunction with leading orbit monomial m_lam, by the
     triangular solve against D^1."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("signature length must equal the variable count")
-    if not is_dominant(lam):
-        raise ValueError("signature must be dominant")
+    lam = check_signature(lam, n)
     if params is None:
         params = generic_params()
     return _eigen_cached(lam, n, params)
@@ -262,15 +249,14 @@ def branch_sum(lam, psi, sub):
     n = len(lam)
     if n == 1:
         return SymLaurent(1, {lam: CR_ONE})
-    acc = NPoly.zero(n)
+    acc = {}
     for mu in interlacing_signatures(lam):
         c_mu = psi(mu)
-        xn = sig_sum(lam) - sig_sum(mu)
+        xn = (sig_sum(lam) - sig_sum(mu),)
         for sig, c in sub(mu).terms.items():
             w = c * c_mu
-            for e in orbit(sig):
-                acc = acc + NPoly.monomial(e + (xn,), w)
-    return from_npoly(acc)
+            add_terms(acc, ((e + xn, w) for e in orbit(sig)))
+    return from_npoly(NPoly._raw(n, acc))
 
 
 @cached
@@ -283,11 +269,7 @@ def _branch_cached(lam, n, params):
 
 def macdonald_branch(lam, n, params=None):
     """Same polynomial via the branching recursion over interlacing mu."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("signature length must equal the variable count")
-    if not is_dominant(lam):
-        raise ValueError("signature must be dominant")
+    lam = check_signature(lam, n)
     if params is None:
         params = generic_params()
     return _branch_cached(lam, n, params)
@@ -302,31 +284,28 @@ def chain_sum(lam, k, link):
     is evaluated once; a chain stops at its first zero link.
     """
     n = len(lam)
-    acc = NPoly.zero(n)
     links = {}
-    for chain in shifted_chain_enumerate(lam, k):
-        coeff = CR_ONE
-        for pair in zip(chain, chain[1:]):
-            if pair not in links:
-                links[pair] = link(*pair)
-            coeff = coeff * links[pair]
+
+    def terms():
+        for chain in shifted_chain_enumerate(lam, k):
+            coeff = CR_ONE
+            for pair in zip(chain, chain[1:]):
+                if pair not in links:
+                    links[pair] = link(*pair)
+                coeff = coeff * links[pair]
+                if not coeff:
+                    break
             if not coeff:
-                break
-        if not coeff:
-            continue
-        tsums = [sig_sum(shift(row, k, "tilde")) for row in chain]
-        exps = tuple(tsums[i] - (tsums[i - 1] if i else 0) for i in range(n))
-        acc = acc + NPoly.monomial(exps, coeff)
-    return acc
+                continue
+            tsums = [sig_sum(shift(row, k, "tilde")) for row in chain]
+            yield tuple(tsums[i] - (tsums[i - 1] if i else 0) for i in range(n)), coeff
+
+    return NPoly._raw(n, add_terms({}, terms()))
 
 
 def macdonald_gt(lam, n, params=None):
     """Same polynomial as a sum over Gelfand-Tsetlin patterns."""
-    lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError("signature length must equal the variable count")
-    if not is_dominant(lam):
-        raise ValueError("signature must be dominant")
+    lam = check_signature(lam, n)
     if params is None:
         params = generic_params()
     return from_npoly(chain_sum(lam, 1, lambda mu, nu: _psi_for_params(nu, mu, params)))

@@ -4,27 +4,49 @@ Workhorse representation behind the symmetric-polynomial layer, the
 Hecke-operator action, the branching and Gelfand-Tsetlin chain sums and the
 traces.  Supports exact division by binomials x_i - c*x_j, as the
 Demazure-Lusztig operators and the trace ratio need.
+
+`TermMap` is the sparse container that `NPoly` shares with
+`sympoly.SymLaurent`: a dict {key: CoeffRat} with no zero values, whose
+sums, negation and scalar products are written once.  `add_terms` is the
+one accumulator: every sum of terms in the polynomial and operator layers
+goes through it.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from operator import add
 
 from .qfield import CR_ONE, CoeffRat, UnitMono
 
 
-class NPoly:
-    """Laurent polynomial in x_1..x_n: {exponent tuple: CoeffRat}."""
+def add_terms(out, pairs):
+    """Add each (key, value) of pairs into the dict out and return out.
+
+    A sum that cancels is removed and a zero value never enters as a new
+    key, so out keeps no zero values.
+    """
+    get = out.get
+    for k, v in pairs:
+        w = get(k)
+        if w is not None:
+            v = w + v
+            if not v:
+                del out[k]
+                continue
+        elif not v:
+            continue
+        out[k] = v
+    return out
+
+
+class TermMap:
+    """Sparse {key: CoeffRat} in n variables with no zero values.
+
+    Equality also compares the class, so an NPoly never equals a SymLaurent.
+    """
 
     __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = v
 
     @classmethod
     def _raw(cls, n, terms):
@@ -40,6 +62,49 @@ class NPoly:
     @classmethod
     def one(cls, n):
         return cls._raw(n, {(0,) * n: CR_ONE})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.n == other.n
+                and self.terms == other.terms)
+
+    def __add__(self, other):
+        return self._raw(self.n, add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.n, {k: -v for k, v in self.terms.items()})
+
+    def scalar_mul(self, c):
+        if isinstance(c, int):
+            c = CoeffRat.from_int(c)
+        if not c:
+            return self.zero(self.n)
+        return self._raw(self.n, {k: v * c for k, v in self.terms.items()})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class NPoly(TermMap):
+    """Laurent polynomial in x_1..x_n: {exponent tuple: CoeffRat}."""
+
+    __slots__ = ()
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {}
+        if terms:
+            for k, v in terms.items():
+                if v:
+                    self.terms[k] = v
 
     @classmethod
     def monomial(cls, exps, coeff=CR_ONE):
@@ -59,33 +124,6 @@ class NPoly:
             out = out * cls(n, {tuple(ei): CR_ONE, tuple(ej): -c.as_coeffrat()})
         return out
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, NPoly) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            w = v if w is None else w + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return NPoly._raw(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NPoly._raw(self.n, {k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (CoeffRat, int)):
             return self.scalar_mul(other)
@@ -94,22 +132,8 @@ class NPoly:
             A, B = B, A
         out = {}
         for ka, va in A.items():
-            for kb, vb in B.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                w = out.get(k)
-                w = va * vb if w is None else w + va * vb
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
+            add_terms(out, ((tuple(map(add, ka, kb)), va * vb) for kb, vb in B.items()))
         return NPoly._raw(self.n, out)
-
-    def scalar_mul(self, c):
-        if isinstance(c, int):
-            c = CoeffRat.from_int(c)
-        if not c:
-            return NPoly.zero(self.n)
-        return NPoly._raw(self.n, {k: v * c for k, v in self.terms.items()})
 
     def mul_monomial(self, exps, coeff=CR_ONE):
         out = {}
@@ -155,33 +179,17 @@ class NPoly:
             m = k[i]
             rest = k[:i] + (0,) + k[i + 1:]
             slices.setdefault(m, {})[rest] = v
-        mmax = max(slices)
         mmin = min(slices)
         out = {}
         carry = {}
-        for m in range(mmax, mmin, -1):
-            cur = dict(slices.get(m, {}))
-            for rest, v in carry.items():
-                shifted = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
-                w = cur.get(shifted)
-                w = v * c if w is None else w + v * c
-                if w:
-                    cur[shifted] = w
-                else:
-                    cur.pop(shifted, None)
-            for rest, v in cur.items():
-                out[rest[:i] + (m - 1,) + rest[i + 1:]] = v
-            carry = cur
-        bottom = dict(slices.get(mmin, {}))
-        for rest, v in carry.items():
-            shifted = rest[:j] + (rest[j] + 1,) + rest[j + 1:]
-            w = bottom.get(shifted)
-            w = v * c if w is None else w + v * c
-            if w:
-                bottom[shifted] = w
-            else:
-                bottom.pop(shifted, None)
-        if bottom:
+        for m in range(max(slices), mmin - 1, -1):
+            carry = add_terms(dict(slices.get(m, ())),
+                              ((rest[:j] + (rest[j] + 1,) + rest[j + 1:], v * c)
+                               for rest, v in carry.items()))
+            if m > mmin:
+                for rest, v in carry.items():
+                    out[rest[:i] + (m - 1,) + rest[i + 1:]] = v
+        if carry:
             raise ArithmeticError("polynomial not divisible by binomial")
         return NPoly._raw(self.n, out)
 
@@ -213,9 +221,6 @@ class NPoly:
             mono = "*".join(f"x{i+1}^{e}" for i, e in enumerate(k) if e)
             bits.append(f"({self.terms[k]})*{mono or '1'}")
         return " + ".join(bits)
-
-    def __repr__(self):
-        return f"NPoly({self})"
 
 
 def _orbit_size(sig):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from random import Random
 
 from . import daha, indexops, intertwiner, macops
-from .combinat import interlacing_signatures, partitions
+from .combinat import format_signature, interlacing_signatures, partitions
 from .qfield import CR_ONE, CoeffRat, LaurentQT, UnitMono, qfall, qnum, poch_ratio, subst
 
 
@@ -64,7 +64,7 @@ def suite_macops_eigen(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
         ok = all(macops.mac_apply(f, r, params)
                  == f.scalar_mul(macops.eigenvalue(lam, r, n, params))
                  for r in range(n + 1))
-        checks.append({"name": f"eigen[{','.join(map(str, lam))}]", "pass": bool(ok)})
+        checks.append({"name": f"eigen[{format_signature(lam)}]", "pass": bool(ok)})
     return checks
 
 
@@ -74,7 +74,7 @@ def suite_constructor_agreement(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
         a = macops.macdonald_eigen(lam, n)
         b = macops.macdonald_branch(lam, n)
         c = macops.macdonald_gt(lam, n)
-        checks.append({"name": f"agree[{','.join(map(str, lam))}]",
+        checks.append({"name": f"agree[{format_signature(lam)}]",
                        "pass": bool(a == b == c)})
     return checks
 
@@ -87,7 +87,7 @@ def suite_symmetry(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
         for mu in parts:
             lhs, rhs = macops.symmetry_check(lam, mu, k)
             ok = ok and lhs == rhs
-        checks.append({"name": f"symmetry[{','.join(map(str, lam))}]", "pass": bool(ok)})
+        checks.append({"name": f"symmetry[{format_signature(lam)}]", "pass": bool(ok)})
     return checks
 
 
@@ -170,7 +170,7 @@ def suite_matelt_routes(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
             a = intertwiner.diag_coeff_sum(mu, lam, k)
             ok = ok and a == intertwiner.mat_elt(mu, lam, k)
             ok = ok and a * a == intertwiner.c_squared_chain(mu, lam, k)
-        checks.append({"name": f"routes[{','.join(map(str, lam))}]", "pass": bool(ok)})
+        checks.append({"name": f"routes[{format_signature(lam)}]", "pass": bool(ok)})
     return checks
 
 
@@ -182,7 +182,7 @@ def suite_branch(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
         for mu in interlacing_signatures(lam):
             ok = ok and intertwiner.psi_qnum(lam, mu, k) == \
                 macops.psi_branch(lam, mu).subst(UnitMono.q(2), UnitMono.q(2 * k))
-        checks.append({"name": f"branch[{','.join(map(str, lam))}]", "pass": bool(ok)})
+        checks.append({"name": f"branch[{format_signature(lam)}]", "pass": bool(ok)})
     return checks
 
 
@@ -193,7 +193,7 @@ def suite_trace(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
     checks.append({"name": "trace-at-zero", "pass": bool(ok0)})
     for lam in _partitions_upto(min(maxdeg, 3), n):
         ok = intertwiner.trace_ratio(lam, n, k) == macops.macdonald_qk(lam, n, k)
-        checks.append({"name": f"trace[{','.join(map(str, lam))}]", "pass": bool(ok)})
+        checks.append({"name": f"trace[{format_signature(lam)}]", "pass": bool(ok)})
     return checks
 
 

@@ -2,8 +2,10 @@
 
 A SymLaurent stores {signature: coefficient} and represents the sum of
 orbit monomials m_sig = sum of x^{sigma(sig)} over distinct permutations.
-Products are computed by expanding to explicit monomials and folding back,
-which is exact and adequate at the scales used here (n <= 6, low degree).
+It is a `npoly.TermMap`, so it shares NPoly's sums, negation and scalar
+products, and its sums of terms go through `npoly.add_terms`.  Products are
+computed by expanding to explicit monomials and folding back, which is
+exact and adequate at the scales used here (n <= 6, low degree).
 """
 
 from __future__ import annotations
@@ -11,20 +13,42 @@ from __future__ import annotations
 from itertools import permutations
 
 from .combinat import is_dominant
-from .npoly import NPoly
+from .npoly import NPoly, TermMap
 from .qfield import CR_ONE, CR_ZERO, CoeffRat, UnitMono, cached
 
 
 @cached
 def orbit(sig):
-    """Distinct permutations of a signature, in a fixed order."""
-    return tuple(sorted(set(permutations(sig))))
+    """Distinct permutations of a signature, in lexicographic order.
+
+    Distinct entries: itertools.permutations of the sorted entries, which
+    come out in that order.  Repeated entries: the next-permutation step
+    from the sorted entries, one step per distinct permutation rather than
+    one per each of the n! permutations.
+    """
+    a = sorted(sig)
+    n = len(a)
+    if len(set(a)) == n:
+        return tuple(permutations(a))
+    out = [tuple(a)]
+    while True:
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        out.append(tuple(a))
 
 
-class SymLaurent:
+class SymLaurent(TermMap):
     """Symmetric Laurent polynomial: {weakly decreasing key: CoeffRat}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -36,59 +60,10 @@ class SymLaurent:
                 if v:
                     self.terms[tuple(k)] = v
 
-    @classmethod
-    def _raw(cls, n, terms):
-        self = object.__new__(cls)
-        self.n = n
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls, n):
-        return cls._raw(n, {})
-
-    @classmethod
-    def one(cls, n):
-        return cls._raw(n, {(0,) * n: CR_ONE})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, SymLaurent) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            w = v if w is None else w + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return SymLaurent._raw(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymLaurent._raw(self.n, {k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (CoeffRat, int)):
             return self.scalar_mul(other)
         return from_npoly(to_npoly(self) * to_npoly(other))
-
-    def scalar_mul(self, c):
-        if isinstance(c, int):
-            c = CoeffRat.from_int(c)
-        if not c:
-            return SymLaurent.zero(self.n)
-        return SymLaurent._raw(self.n, {k: v * c for k, v in self.terms.items()})
 
     def coeff(self, sig):
         return self.terms.get(tuple(sig), CR_ZERO)
@@ -98,9 +73,6 @@ class SymLaurent:
             return "0"
         return " + ".join(f"({self.terms[k]})*m{list(k)}"
                           for k in sorted(self.terms))
-
-    def __repr__(self):
-        return f"SymLaurent({self})"
 
 
 def m_sym(sig, n):

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import partitions_upto, schur_oracle
 
-from macdaha.combinat import (GTPattern, format_signature, gt_enumerate,
+from macdaha.combinat import (GTPattern, check_signature, format_signature, gt_enumerate,
                               gt_weight, interlaces, interlacing_signatures,
                               is_dominant, kostka_dominant, parse_signature,
                               partitions, rho, rho_tilde, shift,
                               shifted_chain_enumerate)
+from macdaha.intertwiner import branch_reconstruct_qk, trace_reconstruct
+from macdaha.macops import macdonald_branch, macdonald_eigen, macdonald_gt
 from macdaha.npoly import NPoly
 from macdaha.qfield import CR_ONE
 from macdaha.sympoly import from_npoly
@@ -176,6 +178,24 @@ def test_signature_text_roundtrip():
         parse_signature("1,2")
     with pytest.raises(ValueError):
         parse_signature("a,b")
+
+
+def test_check_signature():
+    assert check_signature([2, 1, -1], 3) == (2, 1, -1)
+    assert check_signature((), 0) == ()
+    length = "signature length must equal the variable count"
+    dominant = "signature must be dominant"
+    callers = [lambda lam, n: macdonald_eigen(lam, n),
+               lambda lam, n: macdonald_branch(lam, n),
+               lambda lam, n: macdonald_gt(lam, n),
+               lambda lam, n: trace_reconstruct(lam, n, 2),
+               lambda lam, n: branch_reconstruct_qk(lam, n, 2),
+               check_signature]
+    for call in callers:
+        with pytest.raises(ValueError, match=length):
+            call((2, 1), 3)
+        with pytest.raises(ValueError, match=dominant):
+            call((0, 1), 2)
 
 
 def test_gtpattern_validation():

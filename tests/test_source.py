@@ -52,3 +52,64 @@ def test_no_imports_inside_functions():
     found = {path.name: function_imports(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) for every function and method under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+class _OneClassName(ast.NodeTransformer):
+    def __init__(self, classes):
+        self.classes = classes
+
+    def visit_Name(self, node):
+        if node.id in self.classes:
+            node.id = "<class>"
+        return node
+
+
+def duplicate_bodies(sources):
+    """Groups of functions, across {module name: source}, whose bodies have
+    at least 2 statements and are the same AST once a docstring is dropped
+    and every class the sources define is read as one name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    rename = _OneClassName(classes)
+    groups = {}
+    for module, tree in trees.items():
+        for name, fn in _functions(tree):
+            body = fn.body
+            if (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            if len(body) < 2:
+                continue
+            key = "\n".join(ast.dump(rename.visit(stmt)) for stmt in body)
+            groups.setdefault(key, []).append(f"{module}.{name}")
+    return sorted(sorted(g) for g in groups.values() if len(g) > 1)
+
+
+def test_duplicate_bodies_detected():
+    a = ("class A:\n"
+         "    def f(self, n):\n        \"\"\"Doc.\"\"\"\n        x = A(n)\n        return x\n"
+         "    def g(self):\n        return 1\n"
+         "def h(n):\n    y = A(n)\n    return y\n")
+    b = ("class B:\n"
+         "    def f(self, n):\n        x = B(n)\n        return x\n"
+         "    def g(self):\n        return 1\n"
+         "    def k(self, n):\n        x = int(n)\n        return x\n")
+    assert duplicate_bodies({"a": a, "b": b}) == [["a.A.f", "b.B.f"]]
+
+
+def test_no_duplicate_bodies_in_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert duplicate_bodies(sources) == []

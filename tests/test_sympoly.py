@@ -1,18 +1,42 @@
+import time
+from itertools import permutations
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_mul
 
+from macdaha import clear_caches
+from macdaha.macops import macdonald_eigen
 from macdaha.npoly import NPoly
 from macdaha.qfield import CR_ONE, CoeffRat, LaurentQT, UnitMono, qnum
 from macdaha.sympoly import (SymLaurent, e_sym, eval_sym, from_npoly, m_sym,
-                             mono_shift, sym_to_json, to_npoly)
+                             mono_shift, orbit, sym_to_json, to_npoly)
 
 
 def test_m_sym_orbits():
     assert to_npoly(m_sym((1, 0), 2)).terms == {(1, 0): CR_ONE, (0, 1): CR_ONE}
     assert to_npoly(m_sym((1, 1), 2)).terms == {(1, 1): CR_ONE}
     assert to_npoly(m_sym((1, -1), 2)).terms == {(1, -1): CR_ONE, (-1, 1): CR_ONE}
+
+
+def test_orbit_matches_all_permutations():
+    rng = Random(20)
+    sigs = [(), (0,), (1, 1, 1), (2, -1, -1, -3)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        sigs.append(tuple(sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)))
+    for sig in sigs:
+        assert orbit(sig) == tuple(sorted(set(permutations(sig)))), sig
+
+
+def test_orbit_cost_follows_distinct_permutations():
+    clear_caches()
+    t0 = time.perf_counter()
+    f = macdonald_eigen((0,) * 10, 10)
+    assert time.perf_counter() - t0 < 0.5
+    assert f == SymLaurent.one(10)
 
 
 def test_e_sym():
