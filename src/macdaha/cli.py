@@ -10,13 +10,16 @@ other exception, reported as one line).
 Size envelopes, checked before any computation:
 - `poly` takes at most 10 variables, and for n variables a degree
   d = |lambda| - n*lambda_n (lambda shifted to lambda_n = 0) up to a
-  bound per method (`_POLY_MAX_DEGREE`; for n = 2, 3, 4: eigen 25, 16,
-  14, branch 39, 17, 13, gt 39, 16, 11).  Each bound is the largest d at
-  which the slowest signatures of the method took at most 20 s on a
-  2-vCPU Xeon (the shapes (d, 0, ...), (d-1, 1, 0, ...), (d-2, 2, 0, ...)
-  and (d-3, 3, 0, ...), the slowest in full sweeps of smaller d); at
-  d + 1 one took longer, or all together over 40 s.  In 11 variables
-  eigen took 12 s already at d = 0.
+  bound per method (`_POLY_MAX_DEGREE`; for n = 2, 3, 4, 5: eigen 25,
+  16, 14, 12, branch 39, 18, 15, 14, gt 39, 18, 14, 12).  Each bound is
+  the largest d at which the slowest signatures of the method took at
+  most 20 s on a 2-vCPU Xeon (the shapes (d, 0, ...), (d-1, 1, 0, ...),
+  (d-2, 2, 0, ...) and (d-3, 3, 0, ...), the slowest in full sweeps of
+  smaller d); at d + 1 one took longer, or all together over 40 s.  The
+  branch and gt bounds for n = 3, 4, 5 were measured with the sums over
+  dominant keys only (at d + 1, branch: 47, 47 and 62 s together, gt: 49
+  and 44 s together and 24 s for (10, 3, 0, 0, 0)); the other bounds are
+  older.  In 11 variables eigen took 12 s already at d = 0.
 - `verify` runs the restriction suites in n*l variables only for
   n*l <= 5 (res-intertwine) and n*l <= 10 (res-diff), also through
   `--suite all`.  At the default samples and maxdeg and seeds 0-3, the
@@ -45,8 +48,8 @@ class _UsageError(Exception):
 # number n of variables, the largest d = |lambda| - n*lambda_n.
 _POLY_MAX_DEGREE = {
     "eigen": {1: 0, 2: 25, 3: 16, 4: 14, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
-    "branch": {1: 0, 2: 39, 3: 17, 4: 13, 5: 11, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
-    "gt": {1: 0, 2: 39, 3: 16, 4: 11, 5: 9, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
+    "branch": {1: 0, 2: 39, 3: 18, 4: 15, 5: 14, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
+    "gt": {1: 0, 2: 39, 3: 18, 4: 14, 5: 12, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
 }
 # The size envelopes of the restriction suites: the largest n*l.
 _RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}

@@ -9,9 +9,12 @@ summations used elsewhere in the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+
+from .qfield import cached
 
 
 def is_dominant(sig):
@@ -125,41 +128,48 @@ def gt_enumerate(lam):
 
 def gt_weight(pattern):
     """Weight vector (|mu^n|-|mu^{n-1}|, ..., |mu^2|-|mu^1|, |mu^1|)."""
-    sums = [sig_sum(row) for row in pattern.rows]
-    n = len(sums)
-    return tuple(sums[n - 1 - i] - (sums[n - 2 - i] if n - 2 - i >= 0 else 0)
-                 for i in range(n))
+    return chain_weight(pattern.rows)[::-1]
 
 
+def chain_weight(chain, k=1):
+    """The weight w of a chain mu^1, ..., mu^n: w_i = |tilde mu^i| -
+    |tilde mu^{i-1}| with the level-k tilde shift and |tilde mu^0| = 0
+    (the one empty row of the chain of () has no weight entry)."""
+    sums = [sig_sum(shift(row, k, "tilde")) for row in chain if row]
+    return tuple(b - a for a, b in zip([0] + sums, sums))
+
+
+def dominant_chains(lam):
+    """The Gelfand-Tsetlin patterns mu^1, ..., mu^n = lam (the k = 1
+    chains) whose weight w = chain_weight(chain) is weakly decreasing.
+
+    Walked from lam down, so the first step fixes w_n and each later step
+    w_i, which must be at least w_{i+1}.  A row mu^i is also dropped at once
+    when |mu^i| < i * w_{i+1}: the weights w_1, ..., w_i still to come sum
+    to |mu^i| and none of them is below w_{i+1}.
+    """
+    walks = [((lam,), float("-inf"))]
+    for i in range(len(lam) - 1, 0, -1):
+        step = []
+        for chain, floor in walks:
+            total = sig_sum(chain[0])
+            for mu in interlacing_signatures(chain[0]):
+                s = sig_sum(mu)
+                w = total - s
+                if w >= floor and s >= i * w:
+                    step.append(((mu,) + chain, w))
+        walks = step
+    return [chain for chain, _ in walks]
+
+
+@cached
 def kostka_dominant(lam):
     """{nu: number of Gelfand-Tsetlin patterns subordinate to lam with
-    weight nu} over the dominant nu: the Kostka numbers K_{lam, nu}.
-
-    Counted row by row without building patterns; the weight entries come
-    out in order, so a prefix that stops decreasing is dropped at once.
-    """
+    weight nu} over the dominant nu: the Kostka numbers K_{lam, nu},
+    counted over dominant_chains(lam)."""
     if not is_dominant(lam):
         raise ValueError("signature must be dominant")
-    if not lam:
-        return {(): 1}
-    states = {(lam, ()): 1}
-    for _ in range(len(lam) - 1):
-        nxt = {}
-        for (row, prefix), cnt in states.items():
-            total = sig_sum(row)
-            for mu in interlacing_signatures(row):
-                w = total - sig_sum(mu)
-                if prefix and w > prefix[-1]:
-                    continue
-                key = (mu, prefix + (w,))
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    out = {}
-    for ((last,), prefix), cnt in states.items():
-        if not prefix or last <= prefix[-1]:
-            nu = prefix + (last,)
-            out[nu] = out.get(nu, 0) + cnt
-    return out
+    return dict(Counter(map(chain_weight, dominant_chains(lam))))
 
 
 def rho(n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
-from .combinat import inversions
+from .combinat import inversions, is_dominant
 from .macops import MacParams, mac_apply, mac_generator_apply
 from .npoly import NPoly, add_terms
 from .qfield import CR_ONE, CoeffRat, UnitMono, cached, qnum
@@ -188,6 +188,11 @@ def res_map(f, n, l):
 
     The source parameters are (q^{-2l}, q^2) and the target parameters
     (q^{-2}, q^{2l}); the map itself is the plain substitution above.
+
+    The image is symmetric in X_1, ..., X_n, so only its dominant keys are
+    accumulated: for dominant nu the coefficient of X^nu is that of m_nu,
+    and a packed exponent that is not dominant is skipped before its
+    scalar is formed.
     """
     if f.n != n * l:
         raise ValueError("source must be symmetric in n*l variables")
@@ -201,9 +206,10 @@ def res_map(f, n, l):
                     a = idx % l
                     packed[idx // l] += ex
                     qexp += (1 - l + 2 * a) * ex
-                yield tuple(packed), c * UnitMono.q(qexp).as_coeffrat()
+                if is_dominant(packed):
+                    yield tuple(packed), c * UnitMono.q(qexp).as_coeffrat()
 
-    return from_npoly(NPoly._raw(n, add_terms({}, terms())))
+    return SymLaurent._raw(n, add_terms({}, terms()))
 
 
 def res_map_half(f, n, l):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .combinat import check_signature, in_window, interlaces, shift
+from .combinat import check_signature, in_window, interlaces, shift, shifted_chain_enumerate
 from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
@@ -647,7 +647,8 @@ def trace_reconstruct(lam, n, k):
     result is a plain Laurent polynomial whose ratio against
     ek_denominator is symmetric."""
     lam = check_signature(lam, n)
-    return chain_sum(lam, k, lambda mu, nu: diag_coeff_sum(mu, nu, k))
+    return NPoly._raw(n, chain_sum(shifted_chain_enumerate(lam, k), k,
+                                   lambda mu, nu: diag_coeff_sum(mu, nu, k)))
 
 
 def trace_ratio(lam, n, k):

@@ -25,20 +25,23 @@ Three independent constructions of the joint eigenfunctions are provided:
 a triangular eigenvalue solve, the branching recursion, and the
 Gelfand-Tsetlin summation formula.  The last two are written on
 branch_sum and chain_sum, which intertwiner shares for the reconstruction
-at t = q^k and for the trace.
+at t = q^k and for the trace.  Their results are symmetric and stored in
+the orbit basis, so they accumulate only dominant keys: for dominant nu
+the coefficient of x^nu is exactly the coefficient of m_nu, and no other
+monomial is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .combinat import (check_signature, interlaces, interlacing_signatures, inversions,
-                       kostka_dominant, partitions, shift, shifted_chain_enumerate,
+from .combinat import (chain_weight, check_signature, dominant_chains, interlaces,
+                       interlacing_signatures, inversions, kostka_dominant, partitions,
                        sig_sum)
-from .npoly import NPoly, add_terms
-from .qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, LaurentQT, UnitMono,
-                     binomial_ratio, cached, qfall)
-from .sympoly import SymLaurent, eval_sym, e_sym, from_npoly, mono_shift, orbit
+from .npoly import add_terms
+from .qfield import CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall
+from .sympoly import SymLaurent, eval_sym, e_sym, mono_shift, orbit
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,12 @@ def _op_column(lam, r, n, params):
     otherwise eps * a_delta s_mu, where eps is the sign of sorting beta
     strictly decreasing and mu = sort(beta) - delta.  Kostka numbers,
     counted as Gelfand-Tsetlin patterns, expand s_mu in orbit monomials.
-    Every coefficient is a Laurent polynomial in (q, t): nothing is divided.
+
+    Every factor is a unit monomial +-q^a t^b, so the coefficients are
+    integer term maps {(a, b): c} built by exponent arithmetic alone: e_r
+    is the sum over r-subsets of the signs and summed exponents,
+    tau^{-r(n-1)} an exponent shift and the Kostka numbers integer scalings.
+    Nothing is divided.
     """
     delta = tuple(range(n - 1, -1, -1))
     tau2 = params.thalf ** 2
@@ -139,21 +147,25 @@ def _op_column(lam, r, n, params):
         beta = tuple(d + g for d, g in zip(delta, gamma))
         if len(set(beta)) < n:
             continue
-        er = [L_ONE] + [L_ZERO] * r
-        for d, g in zip(delta, gamma):
-            y = (tau2 ** d * params.shift ** g).as_laurent()
-            for k in range(r, 0, -1):
-                er[k] = er[k] + er[k - 1] * y
-        c = -er[r] if inversions(tuple(-b for b in beta)) % 2 else er[r]
+        sign = -1 if inversions(tuple(-b for b in beta)) % 2 else 1
         mu = tuple(b - d for b, d in zip(sorted(beta, reverse=True), delta))
-        add_terms(schur, ((mu, c),))
-    unit = (params.thalf ** (-r * (n - 1))).as_laurent()
+        er = schur.setdefault(mu, {})
+        ys = [tau2 ** d * params.shift ** g for d, g in zip(delta, gamma)]
+        for subset in combinations(ys, r):
+            s, a, b = sign, 0, 0
+            for y in subset:
+                s, a, b = s * y.sign, a + y.a, b + y.b
+            er[a, b] = er.get((a, b), 0) + s
+    unit = params.thalf ** (-r * (n - 1))
     mono = {}
-    for mu, c in schur.items():
-        c = c * unit
-        add_terms(mono, ((nu, c * LaurentQT.const(kostka))
-                         for nu, kostka in kostka_dominant(mu).items()))
-    return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items()}
+    for mu, er in schur.items():
+        for nu, kostka in kostka_dominant(mu).items():
+            col = mono.setdefault(nu, {})
+            scale = unit.sign * kostka
+            for (a, b), c in er.items():
+                key = (a + unit.a, b + unit.b)
+                col[key] = col.get(key, 0) + scale * c
+    return {nu: CoeffRat.from_laurent(c) for nu, col in mono.items() if (c := LaurentQT(col))}
 
 
 @cached
@@ -245,18 +257,24 @@ def _psi_for_params(lam, mu, params):
 def branch_sum(lam, psi, sub):
     """sum over mu interlacing lam of psi(mu) x_n^{|lam|-|mu|} sub(mu),
     where sub(mu) is a SymLaurent in len(lam) - 1 variables: the branching
-    rule when psi is a branching coefficient and sub(mu) is P_mu."""
+    rule when psi is a branching coefficient and sub(mu) is P_mu.
+
+    The sum is symmetric, so only its dominant keys are accumulated: for
+    dominant nu the coefficient of x^nu is that of m_nu, and it comes from
+    the term m_sig of sub(mu) with sig = (nu_1, ..., nu_{n-1}), where
+    nu_n = |lam| - |mu| <= sig[-1].  No orbit is expanded.
+    """
     n = len(lam)
     if n == 1:
         return SymLaurent(1, {lam: CR_ONE})
     acc = {}
     for mu in interlacing_signatures(lam):
-        c_mu = psi(mu)
-        xn = (sig_sum(lam) - sig_sum(mu),)
-        for sig, c in sub(mu).terms.items():
-            w = c * c_mu
-            add_terms(acc, ((e + xn, w) for e in orbit(sig)))
-    return from_npoly(NPoly._raw(n, acc))
+        d = sig_sum(lam) - sig_sum(mu)
+        terms = [(sig + (d,), c) for sig, c in sub(mu).terms.items() if sig[-1] >= d]
+        if terms:
+            c_mu = psi(mu)
+            add_terms(acc, ((nu, c * c_mu) for nu, c in terms))
+    return SymLaurent._raw(n, acc)
 
 
 @cached
@@ -275,19 +293,23 @@ def macdonald_branch(lam, n, params=None):
     return _branch_cached(lam, n, params)
 
 
-def chain_sum(lam, k, link):
-    """The chain sum, sum_chain prod_i link(mu^i, mu^{i+1}) x^w, as an NPoly.
+def chain_sum(chains, k, link):
+    """The chain sum, sum_chain prod_i link(mu^i, mu^{i+1}) x^w, over the
+    given chains mu^1, ..., mu^n, as a term map {w: coefficient}.
 
-    The chains mu^1, ..., mu^n = lam are those of shifted_chain_enumerate,
-    and w_i = |tilde mu^i| - |tilde mu^{i-1}| with the level-k tilde shift
-    and |tilde mu^0| = 0.  Chains share most links, so each distinct link
-    is evaluated once; a chain stops at its first zero link.
+    w = chain_weight(chain, k): w_i = |tilde mu^i| - |tilde mu^{i-1}| with
+    the level-k tilde shift and |tilde mu^0| = 0.  The trace sums over
+    every chain of shifted_chain_enumerate, because its numerator is not
+    symmetric; the Gelfand-Tsetlin formula, which is, sums only over
+    dominant_chains, whose weights are the dominant keys (for dominant w
+    the coefficient of x^w is that of m_w).  Chains share most links, so
+    each distinct link is evaluated once; a chain stops at its first zero
+    link.
     """
-    n = len(lam)
     links = {}
 
     def terms():
-        for chain in shifted_chain_enumerate(lam, k):
+        for chain in chains:
             coeff = CR_ONE
             for pair in zip(chain, chain[1:]):
                 if pair not in links:
@@ -295,12 +317,10 @@ def chain_sum(lam, k, link):
                 coeff = coeff * links[pair]
                 if not coeff:
                     break
-            if not coeff:
-                continue
-            tsums = [sig_sum(shift(row, k, "tilde")) for row in chain]
-            yield tuple(tsums[i] - (tsums[i - 1] if i else 0) for i in range(n)), coeff
+            if coeff:
+                yield chain_weight(chain, k), coeff
 
-    return NPoly._raw(n, add_terms({}, terms()))
+    return add_terms({}, terms())
 
 
 def macdonald_gt(lam, n, params=None):
@@ -308,7 +328,8 @@ def macdonald_gt(lam, n, params=None):
     lam = check_signature(lam, n)
     if params is None:
         params = generic_params()
-    return from_npoly(chain_sum(lam, 1, lambda mu, nu: _psi_for_params(nu, mu, params)))
+    return SymLaurent._raw(n, chain_sum(dominant_chains(lam), 1,
+                                        lambda mu, nu: _psi_for_params(nu, mu, params)))
 
 
 def macdonald_qk(lam, n, k):

@@ -8,11 +8,13 @@ from math import comb
 import pytest
 
 from macdaha import qfield
-from macdaha.combinat import interlaces
-from macdaha.npoly import NPoly
-from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, CoeffRat, DomainViolationError,
-                            LaurentQT, _add, _mul, _scale)
-from macdaha.sympoly import from_npoly, to_npoly
+from macdaha.combinat import (interlaces, interlacing_signatures, inversions, is_dominant,
+                              shifted_chain_enumerate)
+from macdaha.macops import _psi_for_params
+from macdaha.npoly import NPoly, add_terms
+from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, DomainViolationError,
+                            LaurentQT, UnitMono, _add, _mul, _scale)
+from macdaha.sympoly import SymLaurent, from_npoly, orbit, to_npoly
 
 
 @pytest.fixture(params=["heuristic", "prs"])
@@ -110,6 +112,93 @@ def mac_apply_oracle(f, r, params, half_root=None):
     if half_root is not None:
         scale = scale * (half_root ** r).as_coeffrat()
     return from_npoly(acc.scalar_mul(scale))
+
+
+# Expand-and-fold oracles for the orbit-basis sums: each builds every
+# monomial x^e of a symmetric result and folds it back with from_npoly,
+# which also checks that the result is symmetric.
+
+def branch_oracle(lam, params):
+    """P_lam by the branching rule, every level expanded to all monomials
+    x^e = x^sigma(sig) x_n^{|lam|-|mu|} and folded back."""
+    n = len(lam)
+    if n == 1:
+        return SymLaurent(1, {lam: CR_ONE})
+    acc = {}
+    for mu in interlacing_signatures(lam):
+        c_mu = _psi_for_params(lam, mu, params)
+        xn = (sum(lam) - sum(mu),)
+        for sig, c in branch_oracle(mu, params).terms.items():
+            w = c * c_mu
+            add_terms(acc, ((e + xn, w) for e in orbit(sig)))
+    return from_npoly(NPoly._raw(n, acc))
+
+
+def gt_oracle(lam, params):
+    """P_lam as the sum over every Gelfand-Tsetlin pattern of its psi
+    product times x^w, w_i = |mu^i| - |mu^{i-1}|, folded back."""
+    acc = {}
+    for chain in shifted_chain_enumerate(lam, 1):
+        coeff = CR_ONE
+        for mu, nu in zip(chain, chain[1:]):
+            coeff = coeff * _psi_for_params(nu, mu, params)
+        sums = [sum(row) for row in chain]
+        add_terms(acc, ((tuple(b - a for a, b in zip([0] + sums, sums)), coeff),))
+    return from_npoly(NPoly._raw(len(lam), acc))
+
+
+def res_map_oracle(f, n, l):
+    """The ladder substitution X_i^(a) -> q^{1-l+2a} X_i on every monomial
+    of f, folded back."""
+    acc = {}
+    for sig, c in f.terms.items():
+        for e in orbit(sig):
+            packed = [0] * n
+            qexp = 0
+            for idx, ex in enumerate(e):
+                packed[idx // l] += ex
+                qexp += (1 - l + 2 * (idx % l)) * ex
+            add_terms(acc, ((tuple(packed), c * UnitMono.q(qexp).as_coeffrat()),))
+    return from_npoly(NPoly._raw(n, acc))
+
+
+def _kostka_oracle(mu):
+    """{nu: K_{mu, nu}} over dominant nu, counted over every pattern."""
+    out = Counter()
+    for chain in shifted_chain_enumerate(mu, 1):
+        sums = [sum(row) for row in chain]
+        w = tuple(b - a for a, b in zip([0] + sums, sums))
+        if is_dominant(w):
+            out[w] += 1
+    return out
+
+
+def op_column_oracle(lam, r, n, params):
+    """D^r m_lam from the a_delta form with e_r(tau^{2 delta_j} S^{gamma_j})
+    built by the LaurentQT recurrence e_k += e_{k-1} * y and every scaling
+    a LaurentQT product."""
+    delta = tuple(range(n - 1, -1, -1))
+    tau2 = params.thalf ** 2
+    schur = {}
+    for gamma in orbit(lam):
+        beta = tuple(d + g for d, g in zip(delta, gamma))
+        if len(set(beta)) < n:
+            continue
+        er = [L_ONE] + [L_ZERO] * r
+        for d, g in zip(delta, gamma):
+            y = (tau2 ** d * params.shift ** g).as_laurent()
+            for k in range(r, 0, -1):
+                er[k] = er[k] + er[k - 1] * y
+        c = -er[r] if inversions(tuple(-b for b in beta)) % 2 else er[r]
+        mu = tuple(b - d for b, d in zip(sorted(beta, reverse=True), delta))
+        add_terms(schur, ((mu, c),))
+    unit = (params.thalf ** (-r * (n - 1))).as_laurent()
+    mono = {}
+    for mu, c in schur.items():
+        c = c * unit
+        add_terms(mono, ((nu, c * LaurentQT.const(kostka))
+                         for nu, kostka in _kostka_oracle(mu).items()))
+    return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items()}
 
 
 def _gen_binom(d, j):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from macdaha.cli import main
 from macdaha.suites import SUITES, list_suites, run_suite
@@ -173,8 +177,8 @@ def test_poly_size_envelope(capsys):
     # Just outside each method's envelope (d = |lambda| - n*lambda_n one
     # above its bound in 4 variables, and 11 variables): a usage error
     # before any computation.
-    outside = [("eigen", "--lambda=14,-1,-1,-1", "4"), ("branch", "--lambda=7,5,2,0", "4"),
-               ("gt", "--lambda=12,0,0,0", "4")]
+    outside = [("eigen", "--lambda=14,-1,-1,-1", "4"), ("branch", "--lambda=9,5,2,0", "4"),
+               ("gt", "--lambda=15,0,0,0", "4")]
     outside += [(m, "--lambda=" + ",".join(["0"] * 11), "11")
                 for m in ("eigen", "branch", "gt")]
     for method, lam, n in outside:
@@ -201,3 +205,19 @@ def test_verify_restriction_envelope(capsys):
         rc, out, _ = run(capsys, ["verify", "--suite", suite, "--n", n, "--l", "1",
                                   "--samples", "1"])
         assert rc == 0 and json.loads(out)["pass"] is True
+
+
+def test_package_runs_as_module():
+    # python -m macdaha answers as python -m macdaha.cli does: one poly
+    # call and one usage error.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, rc in ((["poly", "--lambda=2,1,0", "--vars", "3"], 0),
+                     (["poly", "--lambda=1,2", "--vars", "2"], 2)):
+        pkg, mod = (subprocess.run([sys.executable, "-m", name, *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+                    for name in ("macdaha", "macdaha.cli"))
+        assert (pkg.returncode, pkg.stdout, pkg.stderr) == \
+            (mod.returncode, mod.stdout, mod.stderr), argv
+        assert pkg.returncode == rc and bool(pkg.stdout) == (rc == 0), argv

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import partitions_upto, schur_oracle
 
-from macdaha.combinat import (GTPattern, check_signature, format_signature, gt_enumerate,
-                              gt_weight, interlaces, interlacing_signatures,
+from macdaha.combinat import (GTPattern, chain_weight, check_signature, dominant_chains,
+                              format_signature, gt_enumerate, gt_weight, interlaces,
+                              interlacing_signatures,
                               is_dominant, kostka_dominant, parse_signature,
                               partitions, rho, rho_tilde, shift,
                               shifted_chain_enumerate)
@@ -114,6 +115,24 @@ def test_chains_at_k1_are_gt_patterns():
             chains = shifted_chain_enumerate(lam, 1)
             assert [p.rows for p in gt_enumerate(lam)] == chains, lam
     assert gt_enumerate(()) == [GTPattern(rows=())]
+
+
+def test_dominant_chains_are_the_patterns_of_dominant_weight():
+    # The pruned walk against a filter of every pattern, weights from row sums.
+    for n in (1, 2, 3, 4):
+        for lam in signatures(n, -2, 3 if n < 4 else 2):
+            want = []
+            for chain in shifted_chain_enumerate(lam, 1):
+                sums = [sum(row) for row in chain]
+                w = tuple(b - a for a, b in zip([0] + sums, sums))
+                if decreasing(w):
+                    want.append(chain)
+                assert chain_weight(chain) == w
+            assert sorted(dominant_chains(lam)) == want, lam
+    assert sorted(dominant_chains((2, 1, 0))) == [((1,), (1, 1), (2, 1, 0)),
+                                                  ((1,), (2, 0), (2, 1, 0)),
+                                                  ((2,), (2, 1), (2, 1, 0))]
+    assert chain_weight(((),)) == ()
 
 
 def test_window_matches_box_filter():

@@ -1,6 +1,8 @@
 import pytest
 from random import Random
 
+from conftest import res_map_oracle
+
 from macdaha.daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv,
                           act_e, e_r_Y_apply, generic_daha_params,
                           is_multiwheel, p1_Yinv_apply, p1_Yinv_via_y,
@@ -9,7 +11,7 @@ from macdaha.daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv,
                           _rand_npoly, _rand_sym)
 from macdaha.macops import MacParams, mac_apply, mac_generator_apply
 from macdaha.npoly import NPoly
-from macdaha.qfield import CR_ONE, UnitMono, qnum
+from macdaha.qfield import CR_ONE, CoeffRat, UnitMono, qnum
 from macdaha.sympoly import SymLaurent, from_npoly, m_sym, mono_shift
 
 P = generic_daha_params()
@@ -133,6 +135,20 @@ def test_res_map_examples():
     kern = NPoly(2, {(2, 0): -q(2).as_coeffrat(), (0, 2): -q(2).as_coeffrat(),
                      (1, 1): CR_ONE + q(4).as_coeffrat()})
     assert res_map(from_npoly(kern), 1, 2).is_zero()
+
+
+def test_res_map_matches_expand_and_fold_oracle():
+    # Seeded inputs in 4, 5 and 6 variables, every ladder split (n, l).
+    rng = Random(1412)
+    for n, l in ((4, 1), (2, 2), (1, 4), (5, 1), (1, 5), (6, 1), (3, 2), (2, 3), (1, 6)):
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                sig = tuple(sorted((rng.randint(-2, 3) for _ in range(n * l)), reverse=True))
+                terms[sig] = (CoeffRat.from_int(rng.choice((-2, -1, 1, 3)))
+                              * qnum(rng.randint(1, 3)) / qnum(rng.randint(1, 3)))
+            f = SymLaurent(n * l, terms)
+            assert str(res_map(f, n, l)) == str(res_map_oracle(f, n, l)), (f, n, l)
 
 
 def test_res_map_half():

@@ -5,13 +5,14 @@ from itertools import product
 from math import gcd
 from random import Random
 
-from conftest import (eval_fraction, mac_apply_oracle, partitions_upto, prime_point,
-                      psi_branch_oracle, schur_oracle)
+from conftest import (branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
+                      op_column_oracle, partitions_upto, prime_point, psi_branch_oracle,
+                      schur_oracle)
 
 from macdaha import clear_caches
 from macdaha.combinat import interlacing_signatures, is_dominant
 
-from macdaha.macops import (MacParams, _psi_for_params, eigenvalue, generic_params,
+from macdaha.macops import (MacParams, _op_column, _psi_for_params, eigenvalue, generic_params,
                             mac_apply, mac_generator_apply, macdonald_branch,
                             macdonald_eigen, macdonald_gt, macdonald_qk,
                             psi_branch, symmetry_check)
@@ -55,6 +56,24 @@ def test_mac_apply_matches_defining_formula():
     f5 = _rand_sym(rng, 5, -1, 1)
     for r in range(6):
         assert mac_apply(f5, r, P) == mac_apply_oracle(f5, r, P), (f5, r)
+
+
+def test_op_column_matches_laurent_recurrence():
+    # The exponent-arithmetic columns against e_r built by LaurentQT
+    # products, at generic, restriction (shift q^{-2l}, thalf q and shift
+    # q^{-2}, thalf q^l) and negative-sign parameters.
+    params = [P, MacParams(shift=q(-4), thalf=q(1)), MacParams(shift=q(-6), thalf=q(1)),
+              MacParams(shift=q(-2), thalf=q(2)), MacParams(shift=q(-2), thalf=q(3)),
+              MacParams(shift=UnitMono(-1, 1, 2), thalf=UnitMono(-1, 0, 1))]
+    for n in (1, 2, 3, 4, 5):
+        lams = partitions_upto(3 if n < 5 else 2, n)
+        if n > 1:
+            lams.append((2,) + (0,) * (n - 2) + (-1,))
+        for lam in lams:
+            for params_ in params:
+                for r in range(n + 1):
+                    assert _op_column(lam, r, n, params_) == \
+                        op_column_oracle(lam, r, n, params_), (lam, r, params_)
 
 
 def test_mac_apply_single_variable():
@@ -229,6 +248,25 @@ def test_constructors_agree_smoke():
         n = len(lam)
         a = macdonald_eigen(lam, n)
         assert a == macdonald_branch(lam, n) == macdonald_gt(lam, n)
+
+
+def test_constructors_agree_at_the_old_envelope_edge():
+    # Branch and GT took 0.9-7.6 s on these when they summed every monomial.
+    for lam in [(6, 3, 1, 0), (5, 3, 2, 1, 0), (4, 2, 1, 0, -1)]:
+        n = len(lam)
+        assert macdonald_eigen(lam, n) == macdonald_branch(lam, n) == macdonald_gt(lam, n), lam
+
+
+def test_branch_and_gt_match_expand_and_fold_oracles():
+    # Byte-identical to the sums over every monomial, folded back: n <= 4
+    # and |lam| <= 6 at shifts 0 and -2, and two shapes in 5 variables.
+    sigs = [tuple(x + s for x in lam) for n in (1, 2, 3, 4)
+            for lam in partitions_upto(6, n) for s in (0, -2)]
+    sigs += [(2, 1, 0, 0, 0), (2, 1, 1, 0, -1)]
+    for lam in sigs:
+        n = len(lam)
+        assert str(macdonald_branch(lam, n)) == str(branch_oracle(lam, P)), lam
+        assert str(macdonald_gt(lam, n)) == str(gt_oracle(lam, P)), lam
 
 
 def test_constructors_agree_on_both_gcd_paths(qt_gcd_path):
