@@ -101,6 +101,24 @@ def _qnum_nonzero(d):
     return v
 
 
+@cached
+def _pair_factor(variant, k, d):
+    """The coefficient factor of one index pair at bar difference d:
+
+        plain:  q^k [d+k] / [d]   (k is the t-argument exponent m),
+        tilde:  [d+k][d-k+1] / ([d][d+1]),
+        dagger: [d+k-1][d-k] / ([d-1][d]).
+
+    Raises DomainViolationError when a denominator q-number vanishes, even
+    where a numerator one vanishes too: the quotient is not cancelled
+    formally."""
+    if variant == "plain":
+        return _qpow(k) * qnum(d + k) / _qnum_nonzero(d)
+    if variant == "tilde":
+        return qnum(d + k) * qnum(d - k + 1) / (_qnum_nonzero(d) * _qnum_nonzero(d + 1))
+    return qnum(d + k - 1) * qnum(d - k) / (_qnum_nonzero(d - 1) * _qnum_nonzero(d))
+
+
 def plain_apply(f, mu, r, qdir, m, k):
     """D^r with shift q^{2*qdir} and t-argument q^{2m}, on additive indices.
 
@@ -119,8 +137,7 @@ def plain_apply(f, mu, r, qdir, m, k):
             for j in range(np_):
                 if j in iset:
                     continue
-                d = bar[i] - bar[j]
-                coeff = coeff * _qpow(m) * qnum(d + m) / _qnum_nonzero(d)
+                coeff = coeff * _pair_factor("plain", m, bar[i] - bar[j])
         shifted = tuple(x + qdir if i in iset else x for i, x in enumerate(mu))
         total = total + coeff * f(shifted)
     return _qpow(m * r * (r - np_)) * total
@@ -149,13 +166,7 @@ def index_apply(f, params, mu):
             for j in range(np_):
                 if j in iset or i < j:
                     continue
-                d = bar[i] - bar[j]
-                if params.variant == "tilde":
-                    coeff = coeff * qnum(d + k) * qnum(d - k + 1) \
-                        / (_qnum_nonzero(d) * _qnum_nonzero(d + 1))
-                else:
-                    coeff = coeff * qnum(d + k - 1) * qnum(d - k) \
-                        / (_qnum_nonzero(d - 1) * _qnum_nonzero(d))
+                coeff = coeff * _pair_factor(params.variant, k, bar[i] - bar[j])
         step = 1 if params.variant == "tilde" else -1
         shifted = tuple(x + step if i in iset else x for i, x in enumerate(mu))
         total = total + coeff * f(shifted)
@@ -181,8 +192,9 @@ def _memo(fn):
 def _nested(fn, variant, rseq, k):
     """fn under the operators of rseq in turn.  Each operator image that
     feeds another operator is memoized, so it is evaluated once per point
-    rather than once per shift path; fn itself and the last image are not,
-    which keeps the memos small."""
+    rather than once per shift path.  The last image is not, and neither
+    is fn: the caller passes fn already memoized when it also reads fn
+    elsewhere (verify_adjoint does), so one memo serves every reader."""
     for i, r in enumerate(rseq):
         fn = op_transform(_memo(fn) if i else fn, IndexOpParams(k=k, variant=variant, r=r))
     return fn
@@ -196,7 +208,11 @@ def verify_adjoint(f, g, box, rseq, k):
 
         < prod_i Dagger^{r_{l+1-i}} f, g >_{(lower, upper + l)}
             = < f, prod_i Tilde^{r_i} g >_box.
+
+    f and g are memoized once per check, so the adaptedness scan, both
+    operator nests and both pairings share one evaluation per point.
     """
+    f, g = _memo(f), _memo(g)
     l = len(rseq)
     if not is_adapted(f, box, l):
         raise AdaptednessError("left factor is not adapted to the box")

@@ -645,10 +645,23 @@ def trace_reconstruct(lam, n, k):
 
     The weight exponent of x_i is |tilde mu^i| - |tilde mu^{i-1}|; the
     result is a plain Laurent polynomial whose ratio against
-    ek_denominator is symmetric."""
+    ek_denominator is symmetric.
+
+    Every atom of _diag_factor_lists is a difference of coordinates, so
+    c(mu + s, nu + s) = c(mu, nu): the links fall into translation
+    classes, and diag_coeff_sum runs once per class, at its representative
+    (mu - nu_n, nu - nu_n)."""
     lam = check_signature(lam, n)
-    return NPoly._raw(n, chain_sum(shifted_chain_enumerate(lam, k), k,
-                                   lambda mu, nu: diag_coeff_sum(mu, nu, k)))
+    classes = {}
+
+    def link(mu, nu):
+        s = nu[-1]
+        rep = (tuple(x - s for x in mu), tuple(x - s for x in nu))
+        if rep not in classes:
+            classes[rep] = diag_coeff_sum(*rep, k)
+        return classes[rep]
+
+    return NPoly._raw(n, chain_sum(shifted_chain_enumerate(lam, k), k, link))
 
 
 def trace_ratio(lam, n, k):

@@ -263,6 +263,10 @@ def branch_sum(lam, psi, sub):
     dominant nu the coefficient of x^nu is that of m_nu, and it comes from
     the term m_sig of sub(mu) with sig = (nu_1, ..., nu_{n-1}), where
     nu_n = |lam| - |mu| <= sig[-1].  No orbit is expanded.
+
+    sub(mu) must be homogeneous of degree |mu|.  Then every key sig has
+    (n - 1) sig[-1] <= |mu|, so a mu with (n - 1)(|lam| - |mu|) > |mu|
+    keeps no term, and neither sub(mu) nor psi(mu) is called for it.
     """
     n = len(lam)
     if n == 1:
@@ -270,6 +274,8 @@ def branch_sum(lam, psi, sub):
     acc = {}
     for mu in interlacing_signatures(lam):
         d = sig_sum(lam) - sig_sum(mu)
+        if d * (n - 1) > sig_sum(mu):
+            continue
         terms = [(sig + (d,), c) for sig, c in sub(mu).terms.items() if sig[-1] >= d]
         if terms:
             c_mu = psi(mu)

@@ -1,11 +1,10 @@
 import pytest
 from collections import Counter
-from math import comb
 from random import Random
 
 from macdaha.indexops import (AdaptednessError, Box, IndexOpParams,
-                              index_apply, is_adapted, jackson_inner,
-                              plain_apply, verify_adjoint)
+                              _pair_factor, index_apply, is_adapted,
+                              jackson_inner, plain_apply, verify_adjoint)
 from macdaha.macops import macdonald_qk
 from macdaha.qfield import (CR_ONE, CoeffRat, DomainViolationError, LaurentQT,
                             UnitMono, qfall, qnum)
@@ -78,6 +77,31 @@ def test_index_apply_trivial():
     assert index_apply(f, pd, (5,)) == f((4,))
     pp = IndexOpParams(k=2, variant="plain", r=1)
     assert index_apply(f, pp, (5,)) == f((6,))
+
+
+def test_pair_factor_is_the_q_number_quotient():
+    # (numerator arguments, denominator arguments, q-power) per variant
+    defs = {"plain": lambda k, d: ((d + k,), (d,), k),
+            "tilde": lambda k, d: ((d + k, d - k + 1), (d, d + 1), 0),
+            "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d), 0)}
+    for variant, args in defs.items():
+        for k in range(1, 5):
+            for d in range(-8, 9):
+                nums, dens, a = args(k, d)
+                if 0 in dens:
+                    # e.g. tilde, k = 1, d = -1 is [0][-1]/([-1][0]): a formal
+                    # cancellation would give 1, but the quotient is undefined
+                    with pytest.raises(DomainViolationError):
+                        _pair_factor(variant, k, d)
+                    continue
+                want = q(a).as_coeffrat()
+                for x in nums:
+                    want = want * qnum(x)
+                for x in dens:
+                    want = want / qnum(x)
+                assert _pair_factor(variant, k, d) == want, (variant, k, d)
+    with pytest.raises(DomainViolationError):
+        _pair_factor("tilde", 1, -1)
 
 
 def test_index_apply_rejects_colliding_bars():
@@ -167,23 +191,27 @@ def test_adjoint_two_dimensional():
 
 
 def test_adjoint_nesting_queries_each_point_boundedly():
-    # each operator image that feeds another is memoized per call, so a
-    # point of f is queried once per neighbour's first image (C(dim, r_1)
-    # of them), once by the adaptedness check and once by the right-hand
-    # pairing, however deep the nesting; unmemoized, the counts multiply
-    # by C(dim, r) per level
+    # f and g are memoized once per check and each operator image that
+    # feeds another is memoized too, so the adaptedness scan, both nests
+    # and both pairings query each point of f and of g exactly once;
+    # unmemoized, the counts multiply by C(dim, r) per level
     rng = Random(11)
     box = Box((20, -20), (21, -19))
     for rseq in ([1, 1, 1], [1, 2, 1]):
         f0 = _adapted_sample(rng, box, len(rseq))
-        queries = Counter()
+        g0 = qpow_fn((1, -1))
+        fq, gq = Counter(), Counter()
 
         def f(mu):
-            queries[mu] += 1
+            fq[mu] += 1
             return f0(mu)
 
-        assert verify_adjoint(f, qpow_fn((1, -1)), box, rseq, 2)
-        assert max(queries.values()) <= comb(2, rseq[0]) + 2, rseq
+        def g(mu):
+            gq[mu] += 1
+            return g0(mu)
+
+        assert verify_adjoint(f, g, box, rseq, 2)
+        assert set(fq.values()) == {1} and set(gq.values()) == {1}, rseq
 
 
 def test_adjoint_trivial_and_precondition():

@@ -198,10 +198,29 @@ def test_trace_k3_two_variables():
         assert trace_ratio(lam, 2, 3) == macdonald_qk(lam, 2, 3)
 
 
+def test_trace_four_variables():
+    assert trace_ratio((1, 0, 0, 0), 4, 3) == macdonald_qk((1, 0, 0, 0), 4, 3)
+
+
+def test_routes_are_translation_invariant():
+    # every route atom is a difference of coordinates, so
+    # c(mu + s, lam + s) = c(mu, lam); trace_reconstruct relies on it
+    rng = random.Random(12)
+    pts = [(mu, lam, k) for n in (2, 3) for k in (1, 2, 3)
+           for lam in partitions_upto(2, n) for mu in window(lam, k)]
+    for mu, lam, k in rng.sample(pts, 24):
+        s = rng.choice([x for x in range(-3, 4) if x])
+        mus, lams = tuple(x + s for x in mu), tuple(x + s for x in lam)
+        for route in (diag_coeff_sum, mat_elt, c_squared_chain):
+            assert route(mus, lams, k) == route(mu, lam, k), (route.__name__, mu, lam, k, s)
+
+
 def test_trace_reconstruct_equals_per_chain_sum():
-    # trace_reconstruct computes each (mu^i, mu^{i+1}) link once per call;
-    # the plain sum re-evaluates every link of every chain.
-    for lam, k in [((2, 1, 0), 2), ((3, 1, 0), 2), ((2, 0, 0), 3)]:
+    # trace_reconstruct computes each translation class of links
+    # (mu^i, mu^{i+1}) once per call; the plain sum re-evaluates every
+    # link of every chain.  The last two shapes have many links per class.
+    for lam, k in [((2, 1, 0), 2), ((3, 1, 0), 2), ((2, 0, 0), 3),
+                   ((1, 0, -1), 3), ((1, 0, 0, 0), 2)]:
         n = len(lam)
         acc = NPoly.zero(n)
         for chain in shifted_chain_enumerate(lam, k):

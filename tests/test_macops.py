@@ -12,7 +12,8 @@ from conftest import (branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
 from macdaha import clear_caches
 from macdaha.combinat import interlacing_signatures, is_dominant
 
-from macdaha.macops import (MacParams, _op_column, _psi_for_params, eigenvalue, generic_params,
+from macdaha.macops import (MacParams, _op_column, _psi_for_params, branch_sum, eigenvalue,
+                            generic_params,
                             mac_apply, mac_generator_apply, macdonald_branch,
                             macdonald_eigen, macdonald_gt, macdonald_qk,
                             psi_branch, symmetry_check)
@@ -267,6 +268,28 @@ def test_branch_and_gt_match_expand_and_fold_oracles():
         n = len(lam)
         assert str(macdonald_branch(lam, n)) == str(branch_oracle(lam, P)), lam
         assert str(macdonald_gt(lam, n)) == str(gt_oracle(lam, P)), lam
+
+
+def test_branch_sum_skips_mu_without_kept_terms():
+    # a homogeneous P_mu has (n-1) sig[-1] <= |mu| on every key, so no
+    # term survives when (n-1)(|lam| - |mu|) > |mu|: neither sub nor psi
+    # is called for such mu, and the sum is unchanged
+    for lam in [(3, 1, 0), (4, 0, 0), (2, 2, 1, 0), (2, 1, 0, -1)]:
+        n = len(lam)
+        called = set()
+
+        def sub(mu):
+            called.add(mu)
+            return macdonald_branch(mu, n - 1)
+
+        def psi(mu):
+            called.add(mu)
+            return _psi_for_params(lam, mu, P)
+
+        assert branch_sum(lam, psi, sub) == macdonald_branch(lam, n), lam
+        mus = interlacing_signatures(lam)
+        skipped = {mu for mu in mus if (n - 1) * (sum(lam) - sum(mu)) > sum(mu)}
+        assert skipped and called == set(mus) - skipped, lam
 
 
 def test_constructors_agree_on_both_gcd_paths(qt_gcd_path):
