@@ -27,6 +27,20 @@ Size envelopes, checked before any computation:
   47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
   seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
   (4, 3).  Their time grows with --samples.
+- `trace` (with or without --ratio) takes at most 6 variables, k up to 8,
+  6, 4, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
+  up to a bound per n and k (`_TRACE_MAX_DEGREE`; for k = 1, 2, ...:
+  n = 2: 40 at every k; n = 3: 30, 30, 30, 25, 21, 18; n = 4: 20, 19,
+  10, 5; n = 5: 16, 8, 1; n = 6: 12, 3).  Each bound is the largest d at
+  which `trace --ratio` took at most 20 s on each of (d, 0, ...),
+  (d-1, 1, 0, ...), (d-2, 2, 0, ...) and (d-3, 3, 0, ...) and at most 40 s
+  on all of them together, on a 2-vCPU Xeon (doubling d, then bisecting).
+  The search stopped at d = 40, 30, 20, 16 and 12 for n = 2, ..., 6, so
+  the bounds equal to those caps are not where a run got slow.  At d = 0,
+  k = 5 in 4 variables took 19 s, k = 4 in 5 variables did not finish in
+  180 s, and k = 2 in 7 variables took 52 s.  The k caps for n = 2 and 3
+  are where the sweep stopped, too (at d = 0 and k = 8, n = 2 took
+  0.14 s and n = 3 3.3 s).  One variable has no links: every k and d.
 """
 
 from __future__ import annotations
@@ -53,6 +67,16 @@ _POLY_MAX_DEGREE = {
 }
 # The size envelopes of the restriction suites: the largest n*l.
 _RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}
+# The size envelope of `trace` (see the module docstring): per number n of
+# variables, the largest d = |lambda| - n*lambda_n at k = 1, 2, ...; a
+# larger k is outside it.  One variable has no links and no bound.
+_TRACE_MAX_DEGREE = {
+    2: (40, 40, 40, 40, 40, 40, 40, 40),
+    3: (30, 30, 30, 25, 21, 18),
+    4: (20, 19, 10, 5),
+    5: (16, 8, 1),
+    6: (12, 3),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,6 +169,20 @@ def _require_res_envelope(names, n, l):
                               f"variables (got --n {n} --l {l})")
 
 
+def _require_trace_envelope(lam, n, k):
+    if n == 1:
+        return
+    if n not in _TRACE_MAX_DEGREE:
+        raise _UsageError(f"trace supports at most {max(_TRACE_MAX_DEGREE)} variables")
+    bounds = _TRACE_MAX_DEGREE[n]
+    if k > len(bounds):
+        raise _UsageError(f"trace in {n} variables supports k <= {len(bounds)}")
+    d = sum(lam) - n * lam[-1]
+    if d > bounds[k - 1]:
+        raise _UsageError(f"|lambda| - n*lambda_n = {d} exceeds {bounds[k - 1]}, the "
+                          f"trace size envelope for {n} variables at k = {k}")
+
+
 def _run(args):
     if args.verb == "poly":
         lam = _signature(args.lam)
@@ -203,6 +241,7 @@ def _run(args):
         if len(lam) != n:
             raise _UsageError("signature length must equal --vars")
         k = _require_k(args.k)
+        _require_trace_envelope(lam, n, k)
         if args.ratio:
             _emit(sym_to_json(intertwiner.trace_ratio(lam, n, k)))
         else:

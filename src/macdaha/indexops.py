@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .combinat import shift
-from .qfield import CR_ONE, CR_ZERO, DomainViolationError, UnitMono, cached, qnum
+from .qfield import CR_ONE, CR_ZERO, DomainViolationError, UnitMono, cached, qnum, rat_sum
 
 
 @cached
@@ -70,11 +70,9 @@ class IndexOpParams:
 
 
 def jackson_inner(f, g, box):
-    """Finite inner product sum_{mu in box} f(mu) g(mu)."""
-    total = CR_ZERO
-    for mu in box.points():
-        total = total + f(mu) * g(mu)
-    return total
+    """Finite inner product sum_{mu in box} f(mu) g(mu), reduced once by
+    rat_sum rather than after every point."""
+    return rat_sum(f(mu) * g(mu) for mu in box.points())
 
 
 def is_adapted(f, box, l):

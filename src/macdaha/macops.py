@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combinat import (chain_weight, check_signature, dominant_chains, interlaces,
-                       interlacing_signatures, inversions, kostka_dominant, partitions,
-                       sig_sum)
+from .combinat import (check_signature, dominant_chains, interlaces, interlacing_signatures,
+                       inversions, kostka_dominant, partitions, shift, sig_sum)
 from .npoly import add_terms
-from .qfield import CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall
+from .qfield import (CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall,
+                     rat_sum)
 from .sympoly import SymLaurent, eval_sym, e_sym, mono_shift, orbit
 
 
@@ -308,25 +308,56 @@ def chain_sum(chains, k, link):
     every chain of shifted_chain_enumerate, because its numerator is not
     symmetric; the Gelfand-Tsetlin formula, which is, sums only over
     dominant_chains, whose weights are the dominant keys (for dominant w
-    the coefficient of x^w is that of m_w).  Chains share most links, so
-    each distinct link is evaluated once; a chain stops at its first zero
-    link.
-    """
-    links = {}
+    the coefficient of x^w is that of m_w).
 
-    def terms():
-        for chain in chains:
-            coeff = CR_ONE
-            for pair in zip(chain, chain[1:]):
+    The sum is taken level by level from mu^n = lam down.  The state of a
+    chain at level i is (mu^i, (w_{i+1}, ..., w_n)): the sizes of the rows
+    above fix those weights.  Both chain sets are cut out by conditions on
+    consecutive states (interlacing; w_i >= w_{i+1} and |mu^i| >= i w_{i+1}),
+    so every path through the states the chains visit is one of the chains.
+    A state's value is the sum, over the paths from lam to it, of their
+    link products: each product value * link is formed once per edge, the
+    terms reaching a state are added by rat_sum with one reduction, and a
+    state of value zero is dropped, so no link below it is evaluated.  Each
+    distinct link is evaluated once, and the bottom states
+    (mu^1, (w_2, ..., w_n)) are one per weight.
+    """
+    if not chains:
+        return {}
+    sizes, links = {}, {}
+
+    def size(row):
+        if row not in sizes:
+            sizes[row] = sig_sum(shift(row, k, "tilde"))
+        return sizes[row]
+
+    edges = [{} for _ in chains[0][1:]]     # edges[j]: state j rows below lam -> states below it
+    for chain in chains:
+        state = (chain[-1], ())
+        for j, mu in enumerate(reversed(chain[:-1])):
+            upper, tail = state
+            below = (mu, (size(upper) - size(mu),) + tail)
+            edges[j].setdefault(state, {})[below] = None
+            state = below
+    values = {(chains[0][-1], ()): CR_ONE}
+    for level in edges:
+        incoming = {}
+        for state, below in level.items():
+            if state not in values:
+                continue
+            for child in below:
+                pair = (child[0], state[0])
                 if pair not in links:
                     links[pair] = link(*pair)
-                coeff = coeff * links[pair]
-                if not coeff:
-                    break
-            if coeff:
-                yield chain_weight(chain, k), coeff
-
-    return add_terms({}, terms())
+                if links[pair]:
+                    incoming.setdefault(child, []).append(values[state] * links[pair])
+        values = {}
+        for state, terms in incoming.items():
+            total = rat_sum(terms)
+            if total:
+                values[state] = total
+    return {((size(row),) + tail if row else tail): value
+            for (row, tail), value in values.items()}
 
 
 def macdonald_gt(lam, n, params=None):

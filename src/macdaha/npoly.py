@@ -9,7 +9,10 @@ Demazure-Lusztig operators and the trace ratio need.
 `sympoly.SymLaurent`: a dict {key: CoeffRat} with no zero values, whose
 sums, negation and scalar products are written once.  `add_terms` is the
 one accumulator: every sum of terms in the polynomial and operator layers
-goes through it.
+goes through it, adding one value at a time with `CoeffRat.__add__`.  A
+long sum of scalars that should be reduced once (the Jackson pairing, the
+states of `macops.chain_sum`) goes through `qfield.rat_sum` instead;
+routing `add_terms` itself through it made the operator sums slower.
 """
 
 from __future__ import annotations

@@ -11,13 +11,22 @@ leading coefficient under graded lex order (q before t) is positive.  The
 canonical form is unique per value, so equality is plain structural
 equality and string rendering is deterministic.
 
+Arithmetic runs a gcd only where the reduced form is not known by
+construction.  Adding zero, a/b + c with c a Laurent polynomial (that is
+(a + cb)/b, reduced since gcd(a + cb, b) = gcd(a, b) = 1), a product with
+a monomial and an inverse run none.  rat_sum adds many fractions with one
+reduction: the numerators of equal denominators are added as term maps,
+the distinct denominators are folded into an lcm, and the total is
+reduced once.
+
 Term maps with a single t exponent (every scalar of a one-variable Q(q)
 computation, and many t-contents) take an exact kernel over Z[q] built on
 Kronecker substitution: a polynomial u is packed into the one integer
 u(2^s), and two polynomials whose coefficients all lie inside
 (-2^(s-1), 2^(s-1)) are equal exactly when their values at 2^s are.
 - A product is one integer product, at a width s above the product's
-  coefficient bound.
+  coefficient bound.  Large maps in both variables are first sent into
+  Z[q] by t -> q^D, with D above the q-degree span of the product.
 - A quotient is one integer division.  It is kept only when its digits
   bound every coefficient of quotient * divisor below 2^(s-1), which
   proves the division exact; a wider quotient is divided again at doubled
@@ -78,7 +87,11 @@ class DomainViolationError(ZeroDivisionError):
 # stored zero coefficients; {} is zero.
 
 def _add(A, B):
-    C = dict(A)
+    return _add_into(dict(A), B)
+
+
+def _add_into(C, B):
+    """C + B, written into C."""
     for k, v in B.items():
         w = C.get(k, 0) + v
         if w:
@@ -104,11 +117,9 @@ def _mul(A, B):
     if len(A) > len(B):
         A, B = B, A
     if len(A) >= 4 and len(A) * len(B) >= _KRON_TERMS:
-        FA, FB = _to_t(A), _to_t(B)
-        if len(FA) == 1 and len(FB) == 1:
-            (ta, u), = FA.items()
-            (tb, v), = FB.items()
-            return {(a, ta + tb): c for a, c in _q_kron_mul(u, v).items()}
+        C = _kron_mul(A, B)
+        if C is not None:
+            return C
     C = {}
     for (a1, b1), c1 in A.items():
         for (a2, b2), c2 in B.items():
@@ -121,6 +132,26 @@ def _mul(A, B):
     return C
 
 
+def _kron_mul(A, B):
+    """A * B as one integer product, or None when the packed operands
+    would hold more digits than the schoolbook product has steps.
+
+    With both maps shifted to exponent minima 0 and D above the q-degree
+    of the product, t -> q^D maps them into Z[q] injectively on the
+    product's terms (as in _poly_divexact), and the Z[q] product is one
+    integer product.
+    """
+    qa, ma, ta, sa = _exp_box(A)
+    qb, mb, tb, sb = _exp_box(B)
+    D = ma - qa + mb - qb + 1
+    if D * (sa - ta + sb - tb + 1) > len(A) * len(B):
+        return None
+    u = {a - qa + D * (b - ta): c for (a, b), c in A.items()}
+    v = {a - qb + D * (b - tb): c for (a, b), c in B.items()}
+    q0, t0 = qa + qb, ta + tb
+    return {(e % D + q0, e // D + t0): c for e, c in _q_kron_mul(u, v).items()}
+
+
 def _shift(A, da, db):
     if da == 0 and db == 0:
         return dict(A)
@@ -128,9 +159,14 @@ def _shift(A, da, db):
 
 
 def _min_exps(A):
-    qa = min(a for a, _ in A)
-    tb = min(b for _, b in A)
-    return qa, tb
+    qs, ts = zip(*A)
+    return min(qs), min(ts)
+
+
+def _exp_box(A):
+    """(least, greatest q exponent, least, greatest t exponent) of A."""
+    qs, ts = zip(*A)
+    return min(qs), max(qs), min(ts), max(ts)
 
 
 def _glex_key(k):
@@ -722,6 +758,8 @@ class UnitMono:
         return cls(1, 0, 0)
 
     def __mul__(self, other):
+        if not isinstance(other, UnitMono):
+            return NotImplemented       # CoeffRat.__rmul__ answers
         return UnitMono(self.sign * other.sign, self.a + other.a, self.b + other.b)
 
     def inv(self):
@@ -768,8 +806,39 @@ def _canonical(num, den):
     return num, den
 
 
+def _scalar(x):
+    """x as a CoeffRat when it is an int or a UnitMono, else x itself."""
+    if isinstance(x, int):
+        return CoeffRat.from_int(x)
+    if isinstance(x, UnitMono):
+        return x.as_coeffrat()
+    return x
+
+
+def _mono_mul(x, key, c):
+    """x * c q^a t^b, (a, b) = key, without a polynomial gcd.
+
+    The numerator is shifted and scaled; only g = gcd(c, content of the
+    denominator) can cancel, and it leaves the fraction reduced."""
+    a, b = key
+    den = x.den
+    g = 1 if c == 1 or c == -1 else math.gcd(c, *den.terms.values())
+    if g != 1:
+        c //= g
+        den = LaurentQT._raw({k: v // g for k, v in den.terms.items()})
+    num = {(p + a, r + b): c * v for (p, r), v in x.num.terms.items()}
+    return CoeffRat._raw(LaurentQT._raw(num), den)
+
+
 class CoeffRat:
-    """Reduced fraction of Laurent polynomials in (q, t): the scalar field."""
+    """Reduced fraction of Laurent polynomials in (q, t): the scalar field.
+
+    Operands may be ints and UnitMonos.  The arithmetic skips every gcd
+    whose answer the operands' reduced forms already fix: a zero operand,
+    a/b + c with c a Laurent polynomial (gcd(a + cb, b) = gcd(a, b) = 1),
+    a product with a monomial, and inv(), which only moves the monomial
+    content and the sign.  rat_sum reduces a many-term sum once.
+    """
 
     __slots__ = ("num", "den")
 
@@ -814,13 +883,23 @@ class CoeffRat:
         return CoeffRat._raw(-self.num, self.den)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = CoeffRat.from_int(other)
+        other = _scalar(other)
         a, b = self.num.terms, self.den.terms
         c, d = other.num.terms, other.den.terms
+        if not c:
+            return self
+        if not a:
+            return other
         if b == d:
+            if b == _ONE_D:
+                return CoeffRat._raw(LaurentQT._raw(_add(a, c)), L_ONE)
             n, dd = _canonical(_add(a, c), b)
             return CoeffRat._raw(LaurentQT._raw(n), LaurentQT._raw(dd))
+        # a/b + c = (a + cb)/b, reduced: gcd(a + cb, b) = gcd(a, b) = 1.
+        if d == _ONE_D:
+            return CoeffRat._raw(LaurentQT._raw(_add(a, _mul(c, b))), self.den)
+        if b == _ONE_D:
+            return CoeffRat._raw(LaurentQT._raw(_add(c, _mul(a, d))), other.den)
         g, b1, d1 = _gcd_cofactors(b, d)
         if g == _ONE_D:
             num = _add(_mul(a, d), _mul(c, b))
@@ -845,19 +924,25 @@ class CoeffRat:
         return self.__add__(other)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CoeffRat.from_int(other)
-        return self.__add__(-other)
+        return self.__add__(-_scalar(other))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = CoeffRat.from_int(other)
-        elif isinstance(other, UnitMono):
-            other = other.as_coeffrat()
+        if isinstance(other, UnitMono):
+            return _mono_mul(self, (other.a, other.b), other.sign)
+        other = _scalar(other)
         a, b = self.num.terms, self.den.terms
         c, d = other.num.terms, other.den.terms
         if not a or not c:
             return CR_ZERO
+        if d == _ONE_D and len(c) == 1:
+            (key, v), = c.items()
+            return _mono_mul(self, key, v)
+        if b == _ONE_D and len(a) == 1:
+            (key, v), = a.items()
+            return _mono_mul(other, key, v)
         if d != _ONE_D:
             _, a, d = _gcd_cofactors(a, d)
         if b != _ONE_D:
@@ -872,15 +957,22 @@ class CoeffRat:
         return self.__mul__(other)
 
     def inv(self):
-        if not self.num.terms:
+        """1/x: the reduced b/a of x = a/b, with a's monomial content moved
+        into the numerator and the sign fixed; no gcd runs."""
+        a, b = self.num.terms, self.den.terms
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        num, den = _canonical(dict(self.den.terms), dict(self.num.terms))
+        qa, tb = _min_exps(a)
+        num, den = _shift(b, -qa, -tb), _shift(a, -qa, -tb)
+        if _lead_coeff(den) < 0:
+            num, den = _neg(num), _neg(den)
         return CoeffRat._raw(LaurentQT._raw(num), LaurentQT._raw(den))
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = CoeffRat.from_int(other)
-        return self.__mul__(other.inv())
+        return self.__mul__(_scalar(other).inv())
+
+    def __rtruediv__(self, other):
+        return self.inv().__mul__(other)
 
     def __pow__(self, e):
         if e < 0:
@@ -915,6 +1007,45 @@ class CoeffRat:
 
     def __repr__(self):
         return f"CoeffRat({self})"
+
+
+def rat_sum(values):
+    """The sum of an iterable of CoeffRats (or ints), reduced once.
+
+    The numerators of equal denominators are added as term maps; the
+    distinct denominators are folded into a running lcm L, each with the
+    cofactors of one gcd (N/L + n/d = (N d' + n L')/(L d') with
+    L = L' g, d = d' g), and the total is reduced by one _canonical.
+    A left fold of + would reduce after every term instead.
+    """
+    groups, count = {}, 0
+    for x in values:
+        x = _scalar(x)
+        n, d = x.num.terms, x.den.terms
+        if n:
+            count += 1
+            first = x
+            key = None if d == _ONE_D else frozenset(d.items())
+            if key in groups:
+                _add_into(groups[key][1], n)
+            else:
+                groups[key] = [d, dict(n)]
+    if count == 1:
+        return first
+    num = den = None
+    for d, n in groups.values():
+        if not n:
+            continue
+        if num is None:
+            num, den = n, d
+        else:
+            _, den1, d1 = _gcd_cofactors(den, d)
+            num = _add(_mul(num, d1), _mul(n, den1))
+            den = _mul(den, d1)
+    if num is None:
+        return CR_ZERO
+    num, den = _canonical(num, den)
+    return CoeffRat._raw(LaurentQT._raw(num), LaurentQT._raw(den))
 
 
 CR_ZERO = CoeffRat._raw(L_ZERO, L_ONE)

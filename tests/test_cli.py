@@ -221,3 +221,22 @@ def test_package_runs_as_module():
         assert (pkg.returncode, pkg.stdout, pkg.stderr) == \
             (mod.returncode, mod.stdout, mod.stderr), argv
         assert pkg.returncode == rc and bool(pkg.stdout) == (rc == 0), argv
+
+
+def test_trace_size_envelope(capsys):
+    # Just outside the trace envelope: 7 variables, k one above the cap
+    # for 4 variables, and d one above the bound at (n, k) = (4, 4) and
+    # (3, 6); each is a usage error before any computation.
+    for argv in (["--lambda", ",".join(["0"] * 7), "--vars", "7", "--k", "1"],
+                 ["--lambda", "0,0,0,0", "--vars", "4", "--k", "5"],
+                 ["--lambda", "6,0,0,0", "--vars", "4", "--k", "4", "--ratio"],
+                 ["--lambda", "18,-1,-1", "--vars", "3", "--k", "6"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["trace", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+    # One variable has no bound; a small input inside still prints.
+    for argv in (["--lambda", "5", "--vars", "1", "--k", "40", "--ratio"],
+                 ["--lambda", "1,0", "--vars", "2", "--k", "8"]):
+        rc, out, _ = run(capsys, ["trace", *argv])
+        assert rc == 0 and json.loads(out)["n"] == int(argv[3]), argv

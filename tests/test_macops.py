@@ -10,10 +10,11 @@ from conftest import (branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
                       schur_oracle)
 
 from macdaha import clear_caches
-from macdaha.combinat import interlacing_signatures, is_dominant
+from macdaha.combinat import (chain_weight, dominant_chains, interlacing_signatures, is_dominant,
+                              shifted_chain_enumerate)
 
-from macdaha.macops import (MacParams, _op_column, _psi_for_params, branch_sum, eigenvalue,
-                            generic_params,
+from macdaha.macops import (MacParams, _op_column, _psi_for_params, branch_sum, chain_sum,
+                            eigenvalue, generic_params,
                             mac_apply, mac_generator_apply, macdonald_branch,
                             macdonald_eigen, macdonald_gt, macdonald_qk,
                             psi_branch, symmetry_check)
@@ -368,3 +369,29 @@ def test_half_root_scales_subset_terms():
         a = mac_apply(f, r, params, half_root=half)
         b = mac_apply(f, r, params).scalar_mul((half ** r).as_coeffrat())
         assert a == b
+
+
+def test_chain_sum_matches_per_chain_products():
+    # The level-by-level sum against the plain sum of every chain's link
+    # product.  The synthetic links vanish on some pairs and carry
+    # denominators, so zero states, shared prefixes and the one-reduction
+    # sums of every state are all exercised.
+    def link(mu, nu):
+        d = sum(nu) - sum(mu)
+        v = qnum(d + sum(mu) % 3 - 1) * q(mu[0])
+        return v / (CR_ONE - CoeffRat(LaurentQT({(d + 1, len(mu)): 1})))
+
+    for chains, k in [(shifted_chain_enumerate((2, 1, 0), 2), 2),
+                      (shifted_chain_enumerate((1, 0, -1), 3), 3),
+                      (shifted_chain_enumerate((2, 1, 0, 0), 1), 1),
+                      (dominant_chains((3, 2, 0, 0)), 1),
+                      (shifted_chain_enumerate((4,), 2), 2),
+                      (shifted_chain_enumerate((), 2), 2), ([], 1)]:
+        want = {}
+        for chain in chains:
+            c = CR_ONE
+            for mu, nu in zip(chain, chain[1:]):
+                c = c * link(mu, nu)
+            w = chain_weight(chain, k)
+            want[w] = want.get(w, CR_ZERO) + c
+        assert chain_sum(chains, k, link) == {w: c for w, c in want.items() if c}

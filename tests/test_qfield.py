@@ -268,6 +268,12 @@ def test_packed_product_matches_schoolbook(monkeypatch):
         cases.append(({(a - 10, 0): c for a, c in q_poly(rng, 40, hi=60).items()},
                       {(a - 30, 0): c for a, c in
                        q_poly(rng, 20, hi=40, cmax=10 ** rng.randint(1, 30)).items()}))
+    for _ in range(6):
+        # both variables: t -> q^D packs them into one Z[q] product
+        cases.append(({(rng.randint(-6, 6), rng.randint(-2, 2)): rng.randint(-9, 9) or 1
+                       for _ in range(40)},
+                      {(rng.randint(-3, 9), rng.randint(0, 4)): rng.randint(-10 ** 20, 10 ** 20) or 1
+                       for _ in range(30)}))
     for A, B in cases:
         assert qfield._mul(A, B) == schoolbook(A, B)
         assert qfield._mul(A, qfield._neg(A)) == qfield._neg(schoolbook(A, A))
@@ -575,3 +581,143 @@ def test_scalar_values_at_prime_points():
         for i in range(m):
             want *= _qnum_value(a - i, q)
         assert eval_fraction(qfall(a, m), q, t) == want
+
+
+# ---------------------------------------------------------------------------
+# The gcd-free fast paths and rat_sum against the _canonical oracle
+# CoeffRat(num, den), which reduces its input with a full gcd, and against
+# a left fold of +.
+
+from functools import reduce
+from operator import add
+
+
+@st.composite
+def laurents(draw):
+    """A non-zero Laurent polynomial in (q, t) with up to four terms."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        terms[(draw(small_ints), draw(st.integers(min_value=-2, max_value=2)))] = \
+            draw(st.sampled_from([-3, -2, -1, 1, 2, 5]))
+    return LaurentQT(terms)
+
+
+@st.composite
+def fractions_(draw):
+    """a/b with b a genuine non-monomial polynomial, so a fast path is
+    taken only where the operands' forms allow it."""
+    b = {(0, 0): draw(st.sampled_from([1, 2, -3]))}
+    b[(draw(st.integers(min_value=1, max_value=3)),
+       draw(st.integers(min_value=0, max_value=2)))] = draw(st.sampled_from([-2, -1, 1, 4]))
+    x = CoeffRat(draw(laurents()), LaurentQT(b))
+    if x.den.terms == {(0, 0): 1}:
+        x = x / CoeffRat(LaurentQT({(0, 0): 1, (1, 1): 1}))
+    return x
+
+
+_DEN_POOL = [LaurentQT({(0, 0): 1, (1, 0): -1}), LaurentQT({(0, 0): 1, (1, 0): 1}),
+             LaurentQT({(0, 0): 1, (1, 1): -1}), LaurentQT({(0, 0): 2, (0, 1): 1}),
+             LaurentQT({(0, 0): 1, (2, 0): -1}), LaurentQT({(0, 0): 3})]
+
+
+@st.composite
+def pooled_fractions(draw):
+    """a/b with b a product of factors from one small pool, so that the
+    denominators of a sum share factors without being equal."""
+    den = LaurentQT.const(1)
+    for i in draw(st.lists(st.integers(min_value=0, max_value=len(_DEN_POOL) - 1),
+                           min_size=1, max_size=3)):
+        den = den * _DEN_POOL[i]
+    return CoeffRat(draw(laurents()), den)
+
+
+unit_monos = st.builds(UnitMono, st.sampled_from([1, -1]), small_ints,
+                       st.integers(min_value=-2, max_value=2))
+
+
+def same(x, y):
+    return x.num.terms == y.num.terms and x.den.terms == y.den.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_(), laurents(), unit_monos, st.integers(min_value=-6, max_value=6))
+def test_fast_paths_match_the_canonical_oracle(x, c, u, m):
+    cx = CoeffRat.from_laurent(c)
+    # a zero operand returns the other one
+    assert same(x + CR_ZERO, x) and same(CR_ZERO + x, x) and same(x - 0, x)
+    # a/b + c = (a + cb)/b with c a Laurent polynomial
+    want = CoeffRat(x.num + c * x.den, x.den)
+    assert same(x + cx, want) and same(cx + x, want)
+    # products with a monomial: a UnitMono, a unit q^a t^b, an integer
+    mono = u.as_laurent()
+    want = CoeffRat(x.num * mono, x.den)
+    assert same(x * u, want) and same(u * x, want) and same(u.as_coeffrat() * x, want)
+    if m:
+        assert same(x * m, CoeffRat(x.num * LaurentQT.const(m), x.den))
+        assert same(m * (x * u), CoeffRat(x.num * mono * LaurentQT.const(m), x.den))
+    # inv() of a reduced fraction
+    assert same(x.inv(), CoeffRat(x.den, x.num))
+    assert same(cx.inv(), CoeffRat(L_ONE_, c))
+
+
+L_ONE_ = LaurentQT.const(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(pooled_fractions(), fractions_(),
+                          laurents().map(CoeffRat.from_laurent),
+                          st.integers(min_value=-3, max_value=3)),
+                max_size=7))
+def test_rat_sum_matches_fold_and_oracle(xs):
+    xs = xs + [-xs[0]] + xs[:2] if xs else xs      # a cancelling term, repeated denominators
+    got = qfield.rat_sum(xs)
+    assert same(got, reduce(add, xs, CR_ZERO))
+    rats = [CoeffRat.from_int(x) if isinstance(x, int) else x for x in xs]
+    den = reduce(lambda p, x: p * x.den, rats, L_ONE_)
+    num = LaurentQT()
+    for i, x in enumerate(rats):
+        num = num + reduce(lambda p, y: p * y.den, rats[:i] + rats[i + 1:], x.num)
+    assert same(got, CoeffRat(num, den))
+
+
+def test_rat_sum_edge_cases():
+    one_minus_q = LaurentQT({(0, 0): 1, (1, 0): -1})
+    x = CoeffRat(LaurentQT({(1, 0): 1}), one_minus_q)      # q/(1-q)
+    assert qfield.rat_sum([]) is CR_ZERO
+    assert qfield.rat_sum([CR_ZERO, 0]) is CR_ZERO
+    assert qfield.rat_sum([CR_ZERO, x]) is x
+    assert qfield.rat_sum([x, -x]) == CR_ZERO
+    assert qfield.rat_sum(iter([x, 1, x])) == x + x + 1
+    # q/(1-q) + 1 = 1/(1-q): one reduction over the lcm
+    assert qfield.rat_sum([x, 1]) == CoeffRat(L_ONE_, one_minus_q)
+
+
+def test_fast_paths_run_no_gcd(monkeypatch):
+    calls = []
+    inner = qfield._gcd_cofactors
+    monkeypatch.setattr(qfield, "_gcd_cofactors",
+                        lambda A, B: calls.append(1) or inner(A, B))
+    x = CoeffRat(LaurentQT({(2, 1): 3, (0, 0): -1}), LaurentQT({(0, 0): 2, (1, 2): 1}))
+    c = CoeffRat.from_laurent(LaurentQT({(-1, 0): 1, (3, 1): 2}))
+    del calls[:]
+    assert x + CR_ZERO is x and CR_ZERO + x is x
+    x + c, c + x, x - c, 1 - x, x + 1
+    x * UnitMono(-1, 3, -2), UnitMono.q(2) * x, x * UnitMono.q(1).as_coeffrat(), x * 4
+    x.inv(), c.inv(), 1 / x, (-x).inv()
+    assert calls == []
+    x * x, x + x.inv()                             # the general paths do run one
+    assert calls
+
+
+def test_scalar_operators_and_unit_monos():
+    x = qnum(3)
+    # UnitMono * CoeffRat is answered by CoeffRat.__rmul__
+    assert UnitMono.q(2) * x == x * UnitMono.q(2) == \
+        CoeffRat(LaurentQT({(4, 0): 1, (2, 0): 1, (0, 0): 1}))
+    with pytest.raises(TypeError):
+        UnitMono.q(2) * 3
+    assert 1 - x == CR_ONE - x == -(x - 1)
+    assert 1 / x == CR_ONE / x == x.inv()
+    assert (2 / x) * x == CoeffRat.from_int(2)
+    assert 3 + x == x + 3 and 3 * x == x * 3
+    assert UnitMono.q(1) - x == CoeffRat(LaurentQT({(1, 0): 1})) - x
