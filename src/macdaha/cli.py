@@ -27,18 +27,38 @@ Size envelopes, checked before any computation:
   47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
   seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
   (4, 3).  Their time grows with --samples.
+- `matelt` takes a lambda of at most 10 variables and, for every route,
+  k up to a bound per number n of variables (`_MATELT_MAX_K`; for
+  n = 1, 2, ..., 10: 500, 19, 9, 6, 5, 4, 3, 3, 3, 2).  The mat_elt route
+  expands 2^{(n-1)(k-1)} shift paths and is by far the slowest; each
+  bound for n >= 2 is the largest k at which it took at most 20 s on
+  lambda = (3, 1, 0, ...), mu = (2, 0, ...) on a 2-vCPU Xeon (16.5, 4.9,
+  3.4, 7.9, 4.1, 0.6, 2.8, 14.0 and 0.2 s for n = 2, ..., 10).  At k + 1
+  it took 39.6, 23.4 and 31.5 s for n = 2, 3, 4, and for n = 5, ..., 10
+  it ran out of a 2 GiB address-space limit after 19-30 s; (0, 0, 0) at
+  n = 3, k = 10 took 23.1 s too.  At the bounds diag_sum took at most
+  2.5 s and cg_sq at most 4.0 s.  With one variable every route is one
+  term; the bound is there because the shift-path expansion recurses
+  k - 1 deep, and k = 1000 exceeded Python's default recursion limit.
+  The cost also grows with the spread lambda_1 - lambda_n, which is not
+  bounded: cg_sq at (1000, 500, 0), k = 3 took 20 s.
 - `trace` (with or without --ratio) takes at most 6 variables, k up to 8,
-  6, 4, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
+  6, 6, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
   up to a bound per n and k (`_TRACE_MAX_DEGREE`; for k = 1, 2, ...:
   n = 2: 40 at every k; n = 3: 30, 30, 30, 25, 21, 18; n = 4: 20, 19,
-  10, 5; n = 5: 16, 8, 1; n = 6: 12, 3).  Each bound is the largest d at
-  which `trace --ratio` took at most 20 s on each of (d, 0, ...),
+  10, 7, 4, 1; n = 5: 16, 8, 2; n = 6: 12, 3).  Each bound is the largest
+  d at which `trace --ratio` took at most 20 s on each of (d, 0, ...),
   (d-1, 1, 0, ...), (d-2, 2, 0, ...) and (d-3, 3, 0, ...) and at most 40 s
   on all of them together, on a 2-vCPU Xeon (doubling d, then bisecting).
   The search stopped at d = 40, 30, 20, 16 and 12 for n = 2, ..., 6, so
-  the bounds equal to those caps are not where a run got slow.  At d = 0,
-  k = 5 in 4 variables took 19 s, k = 4 in 5 variables did not finish in
-  180 s, and k = 2 in 7 variables took 52 s.  The k caps for n = 2 and 3
+  the bounds equal to those caps are not where a run got slow.  The rows
+  for n = 4 (k >= 2) and n = 5 (k >= 2) were measured again, d by d up
+  from the old bound, once the limit engine dropped dead terms: at d + 1,
+  n = 4 took 57.6, 42.5 and 52.7 s together at k = 2, 3, 4, and 22.0 s
+  and 26.8 s on (d + 1, 0, 0, 0) alone at k = 5, 6; n = 5 took 43.4 s
+  together at k = 2 and 20.0 s on (3, 0, 0, 0, 0) at k = 3.  At d = 0,
+  k = 7 in 4 variables took 34 s, k = 4 in 5 variables did not finish in
+  45 s, and k = 2 in 7 variables took 52 s.  The k caps for n = 2 and 3
   are where the sweep stopped, too (at d = 0 and k = 8, n = 2 took
   0.14 s and n = 3 3.3 s).  One variable has no links: every k and d.
 """
@@ -67,14 +87,17 @@ _POLY_MAX_DEGREE = {
 }
 # The size envelopes of the restriction suites: the largest n*l.
 _RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}
+# The size envelope of `matelt` (see the module docstring): per number n of
+# variables of lambda, the largest k, for every route.
+_MATELT_MAX_K = {1: 500, 2: 19, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3, 9: 3, 10: 2}
 # The size envelope of `trace` (see the module docstring): per number n of
 # variables, the largest d = |lambda| - n*lambda_n at k = 1, 2, ...; a
 # larger k is outside it.  One variable has no links and no bound.
 _TRACE_MAX_DEGREE = {
     2: (40, 40, 40, 40, 40, 40, 40, 40),
     3: (30, 30, 30, 25, 21, 18),
-    4: (20, 19, 10, 5),
-    5: (16, 8, 1),
+    4: (20, 19, 10, 7, 4, 1),
+    5: (16, 8, 2),
     6: (12, 3),
 }
 
@@ -169,6 +192,13 @@ def _require_res_envelope(names, n, l):
                               f"variables (got --n {n} --l {l})")
 
 
+def _require_matelt_envelope(n, k):
+    if n not in _MATELT_MAX_K:
+        raise _UsageError(f"matelt supports at most {max(_MATELT_MAX_K)} variables")
+    if k > _MATELT_MAX_K[n]:
+        raise _UsageError(f"matelt in {n} variables supports k <= {_MATELT_MAX_K[n]}")
+
+
 def _require_trace_envelope(lam, n, k):
     if n == 1:
         return
@@ -224,6 +254,7 @@ def _run(args):
         if len(mu) != len(lam) - 1:
             raise _UsageError("mu must be one entry shorter than lambda")
         k = _require_k(args.k)
+        _require_matelt_envelope(len(lam), k)
         if not in_window(mu, lam, k):
             raise _UsageError("mu must satisfy lambda_{i+1} - (k-1) <= mu_i <= lambda_i")
         if args.route == "diag_sum":

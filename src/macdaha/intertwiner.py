@@ -13,8 +13,13 @@ one-parameter regularization: every q-number argument c is perturbed to
 c + z*d with a fixed generic integer direction d per coordinate pair, and
 the limit Z = q^z -> 1 is taken by one engine, _limit.  It expands in
 eps = Z - 1 only as far as the number M of denominator factors that
-vanish at the limit; the numerator coefficients below eps^M must cancel
-(otherwise the point is a pole), and M = 0 is plain evaluation.
+vanish at the limit (the atoms [0 + z*d]); the numerator coefficients
+below eps^M must cancel (otherwise the point is a pole).  A term whose
+numerator keeps more than M vanishing atoms over its sum's common
+denominator reaches only eps^{>M} and is dropped unexpanded.  M = 0 is
+plain evaluation: a term with a vanishing numerator atom is zero, and
+every other atom [c + z*d] is [c] whatever d is, so atoms are merged by c
+before anything is multiplied out.
 """
 
 from __future__ import annotations
@@ -45,31 +50,49 @@ def _route_args(mu, lam, k):
 # Putting Z = 1 + eps, B(c, d) is a series in eps whose coefficients are
 # Laurent polynomials in q with generalized binomial coefficients; it
 # starts at eps^0 unless c = 0, where it starts at 2d * eps.  A sum of
-# terms is assembled over its common atom denominator, so the denominator
-# of a product of such sums is eps^M times a series with nonzero constant
-# term, M counting its c = 0 atoms.  Every series is truncated after
-# eps^M, and the limit is the eps^M coefficient of the numerator over that
-# constant term.
+# terms is assembled over its common denominator of c = 0 atoms, so the
+# denominator of a product of such sums is eps^M times a series with
+# nonzero constant term, M counting its c = 0 atoms; M is known from the
+# c = 0 atoms alone.  Every series is truncated after eps^M, and the limit
+# is the eps^M coefficient of the numerator over that constant term.
+#
+# Dead terms.  A term whose c = 0 atoms over that common denominator
+# number nu > M starts at eps^nu; every other factor of the product is a
+# power series, so the term reaches only eps^{>M} and is dropped before
+# any series is formed.  At M = 0 that is any term with a c = 0 atom left
+# in its numerator.  The common denominator is not recomputed from the
+# live terms: that would change M.
+#
+# The c != 0 atoms are units: B(c, d) -> q^c - q^-c at Z = 1 whatever d
+# is, and (q - q^-1) = B(1, 0).  At M = 0 the limit is plain evaluation,
+# so atoms are keyed by (c, 0) and [c + z*d] in a numerator cancels
+# [c + z*d'] in a denominator before anything is packed.  At any M, the
+# least count of a c != 0 atom over the live terms of a sum (negative: a
+# common denominator) is taken out of the sum.  Once num[:M] vanishes,
+# only the constant term q^-c (q^{2c} - 1) of such a unit reaches the eps^M
+# coefficient, so the taken-out atoms are merged by c and multiply the
+# limit's numerator or denominator.
 #
 # Packed representation (Kronecker substitution, as in qfield): a series
 # is a q-offset off and a list of M + 1 integers, coefficient i being
 # q^-off P_i(q) for an integer polynomial P_i stored as its value P_i(2^s).
-# With c >= 0 (see _normalize_term), B(c, d) = q^-c (q^{2c} Z^d - Z^{-d}),
-# so an atom raises off by c and adds binom(d, j) (x << 2cs) - binom(-d, j) x
-# to slot i + j for each j <= M; at M = 0 that is one shift and one
-# subtraction.  Terms are aligned to the largest offset by shifts and
-# added, and powers of sums are truncated big-integer products.
-# Evaluation at 2^s is a ring map, so every integer is exact, and it
-# decodes to the polynomial once every coefficient lies in
-# (-2^(s-1), 2^(s-1)).  L1 norms bound them.  An atom has norm at most
+# With c >= 0 (atoms are flipped, B(-c, -d) = -B(c, d)),
+# B(c, d) = q^-c (q^{2c} Z^d - Z^{-d}), so an atom raises off by c and adds
+# binom(d, j) (x << 2cs) - binom(-d, j) x to slot i + j for each j <= M;
+# at M = 0 that is one shift and one subtraction.  Terms are aligned to
+# the largest offset by shifts and added, and powers of sums are truncated
+# big-integer products.  Evaluation at 2^s is a ring map, so every integer
+# is exact, and it decodes to the polynomial once every coefficient lies
+# in (-2^(s-1), 2^(s-1)).  L1 norms bound them.  An atom has norm at most
 # sum_{j<=M} |binom(d, j)| + |binom(-d, j)|, a term the product of its
-# atoms' norms, a sum the sum of its terms' norms, and L1 is
+# atoms' norms, a sum the sum of its live terms' norms, and L1 is
 # submultiplicative under truncated products, so every numerator
-# coefficient stays below prod (sum of term norms)^power * 2^max(emin, 0).
-# The denominator, a product of lead atoms q^-c (q^{2c} - 1) or 2d and of
-# (q - q^-1)^-emin, stays below the product of their norms.  qfield._width
-# of the larger bound gives s; the pole check any(num[:M]) is then exact
-# on the integers, and numerator and denominator are decoded once each.
+# coefficient stays below prod (sum of term norms)^power * 2^up, with up
+# the taken-out numerator atoms.  The denominator, a product of lead
+# atoms 2d and of taken-out atoms q^-c (q^{2c} - 1), stays below the
+# product of their norms.  qfield._width of the larger bound gives s; the
+# pole check any(num[:M]) is then exact on the integers, and numerator and
+# denominator are decoded once each.
 
 def _binom(d, j):
     """The binomial coefficient d choose j for any integer d."""
@@ -78,26 +101,47 @@ def _binom(d, j):
     return -comb(j - d - 1, j) if j % 2 else comb(j - d - 1, j)
 
 
-def _normalize_term(mono, num, den):
-    """Normalized term (sign, q-power, epow, net) or None when an
-    identically-zero numerator atom kills the term.  Atoms are flipped to
-    c > 0 or c = 0 < d (B(-c, -d) = -B(c, d)), and net maps each atom to
-    its count in num minus its count in den."""
+def _zero_atoms(mono, num, den):
+    """(sign, zero) for the c = 0 atoms of a term, or None when an
+    identically-zero numerator atom kills the term.  The sign is mono's,
+    flipped once per atom (0, d < 0) (B(0, -d) = -B(0, d)), and zero maps
+    d > 0 to the count of (0, +-d) in num minus that in den."""
     sign = mono.sign
-    net = {}
+    zero = {}
     for c, d in num:
-        if c < 0 or (c == 0 and d < 0):
-            c, d, sign = -c, -d, -sign
-        elif c == 0 and d == 0:
-            return None
-        net[c, d] = net.get((c, d), 0) + 1
+        if not c:
+            if d < 0:
+                d, sign = -d, -sign
+            elif not d:
+                return None
+            zero[d] = zero.get(d, 0) + 1
     for c, d in den:
-        if c < 0 or (c == 0 and d < 0):
-            c, d, sign = -c, -d, -sign
-        elif c == 0 and d == 0:
-            raise DomainViolationError("identically vanishing denominator")
-        net[c, d] = net.get((c, d), 0) - 1
-    return sign, mono.a, len(den) - len(num), net
+        if not c:
+            if d < 0:
+                d, sign = -d, -sign
+            elif not d:
+                raise DomainViolationError("identically vanishing denominator")
+            zero[d] = zero.get(d, 0) - 1
+    return sign, zero
+
+
+def _unit_atoms(num, den, sign, atoms, keep_d):
+    """Add to atoms the count in num minus that in den of each c != 0
+    atom, flipped to c > 0 and keyed (c, d), or (c, 0) when keep_d is 0;
+    return sign flipped once per flipped atom."""
+    for c, d in num:
+        if c:
+            if c < 0:
+                c, d, sign = -c, -d, -sign
+            key = c, d * keep_d
+            atoms[key] = atoms.get(key, 0) + 1
+    for c, d in den:
+        if c:
+            if c < 0:
+                c, d, sign = -c, -d, -sign
+            key = c, d * keep_d
+            atoms[key] = atoms.get(key, 0) - 1
+    return sign
 
 
 def _trunc_mul(a, b):
@@ -120,7 +164,7 @@ def _term_series(sign, qa, atoms, binoms, order, s):
         off += c * cnt
         sh = 2 * c * s
         if order == 0:
-            x = ser[0] if c else 0      # B(0, d) starts at eps^1
+            x = ser[0]
             for _ in range(cnt):
                 x = (x << sh) - x
             ser[0] = x
@@ -144,60 +188,77 @@ def _limit(factors):
     mono a q-power UnitMono and num/den lists of (c, d) factor descriptors.
     """
     sums = []
+    order = 0
     for terms, power in factors:
-        norm = [t for t in (_normalize_term(*a) for a in terms) if t is not None]
+        norm = [(z, t) for t in terms if (z := _zero_atoms(*t)) is not None]
         if not norm:
             return CR_ZERO
-        common = {}             # atom -> the most any term has left in den
-        for term in norm:
-            for key, v in term[3].items():
-                if v < -common.get(key, 0):
-                    common[key] = -v
-        sums.append((norm, common, power))
-    order = sum(p * cnt for _, common, p in sums
-                for (c, _), cnt in common.items() if c == 0)
+        zden = {}               # d -> the most atoms (0, d) any term has in den
+        for (_, zero), _ in norm:
+            for d, v in zero.items():
+                if v < -zden.get(d, 0):
+                    zden[d] = -v
+        order += power * sum(zden.values())
+        sums.append((norm, zden, power))
+    keep_d = 1 if order else 0
     binoms = {}     # d -> binom(d, j), binom(-d, j) for j <= order, their L1 norm
 
-    # Each term's atom counts over its sum's common denominator, with
-    # (q - q^-1) = B(1, 0) for its excess of den atoms over the fewest;
-    # and the bounds of the width.
-    emin = 0
-    nbound = dbound = 1
+    # Each live term's atoms over its sum's common c = 0 denominator, with
+    # (q - q^-1) = B(1, 0) for its excess of den atoms over num atoms; the
+    # taken-out c != 0 atoms (see above) and the bounds of the width.
+    outer = {}                  # c -> power of q^c - q^-c taken out of the sums
+    nbound = lead = 1           # lead: the product of the c = 0 lead atoms 2d
     expanded = []
-    for norm, common, power in sums:
-        e0 = min(term[2] for term in norm)
+    for norm, zden, power in sums:
+        base = sum(zden.values())
+        live = []
+        for (sign, zero), (mono, num, den) in norm:
+            if base + sum(zero.values()) > order:
+                continue
+            atoms = {(0, d): zden.get(d, 0) + zero.get(d, 0) for d in zden.keys() | zero}
+            atoms[1, 0] = len(den) - len(num)
+            sign = _unit_atoms(num, den, sign, atoms, keep_d)
+            live.append((sign, mono.a, atoms))
+        if not live:
+            return CR_ZERO
+        shared = {key: v for key, v in live[0][2].items() if key[0]}
+        for *_, atoms in live[1:]:
+            for key, v in shared.items():
+                shared[key] = min(v, atoms.get(key, 0))
+            for key, v in atoms.items():
+                if v < 0 and key[0] and key not in shared:
+                    shared[key] = v
         items = []
         total = 0
-        for sign, qa, epow, net in norm:
-            atoms = dict(common)
-            for key, v in net.items():
-                atoms[key] = atoms.get(key, 0) + v
-            if epow > e0:
-                atoms[1, 0] = atoms.get((1, 0), 0) + epow - e0
+        for sign, qa, atoms in live:
+            for key, v in shared.items():
+                atoms[key] = atoms.get(key, 0) - v
             size = 1
-            for (_, d), cnt in atoms.items():
-                if cnt:
+            for (_, d), v in atoms.items():
+                if v:
                     if d not in binoms:
                         bp = [_binom(d, j) for j in range(order + 1)]
                         bm = [_binom(-d, j) for j in range(order + 1)]
                         binoms[d] = bp, bm, sum(map(abs, bp + bm))
-                    size *= binoms[d][2] ** cnt
+                    size *= binoms[d][2] ** v
             total += size
             items.append((sign, qa, atoms))
         nbound *= total ** power
-        for (c, d), cnt in common.items():
-            dbound *= (2 if c else 2 * d) ** (cnt * power)
-        emin += power * e0
-        expanded.append((items, common, power))
-    w = _width(max(nbound << max(emin, 0), dbound << max(-emin, 0)))
+        for (c, _), v in shared.items():
+            if v:
+                outer[c] = outer.get(c, 0) + v * power
+        for d, v in zden.items():
+            lead *= (2 * d) ** (v * power)
+        expanded.append((items, power))
+    up = sum(e for e in outer.values() if e > 0)
+    w = _width(max(nbound << up, lead << up - sum(outer.values())))
     s = 8 * w
-    qmqi = (1 << 2 * s) - 1             # q (q - q^-1) at q = 2^s
 
     num = [1] + [0] * order
     noff = 0
-    den = 1
+    den = lead
     doff = 0
-    for items, common, power in expanded:
+    for items, power in expanded:
         series = [_term_series(*item, binoms, order, s) for item in items]
         top = max(off for off, _ in series)
         total = [0] * (order + 1)
@@ -207,22 +268,16 @@ def _limit(factors):
         for _ in range(power):
             num = _trunc_mul(num, total)
         noff += top * power
-        for (c, d), cnt in common.items():
-            e = cnt * power
-            if c:
-                den *= ((1 << 2 * c * s) - 1) ** e
-                doff += c * e
-            else:
-                den *= (2 * d) ** e
     if any(num[:order]):
         raise DomainViolationError("pole at the regularization limit")
     top = num[order]
-    if emin >= 0:
-        top *= qmqi ** emin
-        noff += emin
-    else:
-        den *= qmqi ** -emin
-        doff -= emin
+    for c, e in outer.items():
+        if e > 0:
+            top *= ((1 << 2 * c * s) - 1) ** e
+            noff += c * e
+        elif e:
+            den *= ((1 << 2 * c * s) - 1) ** -e
+            doff -= c * e
     return CoeffRat(_q_laurent(_unpack(top, -noff, w)),
                     _q_laurent(_unpack(den, -doff, w)))
 

@@ -223,13 +223,34 @@ def test_package_runs_as_module():
         assert pkg.returncode == rc and bool(pkg.stdout) == (rc == 0), argv
 
 
+def test_matelt_size_envelope(capsys):
+    # Just outside the matelt envelope, for every route: 11 variables, and
+    # k one above the bound for 1, 2, 3 and 4 variables; each is a usage
+    # error before any computation.
+    for route in ("mat_elt", "diag_sum", "cg_sq"):
+        for argv in (["--lambda", ",".join(["0"] * 11), "--mu", ",".join(["0"] * 10),
+                      "--k", "1"],
+                     ["--lambda", "3", "--mu=", "--k", "501"],
+                     ["--lambda", "3,1", "--mu", "2", "--k", "20"],
+                     ["--lambda", "3,1,0", "--mu", "2,0", "--k", "10"],
+                     ["--lambda", "3,1,0,0", "--mu", "2,0,0", "--k", "7"]):
+            t0 = time.perf_counter()
+            rc, out, err = run(capsys, ["matelt", *argv, "--route", route])
+            assert time.perf_counter() - t0 < 1, (argv, route)
+            assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, (argv, route)
+    # a small input inside still prints
+    rc, out, _ = run(capsys, ["matelt", "--lambda", "3,1,0", "--mu", "2,0", "--k", "3"])
+    assert rc == 0 and json.loads(out)["route"] == "mat_elt"
+
+
 def test_trace_size_envelope(capsys):
     # Just outside the trace envelope: 7 variables, k one above the cap
-    # for 4 variables, and d one above the bound at (n, k) = (4, 4) and
-    # (3, 6); each is a usage error before any computation.
+    # for 4 variables, and d one above the bound at (n, k) = (4, 4),
+    # (5, 3) and (3, 6); each is a usage error before any computation.
     for argv in (["--lambda", ",".join(["0"] * 7), "--vars", "7", "--k", "1"],
-                 ["--lambda", "0,0,0,0", "--vars", "4", "--k", "5"],
-                 ["--lambda", "6,0,0,0", "--vars", "4", "--k", "4", "--ratio"],
+                 ["--lambda", "0,0,0,0", "--vars", "4", "--k", "7"],
+                 ["--lambda", "8,0,0,0", "--vars", "4", "--k", "4", "--ratio"],
+                 ["--lambda", "3,0,0,0,0", "--vars", "5", "--k", "3", "--ratio"],
                  ["--lambda", "18,-1,-1", "--vars", "3", "--k", "6"]):
         t0 = time.perf_counter()
         rc, out, err = run(capsys, ["trace", *argv])

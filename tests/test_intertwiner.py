@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import limit_oracle, partitions_upto, window
+from conftest import eval_fraction, limit_oracle, partitions_upto, window
 
 from macdaha import intertwiner
 from macdaha.combinat import interlacing_signatures, shifted_chain_enumerate
@@ -203,8 +204,15 @@ def test_trace_four_variables():
 
 
 def test_trace_four_variables_level_four():
-    # 6240 chains; about 4 s on a 2-vCPU Xeon (7 s with a per-chain sum)
+    # 6240 chains; about 1.2 s on a 2-vCPU Xeon (4 s before the limit
+    # engine dropped dead terms, 7 s with a per-chain sum)
     assert trace_ratio((1, 0, 0, 0), 4, 4) == macdonald_qk((1, 0, 0, 0), 4, 4)
+
+
+def test_trace_four_variables_level_four_two_rows():
+    # 787 link classes; 2.0-2.5 s on a 2-vCPU Xeon (5.8-6.2 s before the
+    # limit engine dropped dead terms and merged directions at order 0)
+    assert trace_ratio((2, 1, 0, 0), 4, 4) == macdonald_qk((2, 1, 0, 0), 4, 4)
 
 
 def test_routes_are_translation_invariant():
@@ -259,9 +267,9 @@ def test_preconditions():
 # ---------------------------------------------------------------------------
 # The packed limit engine against the truncated-series oracle.
 
-def test_limit_matches_oracle_on_route_factors(monkeypatch):
-    # every distinct factor list the three routes hand to _limit on the
-    # criterion-08 set and the n = 3, k = 4 window set
+def _route_factor_lists(monkeypatch, points):
+    """Every distinct factor list the three routes hand to _limit at the
+    points (mu, lam, k)."""
     lists = {}
 
     def spy(factors):
@@ -271,16 +279,23 @@ def test_limit_matches_oracle_on_route_factors(monkeypatch):
         return _limit(factors)
 
     monkeypatch.setattr(intertwiner, "_limit", spy)
-    points = [(mu, lam, k) for n in (2, 3) for lam in partitions_upto(4, n)
-              for k in (1, 2, 3) for mu in window(lam, k)]
-    points += [(mu, lam, 4) for lam in partitions_upto(3, 3) for mu in window(lam, 4)]
     for mu, lam, k in points:
         diag_coeff_sum(mu, lam, k)
         mat_elt(mu, lam, k)
         c_squared_chain(mu, lam, k)
     monkeypatch.undo()
+    return list(lists.values())
+
+
+def test_limit_matches_oracle_on_route_factors(monkeypatch):
+    # every distinct factor list the three routes hand to _limit on the
+    # criterion-08 set and the n = 3, k = 4 window set
+    points = [(mu, lam, k) for n in (2, 3) for lam in partitions_upto(4, n)
+              for k in (1, 2, 3) for mu in window(lam, k)]
+    points += [(mu, lam, 4) for lam in partitions_upto(3, 3) for mu in window(lam, 4)]
+    lists = _route_factor_lists(monkeypatch, points)
     assert len(lists) > 1000
-    for factors in lists.values():
+    for factors in lists:
         assert _limit(factors) == limit_oracle(factors)
 
 
@@ -348,6 +363,157 @@ def test_limit_raise_paths():
             engine(vanishing)
     # an identically zero numerator atom kills its term before the check
     assert _limit([([(one, [(0, 0)], [(0, 0)])], 1)]) == CR_ZERO
+
+
+def _plain_value(factors, q):
+    """prod_f (sum sign q^a prod [c] / prod [c'])^p_f at z = 0 and the
+    integer q, in Fractions: [c] = (q^c - q^-c) / (q - q^-1), and the
+    direction of an atom plays no part."""
+    x = Fraction(q)
+    qnum = {}
+    for terms, _ in factors:
+        for *_, num, den in terms:
+            for c, _ in num + den:
+                if c not in qnum:
+                    qnum[c] = (x ** c - x ** -c) / (x - 1 / x)
+    value = Fraction(1)
+    for terms, power in factors:
+        total = Fraction(0)
+        for mono, num, den in terms:
+            term = mono.sign * x ** mono.a
+            for c, _ in num:
+                term *= qnum[c]
+            for c, _ in den:
+                term /= qnum[c]
+            total += term
+        value *= total ** power
+    return value
+
+
+def test_limit_at_order_zero_is_plain_evaluation(monkeypatch):
+    # Where no term has a denominator q-number [0 + z*d], the limit is the
+    # value at z = 0, computed here term by term in Fractions without the
+    # engine, at q = 3 and q = 5.
+    points = [(mu, lam, k) for n in (1, 2, 3) for k in (1, 2, 3)
+              for lam in partitions_upto(4, n) for mu in window(lam, k)]
+    plain = [factors for factors in _route_factor_lists(monkeypatch, points)
+             if all(c for terms, _ in factors for *_, den in terms for c, _ in den)]
+    assert len(plain) > 500
+    for factors in plain:
+        value = _limit(factors)
+        for q in (3, 5):
+            assert eval_fraction(value, q, 1) == _plain_value(factors, q)
+
+
+def _shared_c_sum(rng, nterms):
+    """A sum with no denominator atom [0 + z*d], whose atoms reuse a few
+    values of c under many directions d, and some of whose terms have a
+    numerator atom [0 + z*d]."""
+    cs = rng.sample([c for c in range(-5, 6) if c], 3)
+    terms = []
+    for _ in range(nterms):
+        num = [(rng.choice(cs), rng.randint(-6, 6)) for _ in range(rng.randint(0, 6))]
+        den = [(rng.choice(cs), rng.randint(-6, 6)) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.3:
+            num.append((0, rng.choice([-1, 1]) * rng.randint(1, 6)))
+        terms.append((UnitMono(rng.choice([-1, 1]), rng.randint(-4, 4), 0), num, den))
+    return terms
+
+
+def test_limit_merges_directions_at_order_zero():
+    # M = 0: [c + z*d] in a numerator cancels [c + z*d'] in a denominator
+    rng = random.Random(14)
+    for case in range(30):
+        factors = [(_shared_c_sum(rng, rng.randint(1, 8)), rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 3))]
+        value = _limit(factors)
+        assert value == limit_oracle(factors), case
+        assert eval_fraction(value, 3, 1) == _plain_value(factors, 3), case
+    one = UnitMono(1, 0, 0)
+    # [2 + z] / [2 - 3z] + [1 + 2z] [3] / ([3 + z] [1 - z]) = 2 at z = 0
+    terms = [(one, [(2, 1)], [(2, -3)]), (one, [(1, 2), (3, 0)], [(3, 1), (1, -1)])]
+    assert _limit([(terms, 1)]) == CoeffRat.from_int(2) == limit_oracle([(terms, 1)])
+
+
+def _with_dead_terms(rng, terms, order):
+    """terms plus copies of some of them whose numerator carries c = 0
+    atoms enough to start above eps^order."""
+    out = list(terms)
+    for mono, num, den in rng.sample(terms, min(3, len(terms))):
+        extra = [(0, rng.choice([-1, 1]) * rng.randint(1, 9))
+                 for _ in range(order + 1 + sum(1 for c, _ in den if c == 0))]
+        out.append((mono, num + extra, den))
+    return out
+
+
+def test_limit_drops_dead_terms_above_order():
+    # M > 0 sums with terms of nu > M: equal to the oracle, which keeps them
+    rng = random.Random(1412)
+    for case in range(12):
+        M = rng.randint(1, 3)
+        order = M + 2 * (case % 2)
+        factors = [(_with_dead_terms(rng, _difference_sum(rng, M, rng.randint(2, 8)), order), 1)]
+        if case % 2:
+            factors.append((_with_dead_terms(rng, _difference_sum(rng, 1, 3), order), 2))
+        assert _limit(factors) == limit_oracle(factors), case
+    one = UnitMono(1, 0, 0)
+    # every term dead: ([z] [2z] [3] + [3z]^2) / [z] is 0 at z = 0, not a pole
+    dead = [(one, [(0, 1), (0, 2), (3, 1)], [(0, 1)]), (one, [(0, 3), (0, 3)], [(0, 1)])]
+    assert _limit([(dead, 1)]) == CR_ZERO == limit_oracle([(dead, 1)])
+    finite = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)])]
+    assert _limit([(finite, 1), (dead, 3)]) == CR_ZERO == limit_oracle([(finite, 1), (dead, 3)])
+
+
+def test_dead_terms_keep_the_raise_paths():
+    one = UnitMono(1, 0, 0)
+    dead = (one, [(0, 1), (0, 2), (4, 1)], [(0, 1)])
+    # a simple pole stays a pole beside a dead term
+    for engine in (_limit, limit_oracle):
+        with pytest.raises(DomainViolationError, match="pole at the regularization limit"):
+            engine([([(one, [], [(0, 1)]), dead], 1)])
+    # an identically vanishing denominator raises in a term that is dead
+    vanishing = (one, [(0, 1), (0, 2)], [(0, 1), (0, 0)])
+    for engine in (_limit, limit_oracle):
+        with pytest.raises(DomainViolationError, match="identically vanishing denominator"):
+            engine([([(one, [(2, 1)], [(3, 1)]), vanishing], 1)])
+
+
+def test_no_dead_term_reaches_term_series(monkeypatch):
+    seen = []
+    series = intertwiner._term_series
+
+    def counted(sign, qa, atoms, binoms, order, s):
+        seen.append((sum(v for (c, _), v in atoms.items() if c == 0), order))
+        multiplied.append(sum(atoms.values()))
+        return series(sign, qa, atoms, binoms, order, s)
+
+    multiplied = []
+    monkeypatch.setattr(intertwiner, "_term_series", counted)
+    one = UnitMono(1, 0, 0)
+    # order 0 merges directions: both terms are 1, and nothing is multiplied
+    terms = [(one, [(2, 1)], [(2, -3)]), (one, [(1, 2), (3, 0)], [(3, 1), (1, -1)])]
+    assert _limit([(terms, 1)]) == CoeffRat.from_int(2)
+    assert seen == [(0, 0), (0, 0)] and multiplied == [0, 0]
+    seen.clear()
+    # order 0: three of five terms carry a numerator [0 + z*d]
+    terms = [(one, [(1, 1)], [(2, 1)]), (one, [(0, 2)], [(1, 1)]),
+             (one, [(3, -1), (0, -1)], []), (one, [], [(1, 2)]),
+             (one, [(0, 4), (0, 1)], [(1, 3)])]
+    assert _limit([(terms, 1)]) == limit_oracle([(terms, 1)])
+    assert seen == [(0, 0), (0, 0)]
+    # order 1: terms at eps^0 and eps^1 are live, one at eps^2 is not
+    seen.clear()
+    terms = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)]),
+             (one, [(0, 3)], [(0, 1)]), (one, [(0, 3), (0, 2)], [(0, 1)])]
+    assert _limit([(terms, 1)]) == limit_oracle([(terms, 1)])
+    assert sorted(seen) == [(0, 1), (0, 1), (1, 1)]
+    # the synthetic difference sums with dead terms added
+    rng = random.Random(7)
+    for _ in range(6):
+        M = rng.randint(1, 3)
+        seen.clear()
+        _limit([(_with_dead_terms(rng, _difference_sum(rng, M, 4), M), 1)])
+        assert seen and all(nu <= order == M for nu, order in seen)
 
 
 _dominant3 = st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(
