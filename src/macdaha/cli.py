@@ -27,21 +27,36 @@ Size envelopes, checked before any computation:
   47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
   seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
   (4, 3).  Their time grows with --samples.
-- `matelt` takes a lambda of at most 10 variables and, for every route,
-  k up to a bound per number n of variables (`_MATELT_MAX_K`; for
-  n = 1, 2, ..., 10: 500, 19, 9, 6, 5, 4, 3, 3, 3, 2).  The mat_elt route
-  expands 2^{(n-1)(k-1)} shift paths and is by far the slowest; each
-  bound for n >= 2 is the largest k at which it took at most 20 s on
-  lambda = (3, 1, 0, ...), mu = (2, 0, ...) on a 2-vCPU Xeon (16.5, 4.9,
-  3.4, 7.9, 4.1, 0.6, 2.8, 14.0 and 0.2 s for n = 2, ..., 10).  At k + 1
-  it took 39.6, 23.4 and 31.5 s for n = 2, 3, 4, and for n = 5, ..., 10
-  it ran out of a 2 GiB address-space limit after 19-30 s; (0, 0, 0) at
-  n = 3, k = 10 took 23.1 s too.  At the bounds diag_sum took at most
-  2.5 s and cg_sq at most 4.0 s.  With one variable every route is one
-  term; the bound is there because the shift-path expansion recurses
-  k - 1 deep, and k = 1000 exceeded Python's default recursion limit.
-  The cost also grows with the spread lambda_1 - lambda_n, which is not
-  bounded: cg_sq at (1000, 500, 0), k = 3 took 20 s.
+- `matelt` takes a lambda of at most 10 variables.  With one variable
+  every route is one term, and k is at most 500: the shift-path expansion
+  recurses k - 1 deep, and k = 1000 exceeded Python's default recursion
+  limit.  For n >= 2 variables, k and the spread s = lambda_1 - lambda_n
+  are bounded for every route (`_MATELT_MAX_SPREAD`: per n, the largest s
+  at k = 1, 2, ...; a larger k is outside it).  For n = 2: s <= 8192 at
+  k <= 5, then 5120, 3840, 2400, 1650, 1340, 753, 611, 496, 496, 372, 127,
+  35, 21, 14 at k = 6, ..., 19; n = 3: 8192, 3328, 1040, 357, 244, 198,
+  123, 30, 22; n = 4: 8192, 704, 264, 148, 74, 24; n = 5: 8192, 352, 88,
+  35, 16; n = 6: 8192, 192, 42, 19; n = 7: 8192, 80, 23; n = 8: 8192, 52,
+  22; n = 9: 8192, 30, 15; n = 10: 8192, 16.
+  The k caps (19, 9, 6, 5, 4, 3, 3, 3, 2 for n = 2, ..., 10) are the
+  largest k at which the mat_elt route, which expands 2^{(n-1)(k-1)}
+  shift paths, took at most 20 s on lambda = (3, 1, 0, ...), mu = (2, 0,
+  ...) on a 2-vCPU Xeon (16.5, 4.9, 3.4, 7.9, 4.1, 0.6, 2.8, 14.0 and
+  0.2 s).  At k + 1 it took 39.6, 23.4 and 31.5 s for n = 2, 3, 4, and for
+  n = 5, ..., 10 it ran out of a 2 GiB address-space limit after 19-30 s;
+  (0, 0, 0) at n = 3, k = 10 took 23.1 s too.
+  Each spread bound is the largest s at which every route took at most
+  20 s on lambda evenly spaced from s down to 0, each mu_i at 0.6 of its
+  gap [lambda_{i+1}, lambda_i] (interior mu are the slow ones: on
+  (1000, 500, 0) at k = 3, cg_sq took 7.6-14.5 s over five interior mu
+  and 0.2 s at mu = (1000, 500)).  Per n the search ran k up from 1,
+  started at the bound of k - 1 (at 8192 for k = 1, where it stopped, so
+  the bounds of 8192 are not where a run got slow), halved s until a run
+  passed and bisected until the passing and failing s were within 1/8,
+  two searches at a time on a 2-vCPU Xeon.  cg_sq set the bounds at
+  small k, mat_elt at large k; at the next s tried, the slowest route
+  took over 20 s.  cg_sq's time jumps rather than grows near its bounds
+  (n = 6, k = 3: 7.0 s at s = 42, 26.5 s at s = 45).
 - `trace` (with or without --ratio) takes at most 6 variables, k up to 8,
   6, 6, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
   up to a bound per n and k (`_TRACE_MAX_DEGREE`; for k = 1, 2, ...:
@@ -87,9 +102,23 @@ _POLY_MAX_DEGREE = {
 }
 # The size envelopes of the restriction suites: the largest n*l.
 _RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}
-# The size envelope of `matelt` (see the module docstring): per number n of
-# variables of lambda, the largest k, for every route.
-_MATELT_MAX_K = {1: 500, 2: 19, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3, 9: 3, 10: 2}
+# The size envelope of `matelt` (see the module docstring): for one
+# variable the largest k, and per number n >= 2 of variables of lambda the
+# largest spread lambda_1 - lambda_n at k = 1, 2, ..., for every route; a
+# larger k is outside it.
+_MATELT_ONE_VAR_MAX_K = 500
+_MATELT_MAX_SPREAD = {
+    2: (8192, 8192, 8192, 8192, 8192, 5120, 3840, 2400, 1650, 1340, 753, 611, 496, 496, 372,
+        127, 35, 21, 14),
+    3: (8192, 3328, 1040, 357, 244, 198, 123, 30, 22),
+    4: (8192, 704, 264, 148, 74, 24),
+    5: (8192, 352, 88, 35, 16),
+    6: (8192, 192, 42, 19),
+    7: (8192, 80, 23),
+    8: (8192, 52, 22),
+    9: (8192, 30, 15),
+    10: (8192, 16),
+}
 # The size envelope of `trace` (see the module docstring): per number n of
 # variables, the largest d = |lambda| - n*lambda_n at k = 1, 2, ...; a
 # larger k is outside it.  One variable has no links and no bound.
@@ -192,11 +221,21 @@ def _require_res_envelope(names, n, l):
                               f"variables (got --n {n} --l {l})")
 
 
-def _require_matelt_envelope(n, k):
-    if n not in _MATELT_MAX_K:
-        raise _UsageError(f"matelt supports at most {max(_MATELT_MAX_K)} variables")
-    if k > _MATELT_MAX_K[n]:
-        raise _UsageError(f"matelt in {n} variables supports k <= {_MATELT_MAX_K[n]}")
+def _require_matelt_envelope(lam, k):
+    n = len(lam)
+    if n == 1:
+        if k > _MATELT_ONE_VAR_MAX_K:
+            raise _UsageError(f"matelt in 1 variables supports k <= {_MATELT_ONE_VAR_MAX_K}")
+        return
+    if n not in _MATELT_MAX_SPREAD:
+        raise _UsageError(f"matelt supports at most {max(_MATELT_MAX_SPREAD)} variables")
+    bounds = _MATELT_MAX_SPREAD[n]
+    if k > len(bounds):
+        raise _UsageError(f"matelt in {n} variables supports k <= {len(bounds)}")
+    spread = lam[0] - lam[-1]
+    if spread > bounds[k - 1]:
+        raise _UsageError(f"lambda_1 - lambda_n = {spread} exceeds {bounds[k - 1]}, the "
+                          f"matelt size envelope for {n} variables at k = {k}")
 
 
 def _require_trace_envelope(lam, n, k):
@@ -254,7 +293,7 @@ def _run(args):
         if len(mu) != len(lam) - 1:
             raise _UsageError("mu must be one entry shorter than lambda")
         k = _require_k(args.k)
-        _require_matelt_envelope(len(lam), k)
+        _require_matelt_envelope(lam, k)
         if not in_window(mu, lam, k):
             raise _UsageError("mu must satisfy lambda_{i+1} - (k-1) <= mu_i <= lambda_i")
         if args.route == "diag_sum":

@@ -374,9 +374,18 @@ def _q_divexact(u, v):
     every coefficient of Q v, Q v = u holds exactly.  A quotient too wide
     for that bound is divided again at doubled widths, and after
     _HEU_TRIES widths long division decides.
+
+    Long division takes about #quotient * #v steps.  While #v <= #u, the
+    term counts (#u - #v + 1) * #u estimate them; a divisor with more
+    terms than the dividend (a sparse u over a dense v) can still have a
+    long quotient, so there the quotient's exponent span times #v does.
     """
-    if (len(u) - len(v) + 1) * len(u) < _KRON_TERMS:
-        return _q_longdiv(u, v)     # about (#quotient) * (#u) steps
+    if u and len(v) > len(u):
+        steps = (max(u) - min(u) - max(v) + min(v) + 1) * len(v)
+    else:
+        steps = (len(u) - len(v) + 1) * len(u)
+    if steps < _KRON_TERMS:
+        return _q_longdiv(u, v)
     lu, lv = min(u), min(v)
     if lu < lv or max(u) - lu < max(v) - lv:
         raise ArithmeticError("inexact polynomial division in Z[q]")

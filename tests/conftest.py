@@ -10,6 +10,7 @@ import pytest
 from macdaha import qfield
 from macdaha.combinat import (interlaces, interlacing_signatures, inversions, is_dominant,
                               shifted_chain_enumerate)
+from macdaha.indexops import IndexOpParams, index_apply
 from macdaha.macops import _psi_for_params
 from macdaha.npoly import NPoly, add_terms
 from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, DomainViolationError,
@@ -199,6 +200,27 @@ def op_column_oracle(lam, r, n, params):
         add_terms(mono, ((nu, c * LaurentQT.const(kostka))
                          for nu, kostka in _kostka_oracle(mu).items()))
     return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items()}
+
+
+def adjoint_pairings_oracle(f, g, box, rseq, k):
+    """Both pairings of summation by parts, as verify_adjoint compared them
+    before it took one zero-tested sum: < Dagger-nest f, g > over the box
+    raised by l = len(rseq) and < f, Tilde-nest g > over the box, each a
+    left fold of + over its points, with the operator nests applied through
+    index_apply and nothing memoized."""
+    def nest(fn, variant, rs):
+        for r in rs:
+            fn = (lambda mu, fn=fn, r=r:
+                  index_apply(fn, IndexOpParams(k=k, variant=variant, r=r), mu))
+        return fn
+
+    fd, gt = nest(f, "dagger", rseq), nest(g, "tilde", list(reversed(rseq)))
+    lhs = rhs = CR_ZERO
+    for mu in box.raised(len(rseq)).points():
+        lhs = lhs + fd(mu) * g(mu)
+    for mu in box.points():
+        rhs = rhs + f(mu) * gt(mu)
+    return lhs, rhs
 
 
 def _gen_binom(d, j):

@@ -243,6 +243,25 @@ def test_matelt_size_envelope(capsys):
     assert rc == 0 and json.loads(out)["route"] == "mat_elt"
 
 
+def test_matelt_spread_envelope(capsys):
+    # One above the spread bound lambda_1 - lambda_n at (n, k) = (2, 9),
+    # (3, 3) and (3, 6), with mu inside the window: a usage error before
+    # any computation, for every route.
+    for route in ("mat_elt", "diag_sum", "cg_sq"):
+        for argv in (["--lambda", "1651,0", "--mu", "0", "--k", "9"],
+                     ["--lambda", "1041,0,0", "--mu", "0,0", "--k", "3"],
+                     ["--lambda", "199,0,0", "--mu", "100,0", "--k", "6"]):
+            t0 = time.perf_counter()
+            rc, out, err = run(capsys, ["matelt", *argv, "--route", route])
+            assert time.perf_counter() - t0 < 1, (argv, route)
+            assert rc == 2 and out == "", (argv, route)
+            assert "lambda_1 - lambda_n" in err and len(err.strip().splitlines()) == 1
+    # at the bound with a corner mu, where the routes are cheap, it prints
+    rc, out, _ = run(capsys, ["matelt", "--lambda", "1040,0,0", "--mu", "1040,0", "--k", "3",
+                              "--route", "cg_sq"])
+    assert rc == 0 and json.loads(out)["route"] == "cg_sq"
+
+
 def test_trace_size_envelope(capsys):
     # Just outside the trace envelope: 7 variables, k one above the cap
     # for 4 variables, and d one above the bound at (n, k) = (4, 4),

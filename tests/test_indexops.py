@@ -1,13 +1,17 @@
 import pytest
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 from random import Random
 
+from conftest import adjoint_pairings_oracle, eval_fraction
+from macdaha import indexops, qfield
 from macdaha.indexops import (AdaptednessError, Box, IndexOpParams,
                               _pair_factor, index_apply, is_adapted,
                               jackson_inner, plain_apply, verify_adjoint)
 from macdaha.macops import macdonald_qk
 from macdaha.qfield import (CR_ONE, CoeffRat, DomainViolationError, LaurentQT,
-                            UnitMono, qfall, qnum)
+                            UnitMono, clear_caches, qfall, qnum)
 from macdaha.sympoly import e_sym, eval_sym
 
 q = UnitMono.q
@@ -79,20 +83,26 @@ def test_index_apply_trivial():
     assert index_apply(f, pp, (5,)) == f((6,))
 
 
+# (numerator arguments, denominator arguments, q-power) per variant
+PAIR_DEFS = {"plain": lambda k, d: ((d + k,), (d,), k),
+             "tilde": lambda k, d: ((d + k, d - k + 1), (d, d + 1), 0),
+             "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d), 0)}
+
+
 def test_pair_factor_is_the_q_number_quotient():
-    # (numerator arguments, denominator arguments, q-power) per variant
-    defs = {"plain": lambda k, d: ((d + k,), (d,), k),
-            "tilde": lambda k, d: ((d + k, d - k + 1), (d, d + 1), 0),
-            "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d), 0)}
-    for variant, args in defs.items():
+    # the dense q-number product and quotient, over the bar differences
+    # the lattice samples reach (about 36-48 for the box at (20, -20))
+    raised = 0
+    for variant, args in PAIR_DEFS.items():
         for k in range(1, 5):
-            for d in range(-8, 9):
+            for d in range(-50, 51):
                 nums, dens, a = args(k, d)
                 if 0 in dens:
                     # e.g. tilde, k = 1, d = -1 is [0][-1]/([-1][0]): a formal
                     # cancellation would give 1, but the quotient is undefined
                     with pytest.raises(DomainViolationError):
                         _pair_factor(variant, k, d)
+                    raised += 1
                     continue
                 want = q(a).as_coeffrat()
                 for x in nums:
@@ -100,8 +110,34 @@ def test_pair_factor_is_the_q_number_quotient():
                 for x in dens:
                     want = want / qnum(x)
                 assert _pair_factor(variant, k, d) == want, (variant, k, d)
+    # plain at d = 0, tilde at d = 0, -1 and dagger at d = 0, 1, per k
+    assert raised == 5 * 4
     with pytest.raises(DomainViolationError):
         _pair_factor("tilde", 1, -1)
+
+
+def test_pair_factor_gcds_are_sparse(monkeypatch):
+    # each factor is prod (q^2a - 1) / prod (q^2b - 1): one gcd of maps of
+    # at most 4 terms, never one of dense q-number products
+    sizes = []
+    gcd = qfield._gcd_cofactors
+
+    def recording(A, B):
+        sizes.append((len(A), len(B)))
+        return gcd(A, B)
+
+    monkeypatch.setattr(qfield, "_gcd_cofactors", recording)
+    clear_caches()
+    calls = 0
+    for variant, args in PAIR_DEFS.items():
+        for k in range(1, 5):
+            for d in range(-50, 51):
+                if 0 not in args(k, d)[1]:
+                    _pair_factor(variant, k, d)
+                    calls += 1
+    clear_caches()
+    assert 0 < len(sizes) <= calls
+    assert max(max(s) for s in sizes) <= 4
 
 
 def test_index_apply_rejects_colliding_bars():
@@ -188,6 +224,93 @@ def test_adjoint_two_dimensional():
             g = qpow_fn((rng.randint(-1, 1), rng.randint(-1, 1)))
             rseq = [rng.randint(0, 2) for _ in range(l)]
             assert verify_adjoint(f, g, box, rseq, k)
+
+
+def _adjoint_cases(seed):
+    """Seeded summation-by-parts samples: 1-D boxes at every r, and 2-D
+    boxes at (20, -20) whose rseq has some 0 < r < dim, the only degrees
+    with pair factors."""
+    rng = Random(seed)
+    cases = []
+    for k in (1, 2, 3):
+        box = Box((0,), (2,))
+        for l in (1, 2):
+            rseq = [rng.randint(0, 1) for _ in range(l)]
+            cases.append((_adapted_sample(rng, box, l), qpow_fn((rng.randint(-2, 2),)),
+                          box, rseq, k))
+        box = Box((20, -20), (22, -18))
+        for rseq in ([1], [1, rng.randint(0, 2)], [rng.randint(0, 2), 1]):
+            g = qpow_fn((rng.randint(-1, 1), rng.randint(-1, 1)))
+            cases.append((_adapted_sample(rng, box, len(rseq)), g, box, rseq, k))
+    return cases
+
+
+def test_adjoint_agrees_with_two_pairing_oracle():
+    for f, g, box, rseq, k in _adjoint_cases(13):
+        lhs, rhs = adjoint_pairings_oracle(f, g, box, rseq, k)
+        assert lhs == rhs, (box, rseq, k)
+        assert verify_adjoint(f, g, box, rseq, k) is True, (box, rseq, k)
+
+
+def _qnum_at_3(x):
+    return (Fraction(3) ** x - Fraction(3) ** -x) / (Fraction(3) - Fraction(1, 3))
+
+
+def _index_apply_at_3(fn, variant, k, r, mu):
+    """The tilde or dagger operator of degree r at mu, in Fractions at
+    q = 3, from its defining product over the pairs j < i, i in I, j not
+    in I (fn maps a point to a Fraction)."""
+    bar = [m - k * i for i, m in enumerate(mu)]
+    step = 1 if variant == "tilde" else -1
+    out = Fraction(0)
+    for I in combinations(range(len(mu)), r):
+        coeff = Fraction(1)
+        for i in I:
+            for j in range(i):
+                if j in I:
+                    continue
+                d = bar[i] - bar[j]
+                if variant == "tilde":
+                    coeff *= _qnum_at_3(d + k) * _qnum_at_3(d - k + 1) \
+                        / (_qnum_at_3(d) * _qnum_at_3(d + 1))
+                else:
+                    coeff *= _qnum_at_3(d + k - 1) * _qnum_at_3(d - k) \
+                        / (_qnum_at_3(d - 1) * _qnum_at_3(d))
+        out += coeff * fn(tuple(m + step if i in I else m for i, m in enumerate(mu)))
+    return out
+
+
+def test_adjoint_pairings_at_q_three():
+    # both pairings evaluated independently in fractions.Fraction at q = 3
+    for f, g, box, rseq, k in _adjoint_cases(19):
+        f3 = lambda mu, f=f: eval_fraction(f(mu), 3, 1)
+        g3 = lambda mu, g=g: eval_fraction(g(mu), 3, 1)
+        fd, gt = f3, g3
+        for r in rseq:
+            fd = lambda mu, fn=fd, r=r, k=k: _index_apply_at_3(fn, "dagger", k, r, mu)
+        for r in reversed(rseq):
+            gt = lambda mu, fn=gt, r=r, k=k: _index_apply_at_3(fn, "tilde", k, r, mu)
+        lhs3 = sum(fd(mu) * g3(mu) for mu in box.raised(len(rseq)).points())
+        rhs3 = sum(f3(mu) * gt(mu) for mu in box.points())
+        assert lhs3 == rhs3, (box, rseq, k)
+        lhs, rhs = adjoint_pairings_oracle(f, g, box, rseq, k)
+        assert eval_fraction(lhs, 3, 1) == lhs3 and eval_fraction(rhs, 3, 1) == rhs3
+
+
+def test_adjoint_detects_a_wrong_tilde_factor(monkeypatch):
+    # with every tilde pair factor multiplied by q the identity fails, and
+    # verify_adjoint must say so
+    box = Box((20, -20), (22, -18))
+    f = _adapted_sample(Random(17), box, 1)
+    g = qpow_fn((1, 0))
+    assert verify_adjoint(f, g, box, [1], 2) is True
+    factor = indexops._pair_factor
+    monkeypatch.setattr(indexops, "_pair_factor", lambda variant, k, d:
+                        factor(variant, k, d) * q() if variant == "tilde"
+                        else factor(variant, k, d))
+    lhs, rhs = adjoint_pairings_oracle(f, g, box, [1], 2)
+    assert lhs != rhs
+    assert verify_adjoint(f, g, box, [1], 2) is False
 
 
 def test_adjoint_nesting_queries_each_point_boundedly():

@@ -312,6 +312,22 @@ def test_divexact_wide_quotient_doubles_width(monkeypatch):
     assert widths == [8, 16] and qfield._q_mul(quo, v) == u
 
 
+def test_divexact_sizes_long_division_by_the_quotient_span(monkeypatch):
+    # q^400 - 1 over the 20 terms 1 + q + ... + q^19: the divisor has more
+    # terms than the dividend, yet the quotient (q - 1)(1 + q^20 + ... +
+    # q^380) spans 381 exponents, so long division (about 381 * 20 steps)
+    # must not be picked; a term-count estimate, (2 - 20 + 1) * 2 < 0,
+    # picked it whatever the quotient.
+    u, v = {0: -1, 400: 1}, {a: 1 for a in range(20)}
+    longdiv, calls = qfield._q_longdiv, []
+    monkeypatch.setattr(qfield, "_q_longdiv", lambda u, v: calls.append(1) or longdiv(u, v))
+    quo = qfield._q_divexact(u, v)
+    assert len(quo) == 40 and qfield._q_mul(quo, v) == u and not calls
+    # a short quotient still takes long division
+    assert qfield._q_divexact({0: -1, 6: 1}, {0: 1, 1: 1, 2: 1}) == {0: -1, 1: 1, 3: -1, 4: 1}
+    assert qfield._q_divexact({}, v) == {} and len(calls) == 2
+
+
 def test_t_free_poly_divexact_rejects_inexact():
     two_d = lambda u, b=0: {(a, b): c for a, c in u.items()}
     big = q_numbers(*range(3, 16))
