@@ -20,10 +20,9 @@ from .daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv, act_e,
                    e_r_Y_apply, generic_daha_params, is_multiwheel,
                    p1_Yinv_apply, p1_Yinv_via_y, res_map, res_map_half,
                    verify_relations, verify_res_diff, verify_res_intertwine)
-from .intertwiner import (branch_reconstruct_qk, c_squared_chain, cg_diag_sq,
-                          cg_reduced_squared, delta1, delta2, delta_cross,
-                          diag_coeff_sum, ek_denominator, mat_elt, psi_qnum,
-                          s_factorial_sq, trace_ratio, trace_reconstruct)
+from .intertwiner import (branch_reconstruct_qk, c_squared_chain, delta1, delta2,
+                          delta_cross, diag_coeff_sum, ek_denominator, mat_elt,
+                          psi_qnum, trace_ratio, trace_reconstruct)
 from .suites import SUITES, list_suites, run_suite
 
 __version__ = "0.1.0"

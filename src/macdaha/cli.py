@@ -27,6 +27,14 @@ Size envelopes, checked before any computation:
   47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
   seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
   (4, 3).  Their time grows with --samples.
+- `verify --suite matelt-routes` (also through `--suite all`) takes at
+  most 10 variables and k up to a bound per n (`_MATELT_ROUTES_MAX_K`; for
+  n = 1, ..., 10: 500 (the `matelt` bound), 14, 5, 3, 2, 1, 1, 1, 1, 1),
+  the largest k at which the suite took at most 20 s at the default
+  --maxdeg 4 on a 2-vCPU Xeon (9.0, 5.4, 12.3 and 2.0 s for n = 2, ..., 5,
+  under 0.4 s otherwise; at k + 1, 21.1, 21.6 and 26.9 s for n = 2, 3, 6,
+  over 45 s for n = 4, 5, 7, not run for n >= 8).  Its time grows with
+  --maxdeg.
 - `matelt` takes a lambda of at most 10 variables.  With one variable
   every route is one term, and k is at most 500: the shift-path expansion
   recurses k - 1 deep, and k = 1000 exceeded Python's default recursion
@@ -61,21 +69,25 @@ Size envelopes, checked before any computation:
   6, 6, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
   up to a bound per n and k (`_TRACE_MAX_DEGREE`; for k = 1, 2, ...:
   n = 2: 40 at every k; n = 3: 30, 30, 30, 25, 21, 18; n = 4: 20, 19,
-  10, 7, 4, 1; n = 5: 16, 8, 2; n = 6: 12, 3).  Each bound is the largest
+  11, 7, 4, 2; n = 5: 16, 8, 3; n = 6: 12, 3).  Each bound is the largest
   d at which `trace --ratio` took at most 20 s on each of (d, 0, ...),
   (d-1, 1, 0, ...), (d-2, 2, 0, ...) and (d-3, 3, 0, ...) and at most 40 s
   on all of them together, on a 2-vCPU Xeon (doubling d, then bisecting).
   The search stopped at d = 40, 30, 20, 16 and 12 for n = 2, ..., 6, so
   the bounds equal to those caps are not where a run got slow.  The rows
-  for n = 4 (k >= 2) and n = 5 (k >= 2) were measured again, d by d up
-  from the old bound, once the limit engine dropped dead terms: at d + 1,
-  n = 4 took 57.6, 42.5 and 52.7 s together at k = 2, 3, 4, and 22.0 s
-  and 26.8 s on (d + 1, 0, 0, 0) alone at k = 5, 6; n = 5 took 43.4 s
-  together at k = 2 and 20.0 s on (3, 0, 0, 0, 0) at k = 3.  At d = 0,
-  k = 7 in 4 variables took 34 s, k = 4 in 5 variables did not finish in
-  45 s, and k = 2 in 7 variables took 52 s.  The k caps for n = 2 and 3
-  are where the sweep stopped, too (at d = 0 and k = 8, n = 2 took
-  0.14 s and n = 3 3.3 s).  One variable has no links: every k and d.
+  for n = 4 and 5 at k >= 2 were last timed at d + 1 with the route terms
+  built in the limit engine's keyed form (trace_ratio called directly):
+  n = 4 took 42.4, 31.8, 48.7, 43.7 and 27.7 s together at k = 2, ..., 6
+  and n = 5 41.0 and 25.4 s at k = 2, 3; the rows at (n, k) = (4, 3),
+  (4, 6) and (5, 3), with no run over 17.9 s, went up by one, and at their
+  new d + 1 took 45.3 s together, 21.4 s on (3, 0, 0, 0) and 25.0 s on
+  (4, 0, 0, 0, 0).  At the old d + 1 of those rows the code before took
+  32.8 s together, 21.2 s on (2, 0, 0, 0) and 19.2 s on (3, 0, 0, 0, 0) on
+  the same day.  At d = 0, k = 7 in 4 variables took 34 s, k = 4 in 5
+  variables did not finish in 45 s, and k = 2 in 7 variables took 52 s.
+  The k caps for n = 2 and 3 are where the sweep stopped, too (at d = 0
+  and k = 8, n = 2 took 0.14 s and n = 3 3.3 s).  One variable has no
+  links: every k and d.
 """
 
 from __future__ import annotations
@@ -102,6 +114,8 @@ _POLY_MAX_DEGREE = {
 }
 # The size envelopes of the restriction suites: the largest n*l.
 _RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}
+# The size envelope of the matelt-routes suite: per n, the largest k.
+_MATELT_ROUTES_MAX_K = {1: 500, 2: 14, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}
 # The size envelope of `matelt` (see the module docstring): for one
 # variable the largest k, and per number n >= 2 of variables of lambda the
 # largest spread lambda_1 - lambda_n at k = 1, 2, ..., for every route; a
@@ -125,8 +139,8 @@ _MATELT_MAX_SPREAD = {
 _TRACE_MAX_DEGREE = {
     2: (40, 40, 40, 40, 40, 40, 40, 40),
     3: (30, 30, 30, 25, 21, 18),
-    4: (20, 19, 10, 7, 4, 1),
-    5: (16, 8, 2),
+    4: (20, 19, 11, 7, 4, 2),
+    5: (16, 8, 3),
     6: (12, 3),
 }
 
@@ -219,6 +233,16 @@ def _require_res_envelope(names, n, l):
         if n * l > _RES_MAX_VARS.get(name, n * l):
             raise _UsageError(f"{name} takes n*l <= {_RES_MAX_VARS[name]} "
                               f"variables (got --n {n} --l {l})")
+
+
+def _require_matelt_routes_envelope(names, n, k):
+    if "matelt-routes" not in names:
+        return
+    bounds = _MATELT_ROUTES_MAX_K
+    if n not in bounds:
+        raise _UsageError(f"matelt-routes takes at most {max(bounds)} variables (got --n {n})")
+    if k > bounds[n]:
+        raise _UsageError(f"matelt-routes in {n} variables takes k <= {bounds[n]} (got --k {k})")
 
 
 def _require_matelt_envelope(lam, k):
@@ -337,6 +361,7 @@ def _run(args):
         else:
             raise _UsageError(f"unknown suite {args.suite!r}")
         _require_res_envelope(names, args.n, args.l)
+        _require_matelt_routes_envelope(names, args.n, args.k)
         reports = [suites.run_suite(name, n=args.n, l=args.l, k=args.k,
                                     maxdeg=args.maxdeg, samples=args.samples,
                                     seed=args.seed)

@@ -20,6 +20,16 @@ denominator reaches only eps^{>M} and is dropped unexpanded.  M = 0 is
 plain evaluation: a term with a vanishing numerator atom is zero, and
 every other atom [c + z*d] is [c] whatever d is, so atoms are merged by c
 before anything is multiplied out.
+
+Every route builds its terms in the engine's keyed form (see _limit).  Its
+atoms come in runs [x + z*d], [x - 1 + z*d], ..., [x - L + 1 + z*d] along
+one direction d, and a run holds the atom [0 + z*d] exactly when
+0 <= x < L: the c = 0 counts, the common denominator and M come from run
+endpoints, and only the terms that reach eps^M get their other atoms
+counted.  With F(x) the atoms 1..x for x >= 0 and minus the atoms x+1..0
+for x < 0, [a]!/[b]! = F(a) - F(b) for all integers a and b (ratios of
+q-Gamma values telescope), so the Clebsch-Gordan factorials need no
+pairing, and moving an argument by one adds or removes one atom.
 """
 
 from __future__ import annotations
@@ -60,8 +70,9 @@ def _route_args(mu, lam, k):
 # number nu > M starts at eps^nu; every other factor of the product is a
 # power series, so the term reaches only eps^{>M} and is dropped before
 # any series is formed.  At M = 0 that is any term with a c = 0 atom left
-# in its numerator.  The common denominator is not recomputed from the
-# live terms: that would change M.
+# in its numerator.  The routes build no dead term past its c = 0 counts
+# and hand each sum's common denominator with its live terms: recomputing
+# it from the live terms would change M.
 #
 # The c != 0 atoms are units: B(c, d) -> q^c - q^-c at Z = 1 whatever d
 # is, and (q - q^-1) = B(1, 0).  At M = 0 the limit is plain evaluation,
@@ -101,49 +112,6 @@ def _binom(d, j):
     return -comb(j - d - 1, j) if j % 2 else comb(j - d - 1, j)
 
 
-def _zero_atoms(mono, num, den):
-    """(sign, zero) for the c = 0 atoms of a term, or None when an
-    identically-zero numerator atom kills the term.  The sign is mono's,
-    flipped once per atom (0, d < 0) (B(0, -d) = -B(0, d)), and zero maps
-    d > 0 to the count of (0, +-d) in num minus that in den."""
-    sign = mono.sign
-    zero = {}
-    for c, d in num:
-        if not c:
-            if d < 0:
-                d, sign = -d, -sign
-            elif not d:
-                return None
-            zero[d] = zero.get(d, 0) + 1
-    for c, d in den:
-        if not c:
-            if d < 0:
-                d, sign = -d, -sign
-            elif not d:
-                raise DomainViolationError("identically vanishing denominator")
-            zero[d] = zero.get(d, 0) - 1
-    return sign, zero
-
-
-def _unit_atoms(num, den, sign, atoms, keep_d):
-    """Add to atoms the count in num minus that in den of each c != 0
-    atom, flipped to c > 0 and keyed (c, d), or (c, 0) when keep_d is 0;
-    return sign flipped once per flipped atom."""
-    for c, d in num:
-        if c:
-            if c < 0:
-                c, d, sign = -c, -d, -sign
-            key = c, d * keep_d
-            atoms[key] = atoms.get(key, 0) + 1
-    for c, d in den:
-        if c:
-            if c < 0:
-                c, d, sign = -c, -d, -sign
-            key = c, d * keep_d
-            atoms[key] = atoms.get(key, 0) - 1
-    return sign
-
-
 def _trunc_mul(a, b):
     """The product of two packed series, truncated to the length of a."""
     out = [0] * len(a)
@@ -158,7 +126,7 @@ def _term_series(sign, qa, atoms, binoms, order, s):
     """(off, packed series) of sign q^qa prod_{(c, d)} B(c, d)^count."""
     ser = [sign] + [0] * order
     off = -qa
-    for (c, d), cnt in atoms.items():
+    for (c, d), cnt in sorted(atoms.items()):
         if not cnt:
             continue
         off += c * cnt
@@ -182,43 +150,34 @@ def _term_series(sign, qa, atoms, binoms, order, s):
 
 
 def _limit(factors):
-    """Exact Z -> 1 value of prod_f (sum_i mono_i prod [num_i] / prod [den_i])^p_f.
+    """Exact Z -> 1 value of prod_f (sum of the terms of f)^p_f.
 
-    factors lists pairs (terms, p_f); each term is (mono, num, den) with
-    mono a q-power UnitMono and num/den lists of (c, d) factor descriptors.
+    factors lists triples (terms, zden, p_f).  A term (sign, qa, zero, units,
+    excess) stands for sign q^qa prod_d B(0, d)^zero[d]
+    prod_{(c, d)} B(c, d)^units[c, d] B(1, 0)^excess, with d > 0 in zero and
+    c > 0 in units; units are keyed (c, 0) when no zden has an entry (M = 0).
+    zden maps d to the most atoms (0, d) any term of the sum, dead ones
+    included, has in its denominator.
     """
-    sums = []
-    order = 0
-    for terms, power in factors:
-        norm = [(z, t) for t in terms if (z := _zero_atoms(*t)) is not None]
-        if not norm:
-            return CR_ZERO
-        zden = {}               # d -> the most atoms (0, d) any term has in den
-        for (_, zero), _ in norm:
-            for d, v in zero.items():
-                if v < -zden.get(d, 0):
-                    zden[d] = -v
-        order += power * sum(zden.values())
-        sums.append((norm, zden, power))
-    keep_d = 1 if order else 0
+    order = sum(power * sum(zden.values()) for _, zden, power in factors)
     binoms = {}     # d -> binom(d, j), binom(-d, j) for j <= order, their L1 norm
 
-    # Each live term's atoms over its sum's common c = 0 denominator, with
-    # (q - q^-1) = B(1, 0) for its excess of den atoms over num atoms; the
+    # Each live term's atoms over its sum's common c = 0 denominator; the
     # taken-out c != 0 atoms (see above) and the bounds of the width.
     outer = {}                  # c -> power of q^c - q^-c taken out of the sums
     nbound = lead = 1           # lead: the product of the c = 0 lead atoms 2d
     expanded = []
-    for norm, zden, power in sums:
+    for terms, zden, power in factors:
         base = sum(zden.values())
         live = []
-        for (sign, zero), (mono, num, den) in norm:
+        for sign, qa, zero, units, excess in terms:
             if base + sum(zero.values()) > order:
                 continue
-            atoms = {(0, d): zden.get(d, 0) + zero.get(d, 0) for d in zden.keys() | zero}
-            atoms[1, 0] = len(den) - len(num)
-            sign = _unit_atoms(num, den, sign, atoms, keep_d)
-            live.append((sign, mono.a, atoms))
+            atoms = dict(units)
+            for d in zden.keys() | zero:
+                atoms[0, d] = zden.get(d, 0) + zero.get(d, 0)
+            atoms[1, 0] = atoms.get((1, 0), 0) + excess
+            live.append((sign, qa, atoms))
         if not live:
             return CR_ZERO
         shared = {key: v for key, v in live[0][2].items() if key[0]}
@@ -340,37 +299,88 @@ def psi_qnum(lam, mu, k):
 
 
 # ---------------------------------------------------------------------------
+# Route terms in keyed form.  A run (x, L, d, s) stands for the atoms
+# [x - i + z*d], i < L, s times in the numerator (s > 0) or -s times in the
+# denominator (s < 0).
+
+def _runs_zero(runs, zero):
+    """Add to zero, keyed |d|, the net count of the atoms [0 + z*d] of runs
+    (a run holds one when 0 <= x < L); return zero."""
+    for x, L, d, s in runs:
+        if 0 <= x < L:
+            d = abs(d)
+            zero[d] = zero.get(d, 0) + s
+    return zero
+
+
+def _runs_units(runs, units, keep):
+    """Add to units the net count of the atoms c != 0 of runs, flipped to
+    c > 0 and keyed (c, d * keep); return the net number of flipped atoms,
+    atoms [0 + z*d] with d < 0 included, and the excess of denominator over
+    numerator atoms.  A run may stand s times for its atoms."""
+    flips = excess = 0
+    for x, L, d, s in runs:
+        excess -= s * L
+        b = x - L + 1
+        dk = d * keep
+        for c in range(max(b, 1), x + 1):
+            units[c, dk] = units.get((c, dk), 0) + s
+        if b <= 0:
+            flips += s * ((x >= 0 and d < 0) + max(0, min(x + 1, 0) - b))
+            for c in range(max(-x, 1), 1 - b):
+                units[c, -dk] = units.get((c, -dk), 0) + s
+    return flips, excess
+
+
+def _common_den(zeros):
+    """d -> the most atoms [0 + z*d] any of the zero maps has in its
+    denominator."""
+    zden = {}
+    for zero in zeros:
+        for d, v in zero.items():
+            if v < -zden.get(d, 0):
+                zden[d] = -v
+    return zden
+
+
+def _one_sum(shared, cands):
+    """_limit's factors for one sum to the first power: cands lists (sign,
+    qa, zero, runs) per term, zero counting the atoms [0 + z*d] of runs and
+    of the runs shared by every term.  M is the size of the common
+    denominator, so a term is live when its zero counts add up to at most 0;
+    only live terms get their other atoms counted."""
+    zden = _common_den(zero for _, _, zero, _ in cands)
+    keep = 1 if zden else 0
+    units0 = {}
+    flips0, excess0 = _runs_units(shared, units0, keep)
+    terms = []
+    for sign, qa, zero, runs in cands:
+        if sum(zero.values()) <= 0:
+            units = dict(units0)
+            flips, excess = _runs_units(runs, units, keep)
+            terms.append((-sign if (flips0 + flips) % 2 else sign, qa, zero, units,
+                          excess0 + excess))
+    return [(terms, zden, 1)]
+
+
+def _kernel_runs(lb, nbp, k):
+    """Numerator runs of the falling-factorial kernel at the point nu, with
+    nbp_j = nu_j + (k - 1) - k*j.  Coordinate i of nu carries the direction
+    i, coordinate j of lam the direction n + j."""
+    n = len(lb)
+    return ([(lb[i] - nbp[j] + k - 1, k - 1, n + i - j, 1)
+             for j in range(n - 1) for i in range(j + 1)]
+            + [(nbp[i] - lb[j] - 1, k - 1, i - n - j, 1)
+               for i in range(n - 1) for j in range(i + 1, n)])
+
+
+def _delta2_runs(lb, k):
+    """Denominator runs of Delta_2(lam) = prod_{i<j} [lambar_i - lambar_j - 1]_{k-1}."""
+    return [(lb[i] - lb[j] - 1, k - 1, i - j, -1) for i, j in combinations(range(len(lb)), 2)]
+
+
+# ---------------------------------------------------------------------------
 # The explicit box summation for c(mu, lam).
-
-def _diag_factor_lists(mu, lam, k, v):
-    """Regularized factor lists (c, d) for one summand of the box sum.
-
-    Directions: coordinate i of mu carries d = i, coordinate j of lam
-    carries d = n + j, so every pair difference has a nonzero direction.
-    """
-    m = len(lam) - 1
-    mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
-    nbp = [mbp[i] - v[i] for i in range(m)]
-    num = _kernel_atoms(lam, k, [mu[i] - v[i] for i in range(m)])
-    den = _delta2_atoms(lam, k)
-    for i in range(m):
-        for c in range(1, k - v[i]):
-            den.append((c, 0))
-        for c in range(1, v[i] + 1):
-            den.append((c, 0))
-        for j in range(i + 1, m):
-            d = i - j
-            A = mbp[i] - mbp[j]
-            for s in range(2 * k - 1):
-                num.append((A + k - 1 - s, d))
-            num.append((nbp[i] - nbp[j], d))
-            for s in range(k):
-                den.append((nbp[i] - mbp[j] + k - 1 - s, d))
-                den.append((mbp[i] - nbp[j] - s, d))
-            for s in range(k - 1):
-                den.append((A + k - 1 - s, d))
-    return num, den
-
 
 def diag_coeff_sum(mu, lam, k):
     """c(mu, lam) as the explicit finite sum over the shifted box.
@@ -379,45 +389,33 @@ def diag_coeff_sum(mu, lam, k):
     mu' = mu + (k-1); signs, q-powers, factorial and falling-factorial
     factors per summand, against the global prefactor
     (-1)^{(n-1)(k-1)} q^{(n-1)k(k-1)} / (Delta_2(lam) Delta_1(mu)).
+    The summand at nu' = mu' - v has nbp = mbp - v.
     """
     mu, lam = _route_args(mu, lam, k)
     m = len(mu)
-    pref = UnitMono(-1 if (m * (k - 1)) % 2 else 1, m * k * (k - 1), 0)
-    terms = []
+    lb = shift(lam, k, "bar")
+    mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
+    pairs = list(combinations(range(m), 2))
+    # Per pair, [A + k - 1]_{2k-1} / [A + k - 1]_{k-1} = [A]_k, A = mbp_i - mbp_j.
+    shared = _delta2_runs(lb, k) + [(mbp[i] - mbp[j], k, i - j, 1) for i, j in pairs]
+    zero0 = _runs_zero(shared, {})
+    cands = []
     for v in product(range(k), repeat=m):
-        num, den = _diag_factor_lists(mu, lam, k, v)
+        nbp = [x - y for x, y in zip(mbp, v)]
+        runs = _kernel_runs(lb, nbp, k)
+        for x in v:
+            runs += ((k - 1 - x, k - 1 - x, 0, -1), (x, x, 0, -1))
+        for i, j in pairs:
+            runs += ((nbp[i] - nbp[j], 1, i - j, 1), (nbp[i] - mbp[j] + k - 1, k, i - j, -1),
+                     (mbp[i] - nbp[j], k, i - j, -1))
         sv = sum(v)
-        terms.append((UnitMono(-1 if sv % 2 else 1, -k * sv, 0) * pref, num, den))
-    return _limit([(terms, 1)])
+        cands.append((-1 if (sv + m * (k - 1)) % 2 else 1, m * k * (k - 1) - k * sv,
+                      _runs_zero(runs, dict(zero0)), runs))
+    return _limit(_one_sum(shared, cands))
 
 
 # ---------------------------------------------------------------------------
 # The operator route for c(mu, lam).
-
-def _kernel_atoms(lam, k, nu):
-    """Factor descriptors of the falling-factorial kernel at the point nu."""
-    n = len(lam)
-    m = n - 1
-    lb = shift(lam, k, "bar")
-    nbp = [nu[j] + (k - 1) - k * j for j in range(m)]
-    atoms = []
-    for j in range(m):
-        for i in range(j + 1):
-            for s in range(k - 1):
-                atoms.append((lb[i] - nbp[j] + k - 1 - s, (n + i) - j))
-    for i in range(m):
-        for j in range(i + 1, n):
-            for s in range(k - 1):
-                atoms.append((nbp[i] - lb[j] - 1 - s, i - (n + j)))
-    return atoms
-
-
-def _delta2_atoms(lam, k):
-    """Factor descriptors of Delta_2(lam) = prod_{i<j} [lambar_i - lambar_j - 1]_{k-1}."""
-    lb = shift(lam, k, "bar")
-    return [(lb[i] - lb[j] - 1 - s, i - j)
-            for i, j in combinations(range(len(lam)), 2) for s in range(k - 1)]
-
 
 def mat_elt(mu, lam, k):
     """c(mu, lam) by applying prod_{a=1}^{k-1} D(q^{2a}; q^{-2}, q^{2(k-1)})
@@ -432,72 +430,38 @@ def mat_elt(mu, lam, k):
     """
     mu, lam = _route_args(mu, lam, k)
     m = len(lam) - 1
+    lb = shift(lam, k, "bar")
     mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
-    den_global = _delta2_atoms(lam, k)
-    for i in range(m):
-        for j in range(i, m):
-            for s in range(k - 1):
-                den_global.append((mbp[i] - mbp[j] + k - 1 - s, i - j))
-    terms = []
+    shared = _delta2_runs(lb, k) + [(mbp[i] - mbp[j] + k - 1, k - 1, i - j, -1)
+                                    for i in range(m) for j in range(i, m)]
+    zero0 = _runs_zero(shared, {})
+    cands = []
 
-    def expand(a, point, qexp, sign, num, den):
+    def expand(a, point, qexp, sign, path):
         if a == 0:
-            terms.append((UnitMono(sign, qexp, 0),
-                          num + _kernel_atoms(lam, k, point),
-                          den + den_global))
+            runs = path + _kernel_runs(lb, [point[j] + k - 1 - k * j for j in range(m)], k)
+            cands.append((sign, qexp, _runs_zero(runs, dict(zero0)), runs))
             return
         bar = [point[i] - k * i for i in range(m)]
-        for r in range(m + 1):
-            s2 = sign if (m - r) % 2 == 0 else -sign
-            base_q = qexp + 2 * a * (m - r) + (k - 1) * r * (r - m)
-            for I in combinations(range(m), r):
-                iset = set(I)
-                addn = []
-                addd = []
-                pairs = 0
-                for i in I:
-                    for j in range(m):
-                        if j in iset:
-                            continue
-                        pairs += 1
-                        addn.append((bar[i] - bar[j] + k - 1, i - j))
-                        addd.append((bar[i] - bar[j], i - j))
-                shifted = tuple(x - 1 if i in iset else x
-                                for i, x in enumerate(point))
-                expand(a - 1, shifted, base_q + (k - 1) * pairs, s2,
-                       num + addn, den + addd)
+        for I, rest, odd in subsets:
+            step = [(bar[i] - bar[j] + c, 1, i - j, s) for i in I for j in rest
+                    for c, s in ((k - 1, 1), (0, -1))]
+            shifted = tuple(x - 1 if i in I else x for i, x in enumerate(point))
+            # (k-1) r (r-m) and (k-1) per pair (i, j) cancel in the q-power
+            expand(a - 1, shifted, qexp + 2 * a * len(rest), -sign if odd else sign, path + step)
 
-    expand(k - 1, mu, 0, 1, [], [])
-    return _limit([(terms, 1)])
+    subsets = [(I, [j for j in range(m) if j not in I], (m - r) % 2)
+               for r in range(m + 1) for I in combinations(range(m), r)]
+    expand(k - 1, mu, 0, 1, [])
+    return _limit(_one_sum(shared, cands))
 
 
 # ---------------------------------------------------------------------------
 # Reduced Clebsch-Gordan route, carried in squared form.
 
-def s_factorial_sq(a, b):
-    """S(a, b)^2 = prod_{i<=j} [a_i - b_j + j - i]! / prod_{i<j} [b_i - a_j + j - i - 1]!.
-
-    Arguments index a in the numerator's first slot and b in the second;
-    a negative factorial argument means the pattern is inadmissible.
-    """
-    val = CR_ONE
-    for i in range(len(a)):
-        for j in range(i, len(b)):
-            x = a[i] - b[j] + j - i
-            if x < 0:
-                raise ValueError("inadmissible pattern: negative factorial argument")
-            val = val * qfact(x)
-    for i in range(len(b)):
-        for j in range(i + 1, len(a)):
-            x = b[i] - a[j] + j - i - 1
-            if x < 0:
-                raise ValueError("inadmissible pattern: negative factorial argument")
-            val = val / qfact(x)
-    return val
-
-
 def _cg_qpower(tau, p, tau_p, eta, r, eta_p):
-    """The exponent b of the q^{-b} prefactor of cg_reduced_squared."""
+    """The exponent b of the q^{-b} prefactor of the squared reduced
+    Clebsch-Gordan coefficient."""
     n = len(tau)
     m = len(eta)
     b = 0
@@ -515,95 +479,95 @@ def _cg_qpower(tau, p, tau_p, eta, r, eta_p):
     return b
 
 
-def cg_reduced_squared(tau, p, tau_p, eta, r, eta_p):
-    """Square of the reduced Clebsch-Gordan coefficient for
-    L_{tau'} -> L_tau (x) Sym^p, between rows (eta, r) and (eta', ...).
-
-    Everything is squared, so the value lives in Q(q) with no root
-    ambiguity; the overall sign is not recoverable from this route.
-    """
-    tau, tau_p, eta, eta_p = tuple(tau), tuple(tau_p), tuple(eta), tuple(eta_p)
-    n = len(tau)
-    m = len(eta)
-    if len(tau_p) != n or len(eta_p) != m or m != n - 1:
-        raise ValueError("row lengths must be n, n, n-1, n-1")
-    los = [max(eta[i], tau_p[i + 1]) for i in range(m)]
-    his = [min(eta_p[i], tau[i]) for i in range(m)]
-    if any(lo > hi for lo, hi in zip(los, his)):
-        return CR_ZERO
-    b = _cg_qpower(tau, p, tau_p, eta, r, eta_p)
-    pref = s_factorial_sq(eta_p, eta) * s_factorial_sq(tau, eta) \
-        * s_factorial_sq(tau_p, tau_p) * s_factorial_sq(eta, eta) \
-        / (s_factorial_sq(tau_p, tau) * s_factorial_sq(tau_p, eta_p))
-    total = CR_ZERO
-    for sigma in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        dsum = sum(sigma) - sum(eta)
-        term = s_factorial_sq(sigma, sigma) * s_factorial_sq(tau_p, sigma) \
-            / (s_factorial_sq(sigma, eta) * s_factorial_sq(eta_p, sigma)
-               * s_factorial_sq(tau, sigma))
-        total = total + term * UnitMono(-1 if dsum % 2 else 1,
-                                        (p - r + 1) * dsum, 0).as_coeffrat()
-    return UnitMono.q(-b).as_coeffrat() * qfact(p - r) * pref * total * total
+def _s_sq_descs(a, da, b, db, s, out, sa=False, sb=False):
+    """Append the factorials (argument, direction, s', moves) of
+    S(a, b)^{2s} = prod_{i<=j} [a_i - b_j + j - i]!^s / prod_{i<j} [b_i - a_j + j - i - 1]!^s,
+    s' = s or -s.  When a (sa) or b (sb) is the sigma row, moves lists
+    (p, e): the argument moves by e with sigma_p.  S(sigma, sigma) has
+    [0]! = 1 on its diagonal, which is left out."""
+    out += [(a[i] - b[j] + j - i, da[i] - db[j], s, ((i, 1),) * sa + ((j, -1),) * sb)
+            for i in range(len(a)) for j in range(i + (sa and sb), len(b))]
+    out += [(b[i] - a[j] + j - i - 1, db[i] - da[j], -s, ((i, 1),) * sb + ((j, -1),) * sa)
+            for i in range(len(b)) for j in range(i + 1, len(a))]
 
 
-def cg_diag_sq(lam, n, k):
-    """Square of the iterated diagonal Clebsch-Gordan coefficient of the
-    highest weight vector, normalized consistently with the untranslated
-    reduced coefficient: q^{-n(n-1)k(k-1)/2} times the falling-factorial
-    ratio over pairs.  (Each single level-j step squared carries
-    q^{-(j-1)k(k-1)} times its pair ratio.)"""
-    lam = tuple(lam)
-    lb = shift(lam, k, "bar")
-    val = UnitMono.q(-n * (n - 1) * k * (k - 1) // 2).as_coeffrat()
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = val * qfall(lb[i] - lb[j] - 1, k - 1) \
-                / qfall(lb[i] - lb[j] + k - 1, k - 1)
-    return val
+def _fact_runs(facts):
+    """The runs of the factorials (x, d, s, _), [x]!^s = F(x)^s, netted.
 
-
-def _s_sq_fact_atoms(a, da, b, db, fnum, fden):
-    """Factorial descriptors (argument, direction) of S(a, b)^2."""
-    for i in range(len(a)):
-        for j in range(i, len(b)):
-            fnum.append((a[i] - b[j] + j - i, da[i] - db[j]))
-    for i in range(len(b)):
-        for j in range(i + 1, len(a)):
-            fden.append((b[i] - a[j] + j - i - 1, db[i] - da[j]))
-
-
-def _telescope(fnum, fden):
-    """Pair factorial descriptors per direction into q-number atoms.
-
-    Paired factorials telescope into finite falling products (valid for
-    negative arguments, matching the Gamma-reflection conventions);
-    unpaired ones must have non-negative argument.
-    """
+    Per direction, sum_s F(x) counts an atom c >= 1 once per s of the
+    arguments x >= c and an atom c <= 0 minus once per s of the arguments
+    x < c, so the count is constant between consecutive distinct arguments
+    and is read off from the top down.  [a]!/[b]! = F(a) - F(b) pairs any
+    two factorials of one direction; one left unpaired (in a direction with
+    more of its side) has x >= 0 for an admissible pattern."""
     groups = {}
-    for c, d in fnum:
-        groups.setdefault(d, ([], []))[0].append(c)
-    for c, d in fden:
-        groups.setdefault(d, ([], []))[1].append(c)
-    num_atoms = []
-    den_atoms = []
-    for d, (ln, ld) in groups.items():
-        ln.sort(reverse=True)
-        ld.sort(reverse=True)
-        pairs = min(len(ln), len(ld))
-        for aa, bb in zip(ln[:pairs], ld[:pairs]):
-            if aa >= bb:
-                num_atoms += [(j, d) for j in range(bb + 1, aa + 1)]
+    negs = []
+    for x, d, s, _ in facts:
+        w = groups.setdefault(d, {})
+        w[x] = w.get(x, 0) + s
+        if x < 0:
+            negs.append((d, s))
+    nets = {d: sum(w.values()) for d, w in groups.items()}
+    if any(s * nets[d] > 0 for d, s in negs):
+        raise ValueError("inadmissible pattern: negative factorial argument")
+    runs = []
+    for d, w in groups.items():
+        net = nets[d]
+        xs = sorted(w, reverse=True)
+        acc = 0
+        for top, low in zip(xs, xs[1:] + [min(xs[-1], 0)]):
+            acc += w[top]                   # the count of the atoms low < c <= top
+            if acc and top > 0:
+                runs.append((top, top - max(low, 0), d, acc))
+            if acc != net and low < 0:      # minus the count of the x < c, for c <= 0
+                runs.append((min(top, 0), min(top, 0) - low, d, acc - net))
+    return runs
+
+
+def _snake(m, k):
+    """Steps (p, e) of a walk from the origin through every point of
+    {0, ..., k-1}^m, moving one coordinate p by e = +-1 at a time."""
+    if not m:
+        return []
+    inner = [(p + 1, e) for p, e in _snake(m - 1, k)]
+    back = [(p, -e) for p, e in reversed(inner)]
+    steps = []
+    for i in range(k):
+        steps += (back if i % 2 else inner) + [(0, 1)]
+    return steps[:-1]
+
+
+def _sigma_walk(descs, runs, m, k, keep):
+    """(sum sigma - sum eta, flips, excess, zero, units) of the sigma-summand
+    at each point of the box {eta + v: 0 <= v_p < k}, walked from its
+    factorials descs and their runs at sigma = eta; a factorial whose
+    argument x moves gains [x + 1] (F(x + 1) - F(x)) or loses [x]."""
+    zero, units = _runs_zero(runs, {}), {}
+    flips, excess = _runs_units(runs, units, keep)
+    movers = [[] for _ in range(m)]
+    for idx, (_, d, s, moves) in enumerate(descs):
+        for q, f in moves:
+            movers[q].append((idx, f, d, d * keep, s))
+    xs = [x for x, *_ in descs]
+    dsum = 0
+    walk = [(0, flips, excess, dict(zero), dict(units))]
+    for q, e in _snake(m, k):
+        for idx, f, d, dk, s in movers[q]:
+            x = xs[idx]
+            xs[idx] = x + f * e
+            c, t = (x + 1, s) if f == e else (x, -s)
+            excess -= t
+            if c > 0:
+                units[c, dk] = units.get((c, dk), 0) + t
+            elif c:
+                units[-c, -dk] = units.get((-c, -dk), 0) + t
+                flips += 1
             else:
-                den_atoms += [(j, d) for j in range(aa + 1, bb + 1)]
-        for c in ln[pairs:]:
-            if c < 0:
-                raise ValueError("inadmissible pattern: negative factorial argument")
-            num_atoms += [(j, d) for j in range(1, c + 1)]
-        for c in ld[pairs:]:
-            if c < 0:
-                raise ValueError("inadmissible pattern: negative factorial argument")
-            den_atoms += [(j, d) for j in range(1, c + 1)]
-    return num_atoms, den_atoms
+                zero[abs(d)] = zero.get(abs(d), 0) + t
+                flips += d < 0
+        dsum += e
+        walk.append((dsum, flips, excess, dict(zero), dict(units)))
+    return walk
 
 
 def c_squared_chain(mu, lam, k):
@@ -627,52 +591,57 @@ def c_squared_chain(mu, lam, k):
     p, r = n * (k - 1), m * (k - 1)
     dtau = [n + i for i in range(n)]
     deta = list(range(m))
-    b = _cg_qpower(tau, p, tau_p, eta, r, eta_p)
-    fnum = [(p - r, 0)]
-    fden = []
-    _s_sq_fact_atoms(eta_p, deta, eta, deta, fnum, fden)
-    _s_sq_fact_atoms(tau, dtau, eta, deta, fnum, fden)
-    _s_sq_fact_atoms(tau_p, dtau, tau_p, dtau, fnum, fden)
-    _s_sq_fact_atoms(eta, deta, eta, deta, fnum, fden)
-    _s_sq_fact_atoms(tau_p, dtau, tau, dtau, fden, fnum)
-    _s_sq_fact_atoms(tau_p, dtau, eta_p, deta, fden, fnum)
-    diag_num = []
-    diag_den = []
+    facts = [(p - r, 0, 1, ())]
+    _s_sq_descs(eta_p, deta, eta, deta, 1, facts)
+    _s_sq_descs(tau, dtau, eta, deta, 1, facts)
+    _s_sq_descs(tau_p, dtau, tau_p, dtau, 1, facts)
+    _s_sq_descs(eta, deta, eta, deta, 1, facts)
+    _s_sq_descs(tau_p, dtau, tau, dtau, -1, facts)
+    _s_sq_descs(tau_p, dtau, eta_p, deta, -1, facts)
     mb = shift(mu, k, "bar")
-    for i in range(m):
-        for j in range(i + 1, m):
-            for s in range(k - 1):
-                diag_num.append((mb[i] - mb[j] - 1 - s, i - j))
-                diag_den.append((mb[i] - mb[j] + k - 1 - s, i - j))
-    diag_den += _delta2_atoms(lam, k)
     lb = shift(lam, k, "bar")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in range(k - 1):
-                diag_num.append((lb[i] - lb[j] + k - 1 - s, i - j))
-    qconst = -b - m * (m - 1) * k * (k - 1) // 2 + n * (n - 1) * k * (k - 1) // 2
+    final = _fact_runs(facts) + _delta2_runs(lb, k)
+    for i, j in combinations(range(m), 2):
+        final += ((mb[i] - mb[j] - 1, k - 1, i - j, 1), (mb[i] - mb[j] + k - 1, k - 1, i - j, -1))
+    final += [(lb[i] - lb[j] + k - 1, k - 1, i - j, 1) for i, j in combinations(range(n), 2)]
+    qconst = (-_cg_qpower(tau, p, tau_p, eta, r, eta_p) - m * (m - 1) * k * (k - 1) // 2
+              + n * (n - 1) * k * (k - 1) // 2)
     # Only the eta-side window clips survive regularization exactly (their
     # cropping factorials share the perturbation direction of sigma); the
     # tau-side clips become soft zeros that the limit accounts for itself.
     # The sigma-summand factorials and the prefactor factorials each
-    # telescope on their own (direction counts balance by construction), so
-    # the sum is assembled once and squared as a truncated series.
-    sig_terms = []
-    for sigma in product(*(range(lo, hi + 1) for lo, hi in zip(eta, eta_p))):
-        snum = []
-        sden = []
-        _s_sq_fact_atoms(sigma, deta, sigma, deta, snum, sden)
-        _s_sq_fact_atoms(tau_p, dtau, sigma, deta, snum, sden)
-        _s_sq_fact_atoms(sigma, deta, eta, deta, sden, snum)
-        _s_sq_fact_atoms(eta_p, deta, sigma, deta, sden, snum)
-        _s_sq_fact_atoms(tau, dtau, sigma, deta, sden, snum)
-        dsum = sum(sigma) - sum(eta)
-        na, da = _telescope(snum, sden)
-        sig_terms.append((UnitMono(-1 if dsum % 2 else 1,
-                                   (p - r + 1) * dsum, 0), na, da))
-    fa_num, fa_den = _telescope(fnum, fden)
-    final = (UnitMono(1, qconst, 0), fa_num + diag_num, fa_den + diag_den)
-    return _limit([([final], 1), (sig_terms, 2)])
+    # telescope on their own (direction counts balance by construction, so
+    # no sigma factorial is unpaired but the [sigma_i - eta_i]! and
+    # [eta'_i - sigma_i]!, whose arguments stay in [0, k - 1]), so the sum
+    # is assembled once and squared as a truncated series.  The walk over
+    # the sigma box from sigma = eta moves one coordinate at a time, and
+    # each factorial whose argument moves gains or loses one atom.  It keys
+    # the atoms (c, 0) unless M > 0, which shows only once the walk is done:
+    # then it walks again keyed (c, d).
+    descs = []
+    _s_sq_descs(eta, deta, eta, deta, 1, descs, True, True)
+    _s_sq_descs(tau_p, dtau, eta, deta, 1, descs, sb=True)
+    _s_sq_descs(eta, deta, eta, deta, -1, descs, sa=True)
+    _s_sq_descs(eta_p, deta, eta, deta, -1, descs, sb=True)
+    _s_sq_descs(tau, dtau, eta, deta, -1, descs, sb=True)
+    corner = _fact_runs(descs)
+    zfin = _runs_zero(final, {})
+    zden = _common_den([zfin])
+    keep = 1 if zden else 0
+    walk = _sigma_walk(descs, corner, m, k, keep)
+    sden = _common_den(zero for *_, zero, _ in walk)
+    if sden and not keep:
+        keep = 1
+        walk = _sigma_walk(descs, corner, m, k, keep)
+    base = sum(sden.values())
+    order = sum(zden.values()) + 2 * base
+    ufin = {}
+    flips, excess = _runs_units(final, ufin, keep)
+    final_term = (-1 if flips % 2 else 1, qconst, zfin, ufin, excess)
+    sig_terms = [(-1 if (dsum + flips) % 2 else 1, (p - r + 1) * dsum, zero, units, excess)
+                 for dsum, flips, excess, zero, units in walk
+                 if base + sum(zero.values()) <= order]
+    return _limit([([final_term], zden, 1), (sig_terms, sden, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +671,7 @@ def trace_reconstruct(lam, n, k):
     result is a plain Laurent polynomial whose ratio against
     ek_denominator is symmetric.
 
-    Every atom of _diag_factor_lists is a difference of coordinates, so
+    Every run of diag_coeff_sum starts at a difference of coordinates, so
     c(mu + s, nu + s) = c(mu, nu): the links fall into translation
     classes, and diag_coeff_sum runs once per class, at its representative
     (mu - nu_n, nu - nu_n)."""

@@ -9,12 +9,13 @@ import pytest
 
 from macdaha import qfield
 from macdaha.combinat import (interlaces, interlacing_signatures, inversions, is_dominant,
-                              shifted_chain_enumerate)
+                              shift, shifted_chain_enumerate)
 from macdaha.indexops import IndexOpParams, index_apply
+from macdaha.intertwiner import _cg_qpower
 from macdaha.macops import _psi_for_params
 from macdaha.npoly import NPoly, add_terms
 from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, DomainViolationError,
-                            LaurentQT, UnitMono, _add, _mul, _scale)
+                            LaurentQT, UnitMono, _add, _mul, _scale, qfact, qfall)
 from macdaha.sympoly import SymLaurent, from_npoly, orbit, to_npoly
 
 
@@ -385,3 +386,416 @@ def brute_mul(A, B):
             else:
                 del out[key]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The route terms in list form, as the routes built them before they built
+# intertwiner._limit's keyed form: a term is (mono, num, den), num and den
+# lists of atoms (c, d) standing for [c + z*d], and a factor is (terms,
+# power).  `keyed` turns such factors into _limit's input, `listed` turns
+# _limit's input into factors for limit_oracle and _plain_value.
+
+def _zero_atoms(mono, num, den):
+    """(sign, zero) for the c = 0 atoms of a term, or None when an
+    identically-zero numerator atom kills the term.  The sign is mono's,
+    flipped once per atom (0, d < 0) (B(0, -d) = -B(0, d)), and zero maps
+    d > 0 to the count of (0, +-d) in num minus that in den."""
+    sign = mono.sign
+    zero = {}
+    for c, d in num:
+        if not c:
+            if d < 0:
+                d, sign = -d, -sign
+            elif not d:
+                return None
+            zero[d] = zero.get(d, 0) + 1
+    for c, d in den:
+        if not c:
+            if d < 0:
+                d, sign = -d, -sign
+            elif not d:
+                raise DomainViolationError("identically vanishing denominator")
+            zero[d] = zero.get(d, 0) - 1
+    return sign, zero
+
+
+def _unit_atoms(num, den, sign, atoms, keep_d):
+    """Add to atoms the count in num minus that in den of each c != 0
+    atom, flipped to c > 0 and keyed (c, d), or (c, 0) when keep_d is 0;
+    return sign flipped once per flipped atom."""
+    for c, d in num:
+        if c:
+            if c < 0:
+                c, d, sign = -c, -d, -sign
+            key = c, d * keep_d
+            atoms[key] = atoms.get(key, 0) + 1
+    for c, d in den:
+        if c:
+            if c < 0:
+                c, d, sign = -c, -d, -sign
+            key = c, d * keep_d
+            atoms[key] = atoms.get(key, 0) - 1
+    return sign
+
+
+def keyed(factors):
+    """List-form factors in _limit's keyed form (terms, zden, power), dead
+    terms kept.  A numerator atom (0, 0) kills its term, a denominator one
+    raises DomainViolationError, and a factor with no term left makes the
+    product zero."""
+    sums = []
+    for terms, power in factors:
+        norm = [(z, t) for t in terms if (z := _zero_atoms(*t)) is not None]
+        if not norm:
+            return [([], {}, power)]
+        zden = {}
+        for (_, zero), _ in norm:
+            for d, v in zero.items():
+                if v < -zden.get(d, 0):
+                    zden[d] = -v
+        sums.append((norm, zden, power))
+    keep = 1 if any(zden for _, zden, _ in sums) else 0
+    out = []
+    for norm, zden, power in sums:
+        terms = []
+        for (sign, zero), (mono, num, den) in norm:
+            units = {}
+            sign = _unit_atoms(num, den, sign, units, keep)
+            terms.append((sign, mono.a, zero, units, len(den) - len(num)))
+        out.append((terms, zden, power))
+    return out
+
+
+def live_terms(factors):
+    """The terms of keyed factors that _limit keeps, per factor."""
+    order = sum(power * sum(zden.values()) for _, zden, power in factors)
+    return [[t for t in terms if sum(zden.values()) + sum(t[2].values()) <= order]
+            for terms, zden, _ in factors]
+
+
+def listed(factors):
+    """Keyed factors in list form: a count v of an atom is v copies of it
+    in the numerator, or -v in the denominator.  The excess of each term
+    must be that of its atoms."""
+    out = []
+    for terms, _, power in factors:
+        lterms = []
+        for sign, qa, zero, units, excess in terms:
+            num, den = [], []
+            for key, v in [((0, d), v) for d, v in zero.items()] + list(units.items()):
+                (num if v > 0 else den).extend([key] * abs(v))
+            assert excess == len(den) - len(num)
+            lterms.append((UnitMono(sign, qa, 0), num, den))
+        out.append((lterms, power))
+    return out
+
+
+def _kernel_atoms(lam, k, nu):
+    """Atoms of the falling-factorial kernel at the point nu."""
+    n = len(lam)
+    m = n - 1
+    lb = shift(lam, k, "bar")
+    nbp = [nu[j] + (k - 1) - k * j for j in range(m)]
+    atoms = []
+    for j in range(m):
+        for i in range(j + 1):
+            for s in range(k - 1):
+                atoms.append((lb[i] - nbp[j] + k - 1 - s, (n + i) - j))
+    for i in range(m):
+        for j in range(i + 1, n):
+            for s in range(k - 1):
+                atoms.append((nbp[i] - lb[j] - 1 - s, i - (n + j)))
+    return atoms
+
+
+def _delta2_atoms(lam, k):
+    """Atoms of Delta_2(lam) = prod_{i<j} [lambar_i - lambar_j - 1]_{k-1}."""
+    lb = shift(lam, k, "bar")
+    return [(lb[i] - lb[j] - 1 - s, i - j)
+            for i, j in combinations(range(len(lam)), 2) for s in range(k - 1)]
+
+
+def _diag_factor_lists(mu, lam, k, v):
+    """The atoms of the box-sum summand at nu' = mu' - v."""
+    m = len(lam) - 1
+    mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
+    nbp = [mbp[i] - v[i] for i in range(m)]
+    num = _kernel_atoms(lam, k, [mu[i] - v[i] for i in range(m)])
+    den = _delta2_atoms(lam, k)
+    for i in range(m):
+        for c in range(1, k - v[i]):
+            den.append((c, 0))
+        for c in range(1, v[i] + 1):
+            den.append((c, 0))
+        for j in range(i + 1, m):
+            d = i - j
+            A = mbp[i] - mbp[j]
+            for s in range(2 * k - 1):
+                num.append((A + k - 1 - s, d))
+            num.append((nbp[i] - nbp[j], d))
+            for s in range(k):
+                den.append((nbp[i] - mbp[j] + k - 1 - s, d))
+                den.append((mbp[i] - nbp[j] - s, d))
+            for s in range(k - 1):
+                den.append((A + k - 1 - s, d))
+    return num, den
+
+
+def _diag_lists(mu, lam, k):
+    m = len(mu)
+    pref = UnitMono(-1 if (m * (k - 1)) % 2 else 1, m * k * (k - 1), 0)
+    terms = []
+    for v in product(range(k), repeat=m):
+        sv = sum(v)
+        terms.append((UnitMono(-1 if sv % 2 else 1, -k * sv, 0) * pref,
+                      *_diag_factor_lists(mu, lam, k, v)))
+    return [(terms, 1)]
+
+
+def _mat_elt_lists(mu, lam, k):
+    m = len(lam) - 1
+    mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
+    den_global = _delta2_atoms(lam, k)
+    for i in range(m):
+        for j in range(i, m):
+            for s in range(k - 1):
+                den_global.append((mbp[i] - mbp[j] + k - 1 - s, i - j))
+    terms = []
+
+    def expand(a, point, qexp, sign, num, den):
+        if a == 0:
+            terms.append((UnitMono(sign, qexp, 0), num + _kernel_atoms(lam, k, point),
+                          den + den_global))
+            return
+        bar = [point[i] - k * i for i in range(m)]
+        for r in range(m + 1):
+            s2 = sign if (m - r) % 2 == 0 else -sign
+            base_q = qexp + 2 * a * (m - r) + (k - 1) * r * (r - m)
+            for I in combinations(range(m), r):
+                addn, addd = [], []
+                for i in I:
+                    for j in range(m):
+                        if j not in I:
+                            addn.append((bar[i] - bar[j] + k - 1, i - j))
+                            addd.append((bar[i] - bar[j], i - j))
+                shifted = tuple(x - 1 if i in I else x for i, x in enumerate(point))
+                expand(a - 1, shifted, base_q + (k - 1) * len(addn), s2,
+                       num + addn, den + addd)
+
+    expand(k - 1, mu, 0, 1, [], [])
+    return [(terms, 1)]
+
+
+def _s_sq_fact_atoms(a, da, b, db, fnum, fden):
+    """Factorial descriptors (argument, direction) of S(a, b)^2."""
+    for i in range(len(a)):
+        for j in range(i, len(b)):
+            fnum.append((a[i] - b[j] + j - i, da[i] - db[j]))
+    for i in range(len(b)):
+        for j in range(i + 1, len(a)):
+            fden.append((b[i] - a[j] + j - i - 1, db[i] - da[j]))
+
+
+def _telescope(fnum, fden):
+    """Pair factorial descriptors per direction into q-number atoms.
+
+    Paired factorials telescope into finite falling products (valid for
+    negative arguments, matching the Gamma-reflection conventions);
+    unpaired ones must have non-negative argument.
+    """
+    groups = {}
+    for c, d in fnum:
+        groups.setdefault(d, ([], []))[0].append(c)
+    for c, d in fden:
+        groups.setdefault(d, ([], []))[1].append(c)
+    num_atoms = []
+    den_atoms = []
+    for d, (ln, ld) in groups.items():
+        ln.sort(reverse=True)
+        ld.sort(reverse=True)
+        pairs = min(len(ln), len(ld))
+        for aa, bb in zip(ln[:pairs], ld[:pairs]):
+            if aa >= bb:
+                num_atoms += [(j, d) for j in range(bb + 1, aa + 1)]
+            else:
+                den_atoms += [(j, d) for j in range(aa + 1, bb + 1)]
+        for c in ln[pairs:]:
+            if c < 0:
+                raise ValueError("inadmissible pattern: negative factorial argument")
+            num_atoms += [(j, d) for j in range(1, c + 1)]
+        for c in ld[pairs:]:
+            if c < 0:
+                raise ValueError("inadmissible pattern: negative factorial argument")
+            den_atoms += [(j, d) for j in range(1, c + 1)]
+    return num_atoms, den_atoms
+
+
+def _cg_lists(mu, lam, k):
+    n = len(lam)
+    m = n - 1
+    tau_p = shift(lam, k, "tilde")
+    tau = tuple(x - (k - 1) for x in tau_p)
+    eta_p = shift(mu, k, "tilde")
+    eta = tuple(x - (k - 1) for x in eta_p)
+    p, r = n * (k - 1), m * (k - 1)
+    dtau = [n + i for i in range(n)]
+    deta = list(range(m))
+    b = _cg_qpower(tau, p, tau_p, eta, r, eta_p)
+    fnum = [(p - r, 0)]
+    fden = []
+    _s_sq_fact_atoms(eta_p, deta, eta, deta, fnum, fden)
+    _s_sq_fact_atoms(tau, dtau, eta, deta, fnum, fden)
+    _s_sq_fact_atoms(tau_p, dtau, tau_p, dtau, fnum, fden)
+    _s_sq_fact_atoms(eta, deta, eta, deta, fnum, fden)
+    _s_sq_fact_atoms(tau_p, dtau, tau, dtau, fden, fnum)
+    _s_sq_fact_atoms(tau_p, dtau, eta_p, deta, fden, fnum)
+    diag_num = []
+    diag_den = []
+    mb = shift(mu, k, "bar")
+    for i in range(m):
+        for j in range(i + 1, m):
+            for s in range(k - 1):
+                diag_num.append((mb[i] - mb[j] - 1 - s, i - j))
+                diag_den.append((mb[i] - mb[j] + k - 1 - s, i - j))
+    diag_den += _delta2_atoms(lam, k)
+    lb = shift(lam, k, "bar")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in range(k - 1):
+                diag_num.append((lb[i] - lb[j] + k - 1 - s, i - j))
+    qconst = -b - m * (m - 1) * k * (k - 1) // 2 + n * (n - 1) * k * (k - 1) // 2
+    sig_terms = []
+    for sigma in product(*(range(lo, hi + 1) for lo, hi in zip(eta, eta_p))):
+        snum = []
+        sden = []
+        _s_sq_fact_atoms(sigma, deta, sigma, deta, snum, sden)
+        _s_sq_fact_atoms(tau_p, dtau, sigma, deta, snum, sden)
+        _s_sq_fact_atoms(sigma, deta, eta, deta, sden, snum)
+        _s_sq_fact_atoms(eta_p, deta, sigma, deta, sden, snum)
+        _s_sq_fact_atoms(tau, dtau, sigma, deta, sden, snum)
+        dsum = sum(sigma) - sum(eta)
+        na, da = _telescope(snum, sden)
+        sig_terms.append((UnitMono(-1 if dsum % 2 else 1, (p - r + 1) * dsum, 0), na, da))
+    fa_num, fa_den = _telescope(fnum, fden)
+    final = (UnitMono(1, qconst, 0), fa_num + diag_num, fa_den + diag_den)
+    return [([final], 1), (sig_terms, 2)]
+
+
+def route_factor_lists(route, mu, lam, k):
+    """The list-form factors of c(mu, lam) (diag_coeff_sum, mat_elt) or of
+    its square (c_squared_chain, at window points), every term of every sum
+    listed atom by atom."""
+    builder = {"diag_coeff_sum": _diag_lists, "mat_elt": _mat_elt_lists,
+               "c_squared_chain": _cg_lists}[route]
+    return builder(tuple(mu), tuple(lam), k)
+
+
+# Closed-form references for the Clebsch-Gordan route.
+
+def s_factorial_sq(a, b):
+    """S(a, b)^2 = prod_{i<=j} [a_i - b_j + j - i]! / prod_{i<j} [b_i - a_j + j - i - 1]!.
+
+    Arguments index a in the numerator's first slot and b in the second;
+    a negative factorial argument means the pattern is inadmissible.
+    """
+    val = CR_ONE
+    for i in range(len(a)):
+        for j in range(i, len(b)):
+            x = a[i] - b[j] + j - i
+            if x < 0:
+                raise ValueError("inadmissible pattern: negative factorial argument")
+            val = val * qfact(x)
+    for i in range(len(b)):
+        for j in range(i + 1, len(a)):
+            x = b[i] - a[j] + j - i - 1
+            if x < 0:
+                raise ValueError("inadmissible pattern: negative factorial argument")
+            val = val / qfact(x)
+    return val
+
+
+def cg_reduced_squared(tau, p, tau_p, eta, r, eta_p):
+    """Square of the reduced Clebsch-Gordan coefficient for
+    L_{tau'} -> L_tau (x) Sym^p, between rows (eta, r) and (eta', ...).
+
+    Everything is squared, so the value lives in Q(q) with no root
+    ambiguity; the overall sign is not recoverable from this route.
+    """
+    tau, tau_p, eta, eta_p = tuple(tau), tuple(tau_p), tuple(eta), tuple(eta_p)
+    n = len(tau)
+    m = len(eta)
+    if len(tau_p) != n or len(eta_p) != m or m != n - 1:
+        raise ValueError("row lengths must be n, n, n-1, n-1")
+    los = [max(eta[i], tau_p[i + 1]) for i in range(m)]
+    his = [min(eta_p[i], tau[i]) for i in range(m)]
+    if any(lo > hi for lo, hi in zip(los, his)):
+        return CR_ZERO
+    b = _cg_qpower(tau, p, tau_p, eta, r, eta_p)
+    pref = s_factorial_sq(eta_p, eta) * s_factorial_sq(tau, eta) \
+        * s_factorial_sq(tau_p, tau_p) * s_factorial_sq(eta, eta) \
+        / (s_factorial_sq(tau_p, tau) * s_factorial_sq(tau_p, eta_p))
+    total = CR_ZERO
+    for sigma in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+        dsum = sum(sigma) - sum(eta)
+        term = s_factorial_sq(sigma, sigma) * s_factorial_sq(tau_p, sigma) \
+            / (s_factorial_sq(sigma, eta) * s_factorial_sq(eta_p, sigma)
+               * s_factorial_sq(tau, sigma))
+        total = total + term * UnitMono(-1 if dsum % 2 else 1,
+                                        (p - r + 1) * dsum, 0).as_coeffrat()
+    return UnitMono.q(-b).as_coeffrat() * qfact(p - r) * pref * total * total
+
+
+def cg_diag_sq(lam, n, k):
+    """Square of the iterated diagonal Clebsch-Gordan coefficient of the
+    highest weight vector, normalized consistently with the untranslated
+    reduced coefficient: q^{-n(n-1)k(k-1)/2} times the falling-factorial
+    ratio over pairs.  (Each single level-j step squared carries
+    q^{-(j-1)k(k-1)} times its pair ratio.)"""
+    lb = shift(tuple(lam), k, "bar")
+    val = UnitMono.q(-n * (n - 1) * k * (k - 1) // 2).as_coeffrat()
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = val * qfall(lb[i] - lb[j] - 1, k - 1) \
+                / qfall(lb[i] - lb[j] + k - 1, k - 1)
+    return val
+
+
+# ---------------------------------------------------------------------------
+# Principal specialization, Macdonald VI (6.11').
+
+def principal_value(lam, Q, T):
+    """P_lam(1, T, ..., T^{n-1}; Q, T) for a signature lam, in Fractions:
+    T^{n(lam)} prod_{s in lam} (1 - Q^{a'(s)} T^{n - l'(s)}) / (1 - Q^{a(s)} T^{l(s) + 1})
+    for a partition, and P_{lam + c} = (x_1 ... x_n)^c P_lam."""
+    n = len(lam)
+    c = lam[-1]
+    part = [x - c for x in lam]
+    value = Fraction(T) ** (c * n * (n - 1) // 2 + sum(i * x for i, x in enumerate(part)))
+    for i, row in enumerate(part):
+        for j in range(row):
+            arm = row - j - 1
+            leg = sum(1 for r in part[i + 1:] if r > j)
+            value *= (1 - Fraction(Q) ** j * Fraction(T) ** (n - i)) \
+                / (1 - Fraction(Q) ** arm * Fraction(T) ** (leg + 1))
+    return value
+
+
+def principal_specialization_holds(f, lam, rng, params):
+    """Whether the symmetric polynomial f takes the value of P_lam at
+    x = (1, T, ..., T^{n-1}), with every coefficient of f evaluated at a
+    seeded prime point (q, t) and (Q, T) = params(q, t)."""
+    q, t = prime_point(rng)
+    Q, T = params(q, t)
+    total = Fraction(0)
+    for sig, c in f.terms.items():
+        mono = sum(Fraction(T) ** sum(i * e for i, e in enumerate(exps)) for exps in orbit(sig))
+        total += eval_fraction(c, q, t) * mono
+    return total == principal_value(lam, Q, T)
+
+
+def perturbed(f):
+    """A copy of the SymLaurent f with its first coefficient plus one."""
+    terms = dict(f.terms)
+    sig = min(terms)
+    terms[sig] = terms[sig] + CR_ONE
+    return SymLaurent(f.n, terms)

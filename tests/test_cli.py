@@ -207,6 +207,24 @@ def test_verify_restriction_envelope(capsys):
         assert rc == 0 and json.loads(out)["pass"] is True
 
 
+def test_verify_matelt_routes_envelope(capsys):
+    # k one above the matelt-routes bound for 2, 3 and 4 variables (also
+    # through --suite all), and 11 variables: each exits 2 at once.
+    for argv in (["--suite", "matelt-routes", "--n", "2", "--k", "15"],
+                 ["--suite", "matelt-routes", "--n", "3", "--k", "6"],
+                 ["--suite", "all", "--n", "3", "--l", "1", "--k", "6"],
+                 ["--suite", "matelt-routes", "--n", "4", "--k", "4"],
+                 ["--suite", "matelt-routes", "--n", "11", "--k", "1"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+        assert "matelt-routes" in err, argv
+    rc, out, _ = run(capsys, ["verify", "--suite", "matelt-routes", "--n", "2", "--k", "3",
+                              "--maxdeg", "2"])
+    assert rc == 0 and json.loads(out)["pass"] is True
+
+
 def test_package_runs_as_module():
     # python -m macdaha answers as python -m macdaha.cli does: one poly
     # call and one usage error.
@@ -269,7 +287,7 @@ def test_trace_size_envelope(capsys):
     for argv in (["--lambda", ",".join(["0"] * 7), "--vars", "7", "--k", "1"],
                  ["--lambda", "0,0,0,0", "--vars", "4", "--k", "7"],
                  ["--lambda", "8,0,0,0", "--vars", "4", "--k", "4", "--ratio"],
-                 ["--lambda", "3,0,0,0,0", "--vars", "5", "--k", "3", "--ratio"],
+                 ["--lambda", "4,0,0,0,0", "--vars", "5", "--k", "3", "--ratio"],
                  ["--lambda", "18,-1,-1", "--vars", "3", "--k", "6"]):
         t0 = time.perf_counter()
         rc, out, err = run(capsys, ["trace", *argv])

@@ -5,17 +5,17 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import eval_fraction, limit_oracle, partitions_upto, window
+from conftest import (cg_diag_sq, cg_reduced_squared, eval_fraction, keyed, limit_oracle,
+                      listed, live_terms, partitions_upto, perturbed,
+                      principal_specialization_holds, route_factor_lists,
+                      s_factorial_sq, _telescope, _unit_atoms, _zero_atoms, window)
 
 from macdaha import intertwiner
 from macdaha.combinat import interlacing_signatures, shifted_chain_enumerate
 from macdaha.combinat import shift as sig_shift
-from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain,
-                                 cg_diag_sq, cg_reduced_squared, delta1,
-                                 delta2, delta_cross, diag_coeff_sum,
-                                 ek_denominator, mat_elt, psi_qnum,
-                                 s_factorial_sq, trace_ratio,
-                                 trace_reconstruct)
+from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain, delta1,
+                                 delta2, delta_cross, diag_coeff_sum, ek_denominator,
+                                 mat_elt, psi_qnum, trace_ratio, trace_reconstruct)
 from macdaha.macops import macdonald_qk, psi_branch
 from macdaha.npoly import NPoly
 from macdaha.qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError,
@@ -211,8 +211,15 @@ def test_trace_four_variables_level_four():
 
 def test_trace_four_variables_level_four_two_rows():
     # 787 link classes; 2.0-2.5 s on a 2-vCPU Xeon (5.8-6.2 s before the
-    # limit engine dropped dead terms and merged directions at order 0)
-    assert trace_ratio((2, 1, 0, 0), 4, 4) == macdonald_qk((2, 1, 0, 0), 4, 4)
+    # limit engine dropped dead terms and merged directions at order 0).
+    # The trace is also P_lam(x; q^2, q^8) at x = (1, T, T^2, T^3), T = q^8,
+    # by the principal specialization, which a one-coefficient change breaks.
+    lam = (2, 1, 0, 0)
+    tr = trace_ratio(lam, 4, 4)
+    assert tr == macdonald_qk(lam, 4, 4)
+    params = lambda q, t: (q ** 2, q ** 8)
+    assert principal_specialization_holds(tr, lam, random.Random(4), params)
+    assert not principal_specialization_holds(perturbed(tr), lam, random.Random(4), params)
 
 
 def test_routes_are_translation_invariant():
@@ -267,36 +274,131 @@ def test_preconditions():
 # ---------------------------------------------------------------------------
 # The packed limit engine against the truncated-series oracle.
 
-def _route_factor_lists(monkeypatch, points):
-    """Every distinct factor list the three routes hand to _limit at the
+def _frozen(factors):
+    """A hashable copy of keyed factors."""
+    return tuple((tuple((sign, qa, tuple(sorted(zero.items())), tuple(sorted(units.items())), ex)
+                        for sign, qa, zero, units, ex in terms), tuple(sorted(zden.items())), p)
+                 for terms, zden, p in factors)
+
+
+def _route_factors(monkeypatch, points, routes=(diag_coeff_sum, mat_elt, c_squared_chain)):
+    """Every distinct keyed factor list the routes hand to _limit at the
     points (mu, lam, k)."""
-    lists = {}
+    seen = {}
 
     def spy(factors):
-        key = tuple((tuple((m.sign, m.a, tuple(a), tuple(b)) for m, a, b in terms), p)
-                    for terms, p in factors)
-        lists.setdefault(key, factors)
+        seen.setdefault(_frozen(factors), factors)
         return _limit(factors)
 
     monkeypatch.setattr(intertwiner, "_limit", spy)
     for mu, lam, k in points:
-        diag_coeff_sum(mu, lam, k)
-        mat_elt(mu, lam, k)
-        c_squared_chain(mu, lam, k)
+        for route in routes:
+            route(mu, lam, k)
     monkeypatch.undo()
-    return list(lists.values())
+    return list(seen.values())
 
 
 def test_limit_matches_oracle_on_route_factors(monkeypatch):
     # every distinct factor list the three routes hand to _limit on the
-    # criterion-08 set and the n = 3, k = 4 window set
+    # criterion-08 set, the n = 3, k = 4 window set and the n = 2, k = 4, 5
+    # windows (the keyed lists carry no dead terms, so the first two sets
+    # give 964 distinct lists where the atom lists were over 1000)
     points = [(mu, lam, k) for n in (2, 3) for lam in partitions_upto(4, n)
               for k in (1, 2, 3) for mu in window(lam, k)]
     points += [(mu, lam, 4) for lam in partitions_upto(3, 3) for mu in window(lam, 4)]
-    lists = _route_factor_lists(monkeypatch, points)
+    points += [(mu, lam, k) for lam in partitions_upto(4, 2) for k in (4, 5)
+               for mu in window(lam, k)]
+    lists = _route_factors(monkeypatch, points)
     assert len(lists) > 1000
     for factors in lists:
-        assert _limit(factors) == limit_oracle(factors)
+        assert _limit(factors) == limit_oracle(listed(factors))
+
+
+def _net(terms):
+    """Keyed terms with their zero counts dropped, in one order."""
+    return sorted((sign, qa, sorted((d, v) for d, v in zero.items() if v),
+                   sorted((key, v) for key, v in units.items() if v), excess)
+                  for sign, qa, zero, units, excess in terms)
+
+
+def test_keyed_builders_match_list_oracles(monkeypatch):
+    # Each route hands _limit the net atom counts of the atom lists it built
+    # before, their live terms only, over the same common denominators; at
+    # n = 2, k <= 5 and n = 3, k <= 3, shifted, and off the window too.
+    points = [(tuple(x + s for x in mu), tuple(x + s for x in lam), k)
+              for n, kmax in ((2, 5), (3, 3)) for k in range(1, kmax + 1)
+              for lam in partitions_upto(3, n) for mu in window(lam, k) for s in (-2, 3)]
+    off = [((-2,), (1, 0), 2), ((3,), (1, 0), 3), ((-2, -1), (1, 0, 0), 2), ((2, 2), (1, 0, 0), 3)]
+    for route in (diag_coeff_sum, mat_elt, c_squared_chain):
+        for mu, lam, k in points + (off if route is not c_squared_chain else []):
+            got = _route_factors(monkeypatch, [(mu, lam, k)], (route,))
+            want = keyed(route_factor_lists(route.__name__, mu, lam, k))
+            assert [(_net(terms), zden, p) for terms, zden, p in got[0]] == \
+                [(_net(terms), zden, p) for terms, (_, zden, p) in zip(live_terms(want), want)], \
+                (route.__name__, mu, lam, k)
+
+
+def test_unit_atoms_only_for_live_terms(monkeypatch):
+    # On the points of the seed-1 `routes` benchmark round, the box sum and
+    # the operator route count the atoms c != 0 of their live terms only
+    # (179 of 661 and 203 of 882), besides the atoms shared by every term.
+    pool = [(mu, lam, k) for k in (2, 3) for lam in partitions_upto(6, 2) for mu in window(lam, k)]
+    points = [(mu, lam, 3) for lam in ((0, 0, 0), (1, 0, 0), (1, 1, 1)) for mu in window(lam, 3)]
+    points += [(mu, lam, 2) for lam in partitions_upto(4, 3) for mu in window(lam, 2)]
+    points += random.Random("routes:1").sample(pool, 20)
+    units = intertwiner._runs_units
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return units(*args)
+
+    counts = {}
+    for route in (diag_coeff_sum, mat_elt):
+        monkeypatch.setattr(intertwiner, "_runs_units", counted)
+        calls.clear()
+        for mu, lam, k in points:
+            route(mu, lam, k)
+        monkeypatch.undo()
+        built = len(calls) - len(points)
+        lists = [route_factor_lists(route.__name__, mu, lam, k) for mu, lam, k in points]
+        live = sum(len(terms) for f in lists for terms in live_terms(keyed(f)))
+        counts[route.__name__] = built, live, sum(len(terms) for f in lists for terms, _ in f)
+    assert counts == {"diag_coeff_sum": (179, 179, 661), "mat_elt": (203, 203, 882)}
+
+
+def test_factorial_runs_match_telescoping():
+    # [a]!/[b]! = F(a) - F(b): the runs F(x) of a set of factorials have the
+    # net atom counts of the paired, telescoped atom lists, and both reject
+    # an unpaired negative argument.
+    rng = random.Random(1412)
+    raised = 0
+    for _ in range(300):
+        facts = [(rng.randint(-5, 6), rng.choice((-2, -1, 1, 2)), rng.choice((-1, 1)), ())
+                 for _ in range(rng.randint(0, 8))]
+        fnum = [(x, d) for x, d, s, _ in facts if s > 0]
+        fden = [(x, d) for x, d, s, _ in facts if s < 0]
+        try:
+            num, den = _telescope(fnum, fden)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="inadmissible pattern"):
+                intertwiner._fact_runs(facts)
+            continue
+        runs = intertwiner._fact_runs(facts)
+        sign, zero = _zero_atoms(UnitMono(1, 0, 0), num, den)
+        units = {}
+        want = (_unit_atoms(num, den, sign, units, 1), 0, zero, units, len(den) - len(num))
+        zero = intertwiner._runs_zero(runs, {})
+        units = {}
+        flips, excess = intertwiner._runs_units(runs, units, 1)
+        assert _net([(-1 if flips % 2 else 1, 0, zero, units, excess)]) == _net([want])
+    assert 50 < raised < 250
+
+
+def _keyed_limit(factors):
+    """_limit of list-form factors."""
+    return _limit(keyed(factors))
 
 
 def _difference_sum(rng, M, natoms):
@@ -338,7 +440,7 @@ def test_limit_matches_oracle_on_synthetic_factors():
                        (_difference_sum(rng, 1, rng.randint(2, 6)), 1)]
         else:
             factors = [(_difference_sum(rng, 2, 40), 2)]
-        value = _limit(factors)
+        value = _keyed_limit(factors)
         assert value == limit_oracle(factors), case
         coeffs = list(value.num.terms.values()) + list(value.den.terms.values())
         widest = max(widest, max(map(abs, coeffs)))
@@ -353,16 +455,16 @@ def test_limit_raise_paths():
     # leaves a simple pole, and squaring the sum a double one
     diff = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)])]
     for factors in (pole, [(diff + [(one, [(1, 0)], [(0, 3)])], 2)]):
-        for engine in (_limit, limit_oracle):
+        for engine in (_keyed_limit, limit_oracle):
             with pytest.raises(DomainViolationError, match="pole at the regularization limit"):
                 engine(factors)
-    assert _limit([(diff, 2)]) == limit_oracle([(diff, 2)])
+    assert _keyed_limit([(diff, 2)]) == limit_oracle([(diff, 2)])
     vanishing = [([(one, [(3, 1)], [(2, 5), (0, 0)])], 1)]
-    for engine in (_limit, limit_oracle):
+    for engine in (_keyed_limit, limit_oracle):
         with pytest.raises(DomainViolationError, match="identically vanishing denominator"):
             engine(vanishing)
     # an identically zero numerator atom kills its term before the check
-    assert _limit([([(one, [(0, 0)], [(0, 0)])], 1)]) == CR_ZERO
+    assert _keyed_limit([([(one, [(0, 0)], [(0, 0)])], 1)]) == CR_ZERO
 
 
 def _plain_value(factors, q):
@@ -396,13 +498,13 @@ def test_limit_at_order_zero_is_plain_evaluation(monkeypatch):
     # engine, at q = 3 and q = 5.
     points = [(mu, lam, k) for n in (1, 2, 3) for k in (1, 2, 3)
               for lam in partitions_upto(4, n) for mu in window(lam, k)]
-    plain = [factors for factors in _route_factor_lists(monkeypatch, points)
-             if all(c for terms, _ in factors for *_, den in terms for c, _ in den)]
+    plain = [factors for factors in _route_factors(monkeypatch, points)
+             if not any(zden for _, zden, _ in factors)]
     assert len(plain) > 500
     for factors in plain:
         value = _limit(factors)
         for q in (3, 5):
-            assert eval_fraction(value, q, 1) == _plain_value(factors, q)
+            assert eval_fraction(value, q, 1) == _plain_value(listed(factors), q)
 
 
 def _shared_c_sum(rng, nterms):
@@ -426,13 +528,13 @@ def test_limit_merges_directions_at_order_zero():
     for case in range(30):
         factors = [(_shared_c_sum(rng, rng.randint(1, 8)), rng.randint(1, 2))
                    for _ in range(rng.randint(1, 3))]
-        value = _limit(factors)
+        value = _keyed_limit(factors)
         assert value == limit_oracle(factors), case
         assert eval_fraction(value, 3, 1) == _plain_value(factors, 3), case
     one = UnitMono(1, 0, 0)
     # [2 + z] / [2 - 3z] + [1 + 2z] [3] / ([3 + z] [1 - z]) = 2 at z = 0
     terms = [(one, [(2, 1)], [(2, -3)]), (one, [(1, 2), (3, 0)], [(3, 1), (1, -1)])]
-    assert _limit([(terms, 1)]) == CoeffRat.from_int(2) == limit_oracle([(terms, 1)])
+    assert _keyed_limit([(terms, 1)]) == CoeffRat.from_int(2) == limit_oracle([(terms, 1)])
 
 
 def _with_dead_terms(rng, terms, order):
@@ -455,25 +557,25 @@ def test_limit_drops_dead_terms_above_order():
         factors = [(_with_dead_terms(rng, _difference_sum(rng, M, rng.randint(2, 8)), order), 1)]
         if case % 2:
             factors.append((_with_dead_terms(rng, _difference_sum(rng, 1, 3), order), 2))
-        assert _limit(factors) == limit_oracle(factors), case
+        assert _keyed_limit(factors) == limit_oracle(factors), case
     one = UnitMono(1, 0, 0)
     # every term dead: ([z] [2z] [3] + [3z]^2) / [z] is 0 at z = 0, not a pole
     dead = [(one, [(0, 1), (0, 2), (3, 1)], [(0, 1)]), (one, [(0, 3), (0, 3)], [(0, 1)])]
-    assert _limit([(dead, 1)]) == CR_ZERO == limit_oracle([(dead, 1)])
+    assert _keyed_limit([(dead, 1)]) == CR_ZERO == limit_oracle([(dead, 1)])
     finite = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)])]
-    assert _limit([(finite, 1), (dead, 3)]) == CR_ZERO == limit_oracle([(finite, 1), (dead, 3)])
+    assert _keyed_limit([(finite, 1), (dead, 3)]) == CR_ZERO == limit_oracle([(finite, 1), (dead, 3)])
 
 
 def test_dead_terms_keep_the_raise_paths():
     one = UnitMono(1, 0, 0)
     dead = (one, [(0, 1), (0, 2), (4, 1)], [(0, 1)])
     # a simple pole stays a pole beside a dead term
-    for engine in (_limit, limit_oracle):
+    for engine in (_keyed_limit, limit_oracle):
         with pytest.raises(DomainViolationError, match="pole at the regularization limit"):
             engine([([(one, [], [(0, 1)]), dead], 1)])
     # an identically vanishing denominator raises in a term that is dead
     vanishing = (one, [(0, 1), (0, 2)], [(0, 1), (0, 0)])
-    for engine in (_limit, limit_oracle):
+    for engine in (_keyed_limit, limit_oracle):
         with pytest.raises(DomainViolationError, match="identically vanishing denominator"):
             engine([([(one, [(2, 1)], [(3, 1)]), vanishing], 1)])
 
@@ -492,27 +594,27 @@ def test_no_dead_term_reaches_term_series(monkeypatch):
     one = UnitMono(1, 0, 0)
     # order 0 merges directions: both terms are 1, and nothing is multiplied
     terms = [(one, [(2, 1)], [(2, -3)]), (one, [(1, 2), (3, 0)], [(3, 1), (1, -1)])]
-    assert _limit([(terms, 1)]) == CoeffRat.from_int(2)
+    assert _keyed_limit([(terms, 1)]) == CoeffRat.from_int(2)
     assert seen == [(0, 0), (0, 0)] and multiplied == [0, 0]
     seen.clear()
     # order 0: three of five terms carry a numerator [0 + z*d]
     terms = [(one, [(1, 1)], [(2, 1)]), (one, [(0, 2)], [(1, 1)]),
              (one, [(3, -1), (0, -1)], []), (one, [], [(1, 2)]),
              (one, [(0, 4), (0, 1)], [(1, 3)])]
-    assert _limit([(terms, 1)]) == limit_oracle([(terms, 1)])
+    assert _keyed_limit([(terms, 1)]) == limit_oracle([(terms, 1)])
     assert seen == [(0, 0), (0, 0)]
     # order 1: terms at eps^0 and eps^1 are live, one at eps^2 is not
     seen.clear()
     terms = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)]),
              (one, [(0, 3)], [(0, 1)]), (one, [(0, 3), (0, 2)], [(0, 1)])]
-    assert _limit([(terms, 1)]) == limit_oracle([(terms, 1)])
+    assert _keyed_limit([(terms, 1)]) == limit_oracle([(terms, 1)])
     assert sorted(seen) == [(0, 1), (0, 1), (1, 1)]
     # the synthetic difference sums with dead terms added
     rng = random.Random(7)
     for _ in range(6):
         M = rng.randint(1, 3)
         seen.clear()
-        _limit([(_with_dead_terms(rng, _difference_sum(rng, M, 4), M), 1)])
+        _keyed_limit([(_with_dead_terms(rng, _difference_sum(rng, M, 4), M), 1)])
         assert seen and all(nu <= order == M for nu, order in seen)
 
 

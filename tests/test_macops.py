@@ -6,8 +6,8 @@ from math import gcd
 from random import Random
 
 from conftest import (branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
-                      op_column_oracle, partitions_upto, prime_point, psi_branch_oracle,
-                      schur_oracle)
+                      op_column_oracle, partitions_upto, perturbed, prime_point,
+                      principal_specialization_holds, psi_branch_oracle, schur_oracle)
 
 from macdaha import clear_caches
 from macdaha.combinat import (chain_weight, dominant_chains, interlacing_signatures, is_dominant,
@@ -302,10 +302,15 @@ def test_constructors_agree_on_both_gcd_paths(qt_gcd_path):
 
 
 def test_eigen_beyond_pseudo_remainder_reach():
-    # Past 100 s with the pseudo-remainder gcd alone; about 1 s now.
+    # Past 100 s with the pseudo-remainder gcd alone; about 1 s now.  The
+    # principal specialization P_lam(1, t^2, t^4, t^6; q^2, t^2) checks the
+    # output against a closed form that shares no code with the package.
     lam = (7, 5, 2, 0)
     f = macdonald_eigen(lam, 4)
     assert mac_apply(f, 1, P) == f.scalar_mul(eigenvalue(lam, 1, 4, P))
+    params = lambda q, t: (q ** 2, t ** 2)
+    assert principal_specialization_holds(f, lam, Random(7520), params)
+    assert not principal_specialization_holds(perturbed(f), lam, Random(7520), params)
 
 
 def test_branch_base_cases():
