@@ -4,10 +4,8 @@ the rational-function field Q(q, t)."""
 
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
                      UnitMono, clear_caches, poch_ratio, qfact, qfall, qnum, subst)
-from .combinat import (GTPattern, format_signature, gt_enumerate, gt_weight,
-                       in_window, interlaces, interlacing_signatures, is_dominant,
-                       parse_signature, rho, rho_tilde, shift,
-                       shifted_chain_enumerate)
+from .combinat import (format_signature, in_window, interlaces, interlacing_signatures,
+                       is_dominant, parse_signature, rho, rho_tilde, shift)
 from .npoly import NPoly
 from .sympoly import (SymLaurent, e_sym, eval_sym, from_npoly,
                       m_sym, mono_shift, sym_to_json, to_npoly)

@@ -1,16 +1,16 @@
-"""Signatures, interlacing, Gelfand-Tsetlin patterns, weights and shifts.
+"""Signatures, interlacing, Gelfand-Tsetlin chains, weights and shifts.
 
 A signature is a weakly decreasing tuple of integers (negative entries
-allowed, empty tuple allowed).  Gelfand-Tsetlin patterns subordinate to a
-signature are interlacing chains ending at it; they index both the
-monomial expansion of the associated symmetric polynomials and the trace
-summations used elsewhere in the package.
+allowed, empty tuple allowed).  The chains of interlacing signatures ending
+at one (at k = 1 the Gelfand-Tsetlin patterns subordinate to it) index both
+the monomial expansion of the associated symmetric polynomials and the
+trace summations used elsewhere in the package.  lattice_sum is the one
+walk over them: it sums a product of links over the states of the pattern
+lattice level by level and never lists a chain.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -30,10 +30,6 @@ def check_signature(lam, n):
     if not is_dominant(lam):
         raise ValueError("signature must be dominant")
     return lam
-
-
-def sig_sum(sig):
-    return sum(sig)
 
 
 def parse_signature(text):
@@ -94,84 +90,6 @@ def partitions(d, n):
     return [pre for pre, rem in rows if rem == 0]
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    """Triangular interlacing array; rows[l-1] has length l, last row = lam."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        for l, row in enumerate(self.rows, start=1):
-            if len(row) != l:
-                raise ValueError("row lengths must be 1, 2, ..., n")
-        for l in range(len(self.rows) - 1):
-            if not interlaces(self.rows[l], self.rows[l + 1]):
-                raise ValueError("adjacent rows must interlace")
-
-    @property
-    def top(self):
-        return self.rows[-1]
-
-    def sort_key(self):
-        return tuple(x for row in self.rows for x in row)
-
-
-def gt_enumerate(lam):
-    """All Gelfand-Tsetlin patterns subordinate to lam, each exactly once.
-
-    Ordered lexicographically on the concatenation of rows bottom-up.
-    """
-    if not lam:
-        return [GTPattern(rows=())]
-    return [GTPattern(rows=chain) for chain in shifted_chain_enumerate(lam, 1)]
-
-
-def gt_weight(pattern):
-    """Weight vector (|mu^n|-|mu^{n-1}|, ..., |mu^2|-|mu^1|, |mu^1|)."""
-    return chain_weight(pattern.rows)[::-1]
-
-
-def chain_weight(chain, k=1):
-    """The weight w of a chain mu^1, ..., mu^n: w_i = |tilde mu^i| -
-    |tilde mu^{i-1}| with the level-k tilde shift and |tilde mu^0| = 0
-    (the one empty row of the chain of () has no weight entry)."""
-    sums = [sig_sum(shift(row, k, "tilde")) for row in chain if row]
-    return tuple(b - a for a, b in zip([0] + sums, sums))
-
-
-def dominant_chains(lam):
-    """The Gelfand-Tsetlin patterns mu^1, ..., mu^n = lam (the k = 1
-    chains) whose weight w = chain_weight(chain) is weakly decreasing.
-
-    Walked from lam down, so the first step fixes w_n and each later step
-    w_i, which must be at least w_{i+1}.  A row mu^i is also dropped at once
-    when |mu^i| < i * w_{i+1}: the weights w_1, ..., w_i still to come sum
-    to |mu^i| and none of them is below w_{i+1}.
-    """
-    walks = [((lam,), float("-inf"))]
-    for i in range(len(lam) - 1, 0, -1):
-        step = []
-        for chain, floor in walks:
-            total = sig_sum(chain[0])
-            for mu in interlacing_signatures(chain[0]):
-                s = sig_sum(mu)
-                w = total - s
-                if w >= floor and s >= i * w:
-                    step.append(((mu,) + chain, w))
-        walks = step
-    return [chain for chain, _ in walks]
-
-
-@cached
-def kostka_dominant(lam):
-    """{nu: number of Gelfand-Tsetlin patterns subordinate to lam with
-    weight nu} over the dominant nu: the Kostka numbers K_{lam, nu},
-    counted over dominant_chains(lam)."""
-    if not is_dominant(lam):
-        raise ValueError("signature must be dominant")
-    return dict(Counter(map(chain_weight, dominant_chains(lam))))
-
-
 def rho(n):
     """rho_i = (n + 1 - 2i)/2 as exact fractions."""
     return tuple(Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1))
@@ -193,19 +111,65 @@ def shift(lam, k, variant):
     return tuple(lam[i] - c * i for i in range(len(lam)))
 
 
-def shifted_chain_enumerate(lam, k):
-    """Chains mu^1, ..., mu^n = lam whose (k-1)-tilde shifts interlace.
+def lattice_sum(lam, k, link, one, total, dominant=False):
+    """The chain sum, sum_chain prod_i link(mu^i, mu^{i+1}) x^w, over the
+    chains mu^1, ..., mu^n = lam whose level-k tilde shifts interlace, as a
+    term map {w: value}; with dominant, over those of weakly decreasing w
+    only.  one is the empty product and total adds a list of products.
 
-    Equivalently mu^{i+1}_j >= mu^i_j >= mu^{i+1}_{j+1} - (k-1).  At k = 1
-    these are exactly the Gelfand-Tsetlin patterns subordinate to lam.
-    Ordered lexicographically on the concatenated rows bottom-up.
+    The chains are mu^{i+1}_j >= mu^i_j >= mu^{i+1}_{j+1} - (k-1), so each
+    row below mu^{i+1} ranges over interlacing_signatures(mu^{i+1}, k); at
+    k = 1 they are the Gelfand-Tsetlin patterns subordinate to lam.  Their
+    weight is w_i = |tilde mu^i| - |tilde mu^{i-1}| with |tilde mu^0| = 0.
+
+    The sum is taken level by level from mu^n = lam down, over the states
+    (mu^i, (w_{i+1}, ..., w_n)): the sizes of the rows above fix those
+    weights, so no chain is ever listed.  The dominant chains are cut out
+    on each (state, child) pair: w_i >= w_{i+1}, and |tilde mu^{i-1}| >=
+    (i-1) w_i, because the weights w_1, ..., w_{i-1} still to come sum to
+    |tilde mu^{i-1}| and none of them is below w_i.  A state's value is the
+    total, over the paths from lam to it, of their link products: each
+    product value * link is formed once per edge, each distinct link is
+    evaluated once and a zero link adds no term, and a state of value zero
+    is dropped, so no link below it is evaluated.  The bottom states
+    (mu^1, (w_2, ..., w_n)) are one per weight.
     """
     if not is_dominant(shift(lam, k, "tilde")):
         raise ValueError("tilde-shifted top row must be dominant")
-    chains = [(lam,)]
-    for _ in range(len(lam) - 1):
-        chains = [(mu,) + chain
-                  for chain in chains
-                  for mu in interlacing_signatures(chain[0], k)]
-    chains.sort(key=lambda ch: tuple(x for row in ch for x in row))
-    return chains
+    sizes, links = {}, {}
+
+    def size(row):
+        if row not in sizes:
+            sizes[row] = sum(shift(row, k, "tilde"))
+        return sizes[row]
+
+    values = {(lam, ()): one}
+    for i in range(len(lam) - 1, 0, -1):
+        incoming = {}
+        for (row, tail), value in values.items():
+            top = size(row)
+            for mu in interlacing_signatures(row, k):
+                s = size(mu)
+                w = top - s
+                if dominant and (tail and w < tail[0] or s < i * w):
+                    continue
+                pair = (mu, row)
+                if pair not in links:
+                    links[pair] = link(*pair)
+                if links[pair]:
+                    incoming.setdefault((mu, (w,) + tail), []).append(value * links[pair])
+        values = {}
+        for state, terms in incoming.items():
+            value = total(terms)
+            if value:
+                values[state] = value
+    return {((size(row),) + tail if row else tail): value
+            for (row, tail), value in values.items()}
+
+
+@cached
+def kostka_dominant(lam):
+    """{nu: number of Gelfand-Tsetlin patterns subordinate to lam with
+    weight nu} over the dominant nu: the Kostka numbers K_{lam, nu}, the
+    dominant lattice_sum at k = 1 counted in integers."""
+    return lattice_sum(lam, 1, lambda mu, nu: 1, 1, sum, dominant=True)

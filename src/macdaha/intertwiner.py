@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .combinat import check_signature, in_window, interlaces, shift, shifted_chain_enumerate
+from .combinat import check_signature, in_window, interlaces, shift
 from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
@@ -685,7 +685,7 @@ def trace_reconstruct(lam, n, k):
             classes[rep] = diag_coeff_sum(*rep, k)
         return classes[rep]
 
-    return NPoly._raw(n, chain_sum(shifted_chain_enumerate(lam, k), k, link))
+    return NPoly._raw(n, chain_sum(lam, k, link))
 
 
 def trace_ratio(lam, n, k):

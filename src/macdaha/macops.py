@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combinat import (check_signature, dominant_chains, interlaces, interlacing_signatures,
-                       inversions, kostka_dominant, partitions, shift, sig_sum)
+from .combinat import (check_signature, interlaces, interlacing_signatures, inversions,
+                       kostka_dominant, lattice_sum, partitions)
 from .npoly import add_terms
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall,
                      rat_sum)
@@ -273,8 +273,8 @@ def branch_sum(lam, psi, sub):
         return SymLaurent(1, {lam: CR_ONE})
     acc = {}
     for mu in interlacing_signatures(lam):
-        d = sig_sum(lam) - sig_sum(mu)
-        if d * (n - 1) > sig_sum(mu):
+        d = sum(lam) - sum(mu)
+        if d * (n - 1) > sum(mu):
             continue
         terms = [(sig + (d,), c) for sig, c in sub(mu).terms.items() if sig[-1] >= d]
         if terms:
@@ -299,65 +299,17 @@ def macdonald_branch(lam, n, params=None):
     return _branch_cached(lam, n, params)
 
 
-def chain_sum(chains, k, link):
-    """The chain sum, sum_chain prod_i link(mu^i, mu^{i+1}) x^w, over the
-    given chains mu^1, ..., mu^n, as a term map {w: coefficient}.
+def chain_sum(lam, k, link, dominant=False):
+    """The chain sum over Q(q, t), sum_chain prod_i link(mu^i, mu^{i+1}) x^w,
+    as a term map {w: coefficient}: combinat.lattice_sum with the states
+    summed by rat_sum, one reduction each.
 
-    w = chain_weight(chain, k): w_i = |tilde mu^i| - |tilde mu^{i-1}| with
-    the level-k tilde shift and |tilde mu^0| = 0.  The trace sums over
-    every chain of shifted_chain_enumerate, because its numerator is not
-    symmetric; the Gelfand-Tsetlin formula, which is, sums only over
-    dominant_chains, whose weights are the dominant keys (for dominant w
-    the coefficient of x^w is that of m_w).
-
-    The sum is taken level by level from mu^n = lam down.  The state of a
-    chain at level i is (mu^i, (w_{i+1}, ..., w_n)): the sizes of the rows
-    above fix those weights.  Both chain sets are cut out by conditions on
-    consecutive states (interlacing; w_i >= w_{i+1} and |mu^i| >= i w_{i+1}),
-    so every path through the states the chains visit is one of the chains.
-    A state's value is the sum, over the paths from lam to it, of their
-    link products: each product value * link is formed once per edge, the
-    terms reaching a state are added by rat_sum with one reduction, and a
-    state of value zero is dropped, so no link below it is evaluated.  Each
-    distinct link is evaluated once, and the bottom states
-    (mu^1, (w_2, ..., w_n)) are one per weight.
+    The trace sums over every chain of level k, because its numerator is
+    not symmetric; the Gelfand-Tsetlin formula, which is, sums at k = 1
+    over the dominant chains only, whose weights are the dominant keys (for
+    dominant w the coefficient of x^w is that of m_w).
     """
-    if not chains:
-        return {}
-    sizes, links = {}, {}
-
-    def size(row):
-        if row not in sizes:
-            sizes[row] = sig_sum(shift(row, k, "tilde"))
-        return sizes[row]
-
-    edges = [{} for _ in chains[0][1:]]     # edges[j]: state j rows below lam -> states below it
-    for chain in chains:
-        state = (chain[-1], ())
-        for j, mu in enumerate(reversed(chain[:-1])):
-            upper, tail = state
-            below = (mu, (size(upper) - size(mu),) + tail)
-            edges[j].setdefault(state, {})[below] = None
-            state = below
-    values = {(chains[0][-1], ()): CR_ONE}
-    for level in edges:
-        incoming = {}
-        for state, below in level.items():
-            if state not in values:
-                continue
-            for child in below:
-                pair = (child[0], state[0])
-                if pair not in links:
-                    links[pair] = link(*pair)
-                if links[pair]:
-                    incoming.setdefault(child, []).append(values[state] * links[pair])
-        values = {}
-        for state, terms in incoming.items():
-            total = rat_sum(terms)
-            if total:
-                values[state] = total
-    return {((size(row),) + tail if row else tail): value
-            for (row, tail), value in values.items()}
+    return lattice_sum(lam, k, link, CR_ONE, rat_sum, dominant)
 
 
 def macdonald_gt(lam, n, params=None):
@@ -365,8 +317,8 @@ def macdonald_gt(lam, n, params=None):
     lam = check_signature(lam, n)
     if params is None:
         params = generic_params()
-    return SymLaurent._raw(n, chain_sum(dominant_chains(lam), 1,
-                                        lambda mu, nu: _psi_for_params(nu, mu, params)))
+    return SymLaurent._raw(n, chain_sum(lam, 1, lambda mu, nu: _psi_for_params(nu, mu, params),
+                                        dominant=True))
 
 
 def macdonald_qk(lam, n, k):

@@ -1,18 +1,20 @@
 """Sparse Laurent polynomials in n variables over the scalar field Q(q, t).
 
 Workhorse representation behind the symmetric-polynomial layer, the
-Hecke-operator action, the branching and Gelfand-Tsetlin chain sums and the
-traces.  Supports exact division by binomials x_i - c*x_j, as the
-Demazure-Lusztig operators and the trace ratio need.
+Hecke-operator action, the branching sums, and the Gelfand-Tsetlin lattice
+sums of the pattern formula and the traces.  Supports exact division by
+binomials x_i - c*x_j, as the Demazure-Lusztig operators and the trace
+ratio need.
 
 `TermMap` is the sparse container that `NPoly` shares with
 `sympoly.SymLaurent`: a dict {key: CoeffRat} with no zero values, whose
 sums, negation and scalar products are written once.  `add_terms` is the
 one accumulator: every sum of terms in the polynomial and operator layers
 goes through it, adding one value at a time with `CoeffRat.__add__`.  A
-long sum of scalars that should be reduced once (the Jackson pairing, the
-states of `macops.chain_sum`) goes through `qfield.rat_sum` instead;
-routing `add_terms` itself through it made the operator sums slower.
+long sum of scalars that should be reduced once (the Jackson pairing, each
+state of the lattice walk behind `macops.chain_sum`) goes through
+`qfield.rat_sum` instead; routing `add_terms` itself through it made the
+operator sums slower.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ from math import comb
 import pytest
 
 from macdaha import qfield
-from macdaha.combinat import (interlaces, interlacing_signatures, inversions, is_dominant,
-                              shift, shifted_chain_enumerate)
+from macdaha.combinat import interlaces, interlacing_signatures, inversions, is_dominant, shift
 from macdaha.indexops import IndexOpParams, index_apply
 from macdaha.intertwiner import _cg_qpower
 from macdaha.macops import _psi_for_params
@@ -45,6 +44,41 @@ def partitions_upto(maxdeg, n):
     for d in range(maxdeg + 1):
         rec([], d, d)
     return out
+
+
+def box_chains(lam, k):
+    """Every chain mu^1, ..., mu^n = lam with mu^{i+1}_j >= mu^i_j >=
+    mu^{i+1}_{j+1} - (k-1), in lex order of the rows concatenated bottom-up:
+    each row l filtered from the box [lam_n - (n-1)(k-1), lam_1]^l by those
+    inequalities against the row above.  At k = 1 these are the
+    Gelfand-Tsetlin patterns subordinate to lam."""
+    n = len(lam)
+    vals = range(lam[-1] - (n - 1) * (k - 1), lam[0] + 1) if lam else ()
+    chains = [(lam,)]
+    for l in range(n - 1, 0, -1):
+        chains = [(mu,) + ch for ch in chains for mu in product(vals, repeat=l)
+                  if all(ch[0][i + 1] - (k - 1) <= mu[i] <= ch[0][i] for i in range(l))]
+    return sorted(chains, key=lambda ch: tuple(x for row in ch for x in row))
+
+
+def tilde_weight(chain, k):
+    """w_i = |tilde mu^i| - |tilde mu^{i-1}|, |tilde mu^0| = 0, with the
+    level-k tilde shift mu_j - (k-1)(j-1); () for the chain of ()."""
+    sums = [sum(x - (k - 1) * j for j, x in enumerate(row)) for row in chain if row]
+    return tuple(b - a for a, b in zip([0] + sums, sums))
+
+
+def per_chain_sum(chains, k, link):
+    """{w: sum over the chains of weight w of prod_i link(mu^i, mu^{i+1})},
+    each chain multiplied out on its own; zero sums dropped."""
+    out = {}
+    for chain in chains:
+        c = CR_ONE
+        for mu, nu in zip(chain, chain[1:]):
+            c = c * link(mu, nu)
+        w = tilde_weight(chain, k)
+        out[w] = out.get(w, CR_ZERO) + c
+    return {w: c for w, c in out.items() if c}
 
 
 def perm_sign(perm):
@@ -139,14 +173,8 @@ def branch_oracle(lam, params):
 def gt_oracle(lam, params):
     """P_lam as the sum over every Gelfand-Tsetlin pattern of its psi
     product times x^w, w_i = |mu^i| - |mu^{i-1}|, folded back."""
-    acc = {}
-    for chain in shifted_chain_enumerate(lam, 1):
-        coeff = CR_ONE
-        for mu, nu in zip(chain, chain[1:]):
-            coeff = coeff * _psi_for_params(nu, mu, params)
-        sums = [sum(row) for row in chain]
-        add_terms(acc, ((tuple(b - a for a, b in zip([0] + sums, sums)), coeff),))
-    return from_npoly(NPoly._raw(len(lam), acc))
+    terms = per_chain_sum(box_chains(lam, 1), 1, lambda mu, nu: _psi_for_params(nu, mu, params))
+    return from_npoly(NPoly(len(lam), terms))
 
 
 def res_map_oracle(f, n, l):
@@ -164,15 +192,10 @@ def res_map_oracle(f, n, l):
     return from_npoly(NPoly._raw(n, acc))
 
 
-def _kostka_oracle(mu):
+def kostka_oracle(mu):
     """{nu: K_{mu, nu}} over dominant nu, counted over every pattern."""
-    out = Counter()
-    for chain in shifted_chain_enumerate(mu, 1):
-        sums = [sum(row) for row in chain]
-        w = tuple(b - a for a, b in zip([0] + sums, sums))
-        if is_dominant(w):
-            out[w] += 1
-    return out
+    weights = (tilde_weight(chain, 1) for chain in box_chains(mu, 1))
+    return Counter(w for w in weights if is_dominant(w))
 
 
 def op_column_oracle(lam, r, n, params):
@@ -199,7 +222,7 @@ def op_column_oracle(lam, r, n, params):
     for mu, c in schur.items():
         c = c * unit
         add_terms(mono, ((nu, c * LaurentQT.const(kostka))
-                         for nu, kostka in _kostka_oracle(mu).items()))
+                         for nu, kostka in kostka_oracle(mu).items()))
     return {nu: CoeffRat.from_laurent(c) for nu, c in mono.items()}
 
 

@@ -225,6 +225,27 @@ def test_verify_matelt_routes_envelope(capsys):
     assert rc == 0 and json.loads(out)["pass"] is True
 
 
+def test_verify_trace_envelope(capsys):
+    # Just outside the trace envelope at d = min(--maxdeg, 3): k one above
+    # the cap for 2, 5 and 6 variables (also through --suite all), d one
+    # above the bound at (n, k) = (4, 6), and 7 variables; each exits 2 at
+    # once.
+    for argv in (["--suite", "trace", "--n", "2", "--k", "9"],
+                 ["--suite", "all", "--n", "2", "--l", "1", "--k", "9"],
+                 ["--suite", "trace", "--n", "5", "--k", "4"],
+                 ["--suite", "trace", "--n", "6", "--k", "3"],
+                 ["--suite", "trace", "--n", "4", "--k", "6", "--maxdeg", "3"],
+                 ["--suite", "trace", "--n", "7", "--k", "2"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+        assert "trace" in err, argv
+    # Just inside: the k cap for 2 variables at d = 3.
+    rc, out, _ = run(capsys, ["verify", "--suite", "trace", "--n", "2", "--k", "8"])
+    assert rc == 0 and json.loads(out)["pass"] is True
+
+
 def test_package_runs_as_module():
     # python -m macdaha answers as python -m macdaha.cli does: one poly
     # call and one usage error.

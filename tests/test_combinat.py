@@ -1,18 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import partitions_upto, schur_oracle
+from conftest import box_chains, kostka_oracle, partitions_upto, schur_oracle, tilde_weight
 
-from macdaha.combinat import (GTPattern, chain_weight, check_signature, dominant_chains,
-                              format_signature, gt_enumerate, gt_weight, interlaces,
-                              interlacing_signatures,
-                              is_dominant, kostka_dominant, parse_signature,
-                              partitions, rho, rho_tilde, shift,
-                              shifted_chain_enumerate)
+from macdaha.combinat import (check_signature, format_signature, interlaces,
+                              interlacing_signatures, kostka_dominant, lattice_sum,
+                              parse_signature, partitions, rho, rho_tilde, shift)
 from macdaha.intertwiner import branch_reconstruct_qk, trace_reconstruct
-from macdaha.macops import macdonald_branch, macdonald_eigen, macdonald_gt
+from macdaha.macops import chain_sum, macdonald_branch, macdonald_eigen, macdonald_gt
 from macdaha.npoly import NPoly
 from macdaha.qfield import CR_ONE
 from macdaha.sympoly import from_npoly
@@ -29,6 +27,28 @@ def signatures(n, lo, hi):
 
 def in_level_window(mu, lam, k):
     return all(lam[i + 1] - (k - 1) <= mu[i] <= lam[i] for i in range(len(mu)))
+
+
+class Chains(frozenset):
+    """A set of chains as a lattice_sum value: times a row mu it puts mu
+    below every chain, so the walk sums the chains themselves."""
+
+    def __mul__(self, mu):
+        return Chains((mu,) + chain for chain in self)
+
+
+def walked_chains(lam, k, dominant=False):
+    """The chains lattice_sum walks, sorted, each checked against the
+    weight it is summed under."""
+    sums = lattice_sum(lam, k, lambda mu, nu: mu, Chains({(lam,)}),
+                       lambda parts: Chains(c for part in parts for c in part), dominant)
+    for w, chains in sums.items():
+        assert all(tilde_weight(chain, k) == w for chain in chains), (lam, k, w)
+    return sorted(chain for chains in sums.values() for chain in chains)
+
+
+def pattern_count(lam, k=1):
+    return sum(lattice_sum(lam, k, lambda mu, nu: 1, 1, sum).values())
 
 
 def weyl_dim(lam):
@@ -49,51 +69,35 @@ def test_interlaces():
 
 
 def test_gt_enumerate_counts():
-    assert len(gt_enumerate((1, 0))) == 2
-    assert len(gt_enumerate((2, 0))) == 3
-    assert len(gt_enumerate((1, 1, 0))) == 3
+    # The walk at k = 1 with every link 1 counts the patterns.
+    assert pattern_count((1, 0)) == 2
+    assert pattern_count((2, 0)) == 3
+    assert pattern_count((1, 1, 0)) == 3
+    assert pattern_count(()) == 1
 
 
 def test_gt_counts_match_weyl_dimension():
     for n in (2, 3, 4):
         for lam in partitions_upto(6 if n < 4 else 4, n):
-            assert len(gt_enumerate(lam)) == weyl_dim(lam), lam
-
-
-def test_patterns_interlace_and_order_is_deterministic():
-    pats = gt_enumerate((2, 1, 0))
-    for p in pats:
-        for l in range(len(p.rows) - 1):
-            assert interlaces(p.rows[l], p.rows[l + 1])
-    keys = [p.sort_key() for p in pats]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+            assert pattern_count(lam) == weyl_dim(lam), lam
 
 
 def test_gt_weight_values():
-    up, down = gt_enumerate((1, 0))
-    weights = {gt_weight(p) for p in (up, down)}
-    assert weights == {(1, 0), (0, 1)}
+    assert lattice_sum((1, 0), 1, lambda mu, nu: 1, 1, sum) == {(1, 0): 1, (0, 1): 1}
 
 
 def test_gt_weight_sum_is_schur():
     for lam in [(1, 0), (2, 0), (2, 1), (2, 1, 0), (3, 1, 0)]:
         n = len(lam)
-        acc = NPoly.zero(n)
-        for p in gt_enumerate(lam):
-            acc = acc + NPoly.monomial(gt_weight(p), CR_ONE)
-        assert from_npoly(acc) == schur_oracle(lam, n)
+        sums = NPoly._raw(n, chain_sum(lam, 1, lambda mu, nu: CR_ONE))
+        assert from_npoly(sums) == schur_oracle(lam, n)
 
 
 def test_kostka_dominant_counts_gt_patterns():
+    # Against a Counter of the dominant weights of the box-filter patterns.
     for lam in [(), (0,), (-2,), (1, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1, 0),
-                (1, -1), (0, -1, -3), (3, 1, 1, -2)]:
-        counts = {}
-        for p in gt_enumerate(lam):
-            nu = gt_weight(p)
-            if is_dominant(nu):
-                counts[nu] = counts.get(nu, 0) + 1
-        assert kostka_dominant(lam) == counts, lam
+                (1, -1), (0, -1, -3), (3, 1, 1, -2), (2, 0, -1, -1)]:
+        assert kostka_dominant(lam) == kostka_oracle(lam), lam
     assert kostka_dominant((2, 1, 0)) == {(2, 1, 0): 1, (1, 1, 1): 2}
     with pytest.raises(ValueError):
         kostka_dominant((0, 1))
@@ -110,29 +114,30 @@ def test_shifts():
 
 
 def test_chains_at_k1_are_gt_patterns():
+    # At k = 1 the walk visits exactly the row tuples whose adjacent rows
+    # interlace.
     for n in (1, 2, 3, 4):
         for lam in signatures(n, -2, 2 if n < 4 else 1):
-            chains = shifted_chain_enumerate(lam, 1)
-            assert [p.rows for p in gt_enumerate(lam)] == chains, lam
-    assert gt_enumerate(()) == [GTPattern(rows=())]
+            rows = [list(product(range(lam[-1], lam[0] + 1), repeat=l)) for l in range(1, n)]
+            want = [chain + (lam,) for chain in product(*rows)
+                    if all(interlaces(a, b) for a, b in zip(chain, chain[1:] + (lam,)))]
+            assert walked_chains(lam, 1) == sorted(want), lam
+    assert walked_chains((), 1) == [((),)]
 
 
 def test_dominant_chains_are_the_patterns_of_dominant_weight():
-    # The pruned walk against a filter of every pattern, weights from row sums.
+    # The dominant walk against the box-filter patterns of weakly
+    # decreasing weight, and its chains counted per weight against a
+    # Counter of the same filter, on signatures of both signs.
     for n in (1, 2, 3, 4):
         for lam in signatures(n, -2, 3 if n < 4 else 2):
-            want = []
-            for chain in shifted_chain_enumerate(lam, 1):
-                sums = [sum(row) for row in chain]
-                w = tuple(b - a for a, b in zip([0] + sums, sums))
-                if decreasing(w):
-                    want.append(chain)
-                assert chain_weight(chain) == w
-            assert sorted(dominant_chains(lam)) == want, lam
-    assert sorted(dominant_chains((2, 1, 0))) == [((1,), (1, 1), (2, 1, 0)),
-                                                  ((1,), (2, 0), (2, 1, 0)),
-                                                  ((2,), (2, 1), (2, 1, 0))]
-    assert chain_weight(((),)) == ()
+            want = [chain for chain in box_chains(lam, 1) if decreasing(tilde_weight(chain, 1))]
+            assert walked_chains(lam, 1, dominant=True) == want, lam
+            counts = lattice_sum(lam, 1, lambda mu, nu: 1, 1, sum, dominant=True)
+            assert counts == Counter(tilde_weight(chain, 1) for chain in want), lam
+    assert walked_chains((2, 1, 0), 1, dominant=True) == [((1,), (1, 1), (2, 1, 0)),
+                                                           ((1,), (2, 0), (2, 1, 0)),
+                                                           ((2,), (2, 1), (2, 1, 0))]
 
 
 def test_window_matches_box_filter():
@@ -154,11 +159,12 @@ def test_shifted_chains_match_box_filter():
                 vals = range(lam[-1] - (n - 1) * (k - 1), lam[0] + 1)
                 rows = [list(product(vals, repeat=l)) for l in range(1, n)]
                 expected = sorted(
-                    (chain + (lam,) for chain in product(*rows)
-                     if all(in_level_window(a, b, k)
-                            for a, b in zip(chain, chain[1:] + (lam,)))),
-                    key=lambda ch: tuple(x for row in ch for x in row))
-                assert shifted_chain_enumerate(lam, k) == expected, (lam, k)
+                    chain + (lam,) for chain in product(*rows)
+                    if all(in_level_window(a, b, k)
+                           for a, b in zip(chain, chain[1:] + (lam,))))
+                assert walked_chains(lam, k) == expected, (lam, k)
+    with pytest.raises(ValueError):
+        lattice_sum((0, 0), 0, lambda mu, nu: 1, 1, sum)
 
 
 def test_partitions_match_filtered_product():
@@ -170,19 +176,17 @@ def test_partitions_match_filtered_product():
 
 
 def test_chain_window_example():
-    chains = shifted_chain_enumerate((0, 0), 2)
-    assert sorted(c[0] for c in chains) == [(-1,), (0,)]
+    assert sorted(c[0] for c in walked_chains((0, 0), 2)) == [(-1,), (0,)]
+    assert lattice_sum((0, 0), 2, lambda mu, nu: 1, 1, sum) == {(-1, 0): 1, (0, -1): 1}
 
 
 def test_chain_count_equals_shifted_gt_count():
     for (lam, k) in [((1, 0), 2), ((2, 0), 2), ((1, 1, 0), 2), ((1, 0, 0), 3)]:
-        shifted_top = shift(lam, k, "tilde")
-        assert len(shifted_chain_enumerate(lam, k)) == \
-            len(gt_enumerate(shifted_top))
+        assert pattern_count(lam, k) == pattern_count(shift(lam, k, "tilde"))
 
 
 def test_chain_rows_interlace_in_tilde_coordinates():
-    for chain in shifted_chain_enumerate((2, 1, 0), 2):
+    for chain in walked_chains((2, 1, 0), 2):
         tilded = [shift(row, 2, "tilde") for row in chain]
         for a, b in zip(tilded, tilded[1:]):
             assert interlaces(a, b)
@@ -215,10 +219,3 @@ def test_check_signature():
             call((2, 1), 3)
         with pytest.raises(ValueError, match=dominant):
             call((0, 1), 2)
-
-
-def test_gtpattern_validation():
-    with pytest.raises(ValueError):
-        GTPattern(rows=((3,), (2, 0)))
-    with pytest.raises(ValueError):
-        GTPattern(rows=((1, 0),))

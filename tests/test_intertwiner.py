@@ -5,13 +5,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cg_diag_sq, cg_reduced_squared, eval_fraction, keyed, limit_oracle,
-                      listed, live_terms, partitions_upto, perturbed,
+from conftest import (box_chains, cg_diag_sq, cg_reduced_squared, eval_fraction, keyed,
+                      limit_oracle, listed, live_terms, partitions_upto, perturbed,
                       principal_specialization_holds, route_factor_lists,
                       s_factorial_sq, _telescope, _unit_atoms, _zero_atoms, window)
 
 from macdaha import intertwiner
-from macdaha.combinat import interlacing_signatures, shifted_chain_enumerate
+from macdaha.combinat import interlacing_signatures
 from macdaha.combinat import shift as sig_shift
 from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain, delta1,
                                  delta2, delta_cross, diag_coeff_sum, ek_denominator,
@@ -222,6 +222,16 @@ def test_trace_four_variables_level_four_two_rows():
     assert not principal_specialization_holds(perturbed(tr), lam, random.Random(4), params)
 
 
+def test_trace_five_variables_principal_specialization():
+    # The level-k walk in 5 variables: P_lam(x; q^2, q^4) at
+    # x = (1, T, ..., T^4), T = q^4, which a one-coefficient change breaks.
+    lam = (2, 0, 0, 0, 0)
+    tr = trace_ratio(lam, 5, 2)
+    params = lambda q, t: (q ** 2, q ** 4)
+    assert principal_specialization_holds(tr, lam, random.Random(5), params)
+    assert not principal_specialization_holds(perturbed(tr), lam, random.Random(5), params)
+
+
 def test_routes_are_translation_invariant():
     # every route atom is a difference of coordinates, so
     # c(mu + s, lam + s) = c(mu, lam); trace_reconstruct relies on it
@@ -245,7 +255,7 @@ def test_trace_reconstruct_equals_per_chain_sum():
                    ((1, 0, -1), 3), ((1, 0, 0, 0), 2), ((2, 1, 0), 4)]:
         n = len(lam)
         acc = NPoly.zero(n)
-        for chain in shifted_chain_enumerate(lam, k):
+        for chain in box_chains(lam, k):
             coeff = CR_ONE
             for i in range(n - 1):
                 coeff = coeff * diag_coeff_sum(chain[i], chain[i + 1], k)

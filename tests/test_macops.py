@@ -5,13 +5,13 @@ from itertools import product
 from math import gcd
 from random import Random
 
-from conftest import (branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
-                      op_column_oracle, partitions_upto, perturbed, prime_point,
-                      principal_specialization_holds, psi_branch_oracle, schur_oracle)
+from conftest import (box_chains, branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
+                      op_column_oracle, partitions_upto, per_chain_sum, perturbed, prime_point,
+                      principal_specialization_holds, psi_branch_oracle, schur_oracle,
+                      tilde_weight)
 
 from macdaha import clear_caches
-from macdaha.combinat import (chain_weight, dominant_chains, interlacing_signatures, is_dominant,
-                              shifted_chain_enumerate)
+from macdaha.combinat import interlacing_signatures, is_dominant
 
 from macdaha.macops import (MacParams, _op_column, _psi_for_params, branch_sum, chain_sum,
                             eigenvalue, generic_params,
@@ -313,6 +313,17 @@ def test_eigen_beyond_pseudo_remainder_reach():
     assert not principal_specialization_holds(perturbed(f), lam, Random(7520), params)
 
 
+def test_gt_principal_specialization():
+    # The dominant walk checked against Macdonald VI (6.11') at an edge-size
+    # partition and at a signature with a negative entry; a one-coefficient
+    # change fails the check.
+    params = lambda q, t: (q ** 2, t ** 2)
+    for lam, seed in (((8, 3, 0, 0), 830), ((3, 2, 1, -1), 321)):
+        f = macdonald_gt(lam, 4)
+        assert principal_specialization_holds(f, lam, Random(seed), params), lam
+        assert not principal_specialization_holds(perturbed(f), lam, Random(seed), params), lam
+
+
 def test_branch_base_cases():
     assert macdonald_branch((3,), 1) == SymLaurent(1, {(3,): CR_ONE})
     assert macdonald_gt((1, 0), 2) == m_sym((1, 0), 2)
@@ -377,26 +388,19 @@ def test_half_root_scales_subset_terms():
 
 
 def test_chain_sum_matches_per_chain_products():
-    # The level-by-level sum against the plain sum of every chain's link
-    # product.  The synthetic links vanish on some pairs and carry
-    # denominators, so zero states, shared prefixes and the one-reduction
-    # sums of every state are all exercised.
+    # The level-by-level walk against the plain sum of every box-filter
+    # chain's link product.  The synthetic links vanish on some pairs and
+    # carry denominators, so zero states, shared prefixes and the
+    # one-reduction sums of every state are all exercised.
     def link(mu, nu):
         d = sum(nu) - sum(mu)
         v = qnum(d + sum(mu) % 3 - 1) * q(mu[0])
         return v / (CR_ONE - CoeffRat(LaurentQT({(d + 1, len(mu)): 1})))
 
-    for chains, k in [(shifted_chain_enumerate((2, 1, 0), 2), 2),
-                      (shifted_chain_enumerate((1, 0, -1), 3), 3),
-                      (shifted_chain_enumerate((2, 1, 0, 0), 1), 1),
-                      (dominant_chains((3, 2, 0, 0)), 1),
-                      (shifted_chain_enumerate((4,), 2), 2),
-                      (shifted_chain_enumerate((), 2), 2), ([], 1)]:
-        want = {}
-        for chain in chains:
-            c = CR_ONE
-            for mu, nu in zip(chain, chain[1:]):
-                c = c * link(mu, nu)
-            w = chain_weight(chain, k)
-            want[w] = want.get(w, CR_ZERO) + c
-        assert chain_sum(chains, k, link) == {w: c for w, c in want.items() if c}
+    for lam, k, dominant in [((2, 1, 0), 2, False), ((1, 0, -1), 3, False),
+                             ((2, 1, 0, 0), 1, False), ((3, 2, 0, 0), 1, True),
+                             ((2, 1, -1, -1), 1, True), ((4,), 2, False), ((), 2, False)]:
+        chains = [chain for chain in box_chains(lam, k)
+                  if not dominant or is_dominant(tilde_weight(chain, k))]
+        want = per_chain_sum(chains, k, link)
+        assert chain_sum(lam, k, link, dominant) == want, (lam, k, dominant)

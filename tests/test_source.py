@@ -113,3 +113,47 @@ def test_duplicate_bodies_detected():
 def test_no_duplicate_bodies_in_package():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert duplicate_bodies(sources) == []
+
+
+def unread_definitions(sources):
+    """The top-level functions and classes, across {module name: source},
+    whose name no other top-level statement of any module reads, as a
+    name, an attribute or an imported name (so a re-export counts, and a
+    function that only calls itself does not)."""
+    definitions, reads = [], []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            reads.append((stmt.name if defines else None, module, names))
+            if defines:
+                definitions.append((module, stmt.name))
+    return sorted(f"{module}.{name}" for module, name in definitions
+                  if not any(name in names for own, mod, names in reads
+                             if (own, mod) != (name, module)))
+
+
+def test_unread_definitions_detected():
+    a = ("from .b import used\n"
+         "def loop(n):\n    return loop(n - 1)\n"
+         "def caller():\n    return helper() + B.method()\n"
+         "def helper():\n    return 1\n"
+         "class B:\n    @staticmethod\n    def method():\n        return 2\n")
+    b = ("def used():\n    return 0\n"
+         "def orphan():\n    return used()\n"
+         "def via_attr():\n    return 3\n"
+         "x = b.via_attr\n")
+    assert unread_definitions({"a": a, "b": b}) == ["a.caller", "a.loop", "b.orphan"]
+
+
+def test_every_definition_is_read_in_package():
+    # A helper left behind by a removal, unexported, fails here.
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_definitions(sources) == []
