@@ -11,15 +11,20 @@ Size envelopes, checked before any computation:
 - `poly` takes at most 10 variables, and for n variables a degree
   d = |lambda| - n*lambda_n (lambda shifted to lambda_n = 0) up to a
   bound per method (`_POLY_MAX_DEGREE`; for n = 2, 3, 4, 5: eigen 25,
-  16, 14, 12, branch 39, 18, 15, 14, gt 39, 18, 14, 12).  Each bound is
+  18, 16, 12, branch 39, 18, 15, 14, gt 39, 18, 14, 12).  Each bound is
   the largest d at which the slowest signatures of the method took at
   most 20 s on a 2-vCPU Xeon (the shapes (d, 0, ...), (d-1, 1, 0, ...),
   (d-2, 2, 0, ...) and (d-3, 3, 0, ...), the slowest in full sweeps of
   smaller d); at d + 1 one took longer, or all together over 40 s.  The
   branch and gt bounds for n = 3, 4, 5 were measured with the sums over
   dominant keys only (at d + 1, branch: 47, 47 and 62 s together, gt: 49
-  and 44 s together and 24 s for (10, 3, 0, 0, 0)); the other bounds are
-  older.  In 11 variables eigen took 12 s already at d = 0.
+  and 44 s together and 24 s for (10, 3, 0, 0, 0)).  The eigen bounds for
+  n = 3, 4 were measured with each solve step reduced once: the four
+  shapes took 12.0-12.2, 6.4-7.1, 4.8-5.0 and 2.7-2.9 s at n = 3, d = 18
+  and 15.1-17.7, 5.6-7.3, 6.2-7.0 and 5.8-6.0 s at n = 4, d = 16 (two
+  runs); at d + 1, 21.7 s for (19, 0, 0) and 52 s together, and 37.1 s
+  for (17, 0, 0, 0) and 94 s together.  The other bounds are older.  In
+  11 variables eigen took 12 s already at d = 0.
 - `verify` runs the restriction suites in n*l variables only for
   n*l <= 5 (res-intertwine) and n*l <= 10 (res-diff), also through
   `--suite all`.  At the default samples and maxdeg and seeds 0-3, the
@@ -114,7 +119,7 @@ class _UsageError(Exception):
 # The size envelope of `poly` (see the module docstring): per method and
 # number n of variables, the largest d = |lambda| - n*lambda_n.
 _POLY_MAX_DEGREE = {
-    "eigen": {1: 0, 2: 25, 3: 16, 4: 14, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
+    "eigen": {1: 0, 2: 25, 3: 18, 4: 16, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
     "branch": {1: 0, 2: 39, 3: 18, 4: 15, 5: 14, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
     "gt": {1: 0, 2: 39, 3: 18, 4: 14, 5: 12, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
 }

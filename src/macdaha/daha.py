@@ -24,8 +24,8 @@ from random import Random
 
 from .combinat import inversions, is_dominant
 from .macops import MacParams, mac_apply, mac_generator_apply
-from .npoly import NPoly, add_terms
-from .qfield import CR_ONE, CoeffRat, UnitMono, cached, qnum
+from .npoly import NPoly
+from .qfield import CR_ONE, L_ONE, CoeffRat, LaurentQT, UnitMono, cached, qnum, rat_dot
 from .sympoly import SymLaurent, e_sym, from_npoly, mono_shift, orbit, to_npoly
 
 
@@ -191,25 +191,29 @@ def res_map(f, n, l):
 
     The image is symmetric in X_1, ..., X_n, so only its dominant keys are
     accumulated: for dominant nu the coefficient of X^nu is that of m_nu,
-    and a packed exponent that is not dominant is skipped before its
-    scalar is formed.
+    and a packed exponent that is not dominant is skipped.  Per input
+    signature, the q-powers of the orbit monomials that pack to nu are
+    counted in an integer map {(qexp, 0): count}; the coefficient of nu is
+    then one rat_dot of the input coefficients with these Laurent
+    polynomials, reduced once.
     """
     if f.n != n * l:
         raise ValueError("source must be symmetric in n*l variables")
-
-    def terms():
-        for sig, c in f.terms.items():
-            for e in orbit(sig):
-                qexp = 0
-                packed = [0] * n
-                for idx, ex in enumerate(e):
-                    a = idx % l
-                    packed[idx // l] += ex
-                    qexp += (1 - l + 2 * a) * ex
-                if is_dominant(packed):
-                    yield tuple(packed), c * UnitMono.q(qexp).as_coeffrat()
-
-    return SymLaurent._raw(n, add_terms({}, terms()))
+    pairs = {}
+    for sig, c in f.terms.items():
+        counts = {}
+        for e in orbit(sig):
+            qexp = 0
+            packed = [0] * n
+            for idx, ex in enumerate(e):
+                packed[idx // l] += ex
+                qexp += (1 - l + 2 * (idx % l)) * ex
+            if is_dominant(packed):
+                cnt = counts.setdefault(tuple(packed), {})
+                cnt[qexp, 0] = cnt.get((qexp, 0), 0) + 1
+        for nu, cnt in counts.items():
+            pairs.setdefault(nu, []).append((c, CoeffRat._raw(LaurentQT._raw(cnt), L_ONE)))
+    return SymLaurent._raw(n, {nu: v for nu, ps in pairs.items() if (v := rat_dot(ps))})
 
 
 def res_map_half(f, n, l):

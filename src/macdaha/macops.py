@@ -19,7 +19,10 @@ with a_delta the Vandermonde determinant, delta = (n-1, ..., 0).  On an
 orbit monomial this turns every term into an alternant, so a column
 D^r m_lam has Laurent-polynomial coefficients and is computed without any
 division; the columns are cached per (lam, r, n, parameters) and an input
-is applied as the linear combination of its columns.
+is applied as the linear combination of its columns, each output
+coefficient reduced once by qfield.rat_dot.  The columns at r = 0 and
+r = n are closed forms of the defining formula, D^0 m_lam = m_lam and
+D^n m_lam = S^{|lam|} m_lam.
 
 Three independent constructions of the joint eigenfunctions are provided:
 a triangular eigenvalue solve, the branching recursion, and the
@@ -40,8 +43,8 @@ from .combinat import (check_signature, interlaces, interlacing_signatures, inve
                        kostka_dominant, lattice_sum, partitions)
 from .npoly import add_terms
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall,
-                     rat_sum)
-from .sympoly import SymLaurent, eval_sym, e_sym, mono_shift, orbit
+                     rat_dot, rat_sum)
+from .sympoly import SymLaurent, eval_sym, mono_shift, orbit
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,10 @@ def generic_params():
 def mac_apply(f, r, params, half_root=None):
     """Apply D^r exactly to a symmetric Laurent polynomial.
 
-    The result is sum_lam f_lam * D^r m_lam.  Each column D^r m_lam is
-    cached per (lam, r, n, params) and built without division from the
-    a_delta form, with delta = (n-1, ..., 0):
+    The result is sum_lam f_lam * D^r m_lam, each coefficient summed and
+    reduced once by rat_dot.  Each column D^r m_lam is cached per
+    (lam, r, n, params) and built without division from the a_delta form,
+    with delta = (n-1, ..., 0):
 
         a_delta D^r m_lam = tau^{-r(n-1)}
             sum_{gamma in orbit(lam)} e_r(tau^{2 delta_j} S^{gamma_j}) a_{delta+gamma}.
@@ -78,10 +82,11 @@ def mac_apply(f, r, params, half_root=None):
         return f
     if half_root is not None:
         f = f.scalar_mul((half_root ** r).as_coeffrat())
-    out = {}
+    pairs = {}
     for lam, c in f.terms.items():
-        add_terms(out, ((nu, a * c) for nu, a in _op_column(lam, r, n, params).items()))
-    return SymLaurent._raw(n, out)
+        for nu, a in _op_column(lam, r, n, params).items():
+            pairs.setdefault(nu, []).append((a, c))
+    return SymLaurent._raw(n, {nu: v for nu, ps in pairs.items() if (v := rat_dot(ps))})
 
 
 def mac_generator_apply(f, u, params, half_root=None):
@@ -112,7 +117,19 @@ def eigen_point(lam, n, params):
 
 
 def eigenvalue(lam, r, n, params):
-    return eval_sym(e_sym(r, n), eigen_point(lam, n, params))
+    """e_r at the eigen point, summed over r-subsets in exponent arithmetic."""
+    ys = [(u.sign, u.a, u.b) for u in eigen_point(lam, n, params)]
+    return CoeffRat.from_laurent(LaurentQT(_add_e_r({}, ys, r, 1)))
+
+
+def _add_e_r(acc, ys, r, sign):
+    """Add sign * e_r(ys) into the term map acc; ys are (sign, a, b) triples."""
+    for subset in combinations(ys, r):
+        s, a, b = sign, 0, 0
+        for ysign, ya, yb in subset:
+            s, a, b = s * ysign, a + ya, b + yb
+        acc[a, b] = acc.get((a, b), 0) + s
+    return acc
 
 
 def _dominance_key(mu):
@@ -126,13 +143,16 @@ def _dominance_key(mu):
 
 @cached
 def _op_column(lam, r, n, params):
-    """D^r m_lam in the orbit basis, as {signature: CoeffRat}, from the
-    a_delta form in mac_apply.
+    """D^r m_lam in the orbit basis, as {signature: CoeffRat}.
 
-    An alternant a_beta vanishes when beta has a repeated entry and is
-    otherwise eps * a_delta s_mu, where eps is the sign of sorting beta
-    strictly decreasing and mu = sort(beta) - delta.  Kostka numbers,
-    counted as Gelfand-Tsetlin patterns, expand s_mu in orbit monomials.
+    D^0 m_lam = m_lam and D^n m_lam = S^{|lam|} m_lam straight from the
+    defining formula: the only subset I is empty, or all of {1, ..., n},
+    so tau^{r(r-n)} = 1 and there are no cross factors.  Other r take the
+    a_delta form in mac_apply.  An alternant a_beta vanishes when beta has
+    a repeated entry and is otherwise eps * a_delta s_mu, where eps is the
+    sign of sorting beta strictly decreasing and mu = sort(beta) - delta.
+    Kostka numbers, counted as Gelfand-Tsetlin patterns, expand s_mu in
+    orbit monomials.
 
     Every factor is a unit monomial +-q^a t^b, so the coefficients are
     integer term maps {(a, b): c} built by exponent arithmetic alone: e_r
@@ -140,8 +160,12 @@ def _op_column(lam, r, n, params):
     tau^{-r(n-1)} an exponent shift and the Kostka numbers integer scalings.
     Nothing is divided.
     """
+    if r == 0:
+        return {lam: CR_ONE}
+    if r == n:
+        return {lam: (params.shift ** sum(lam)).as_coeffrat()}
     delta = tuple(range(n - 1, -1, -1))
-    tau2 = params.thalf ** 2
+    S, tau = params.shift, params.thalf
     schur = {}
     for gamma in orbit(lam):
         beta = tuple(d + g for d, g in zip(delta, gamma))
@@ -149,14 +173,11 @@ def _op_column(lam, r, n, params):
             continue
         sign = -1 if inversions(tuple(-b for b in beta)) % 2 else 1
         mu = tuple(b - d for b, d in zip(sorted(beta, reverse=True), delta))
-        er = schur.setdefault(mu, {})
-        ys = [tau2 ** d * params.shift ** g for d, g in zip(delta, gamma)]
-        for subset in combinations(ys, r):
-            s, a, b = sign, 0, 0
-            for y in subset:
-                s, a, b = s * y.sign, a + y.a, b + y.b
-            er[a, b] = er.get((a, b), 0) + s
-    unit = params.thalf ** (-r * (n - 1))
+        # The triples of the unit monomials tau^{2 delta_j} S^{gamma_j}.
+        ys = [(S.sign ** (g % 2), 2 * tau.a * d + S.a * g, 2 * tau.b * d + S.b * g)
+              for d, g in zip(delta, gamma)]
+        _add_e_r(schur.setdefault(mu, {}), ys, r, sign)
+    unit = tau ** (-r * (n - 1))
     mono = {}
     for mu, er in schur.items():
         for nu, kostka in kostka_dominant(mu).items():
@@ -186,17 +207,11 @@ def _eigen_cached(lam, n, params):
     for mu in basis:
         if mu == lam:
             continue
-        s = CR_ZERO
-        for nu, c in coeffs.items():
-            if nu == mu:
-                continue
-            a = cols[nu].get(mu)
-            if a is not None:
-                s = s + a * c
         gap = eig - cols[mu].get(mu, CR_ZERO)
         if not gap:
             raise ArithmeticError("eigenvalue collision in triangular solve")
-        coeffs[mu] = s * gap.inv()
+        coeffs[mu] = rat_dot(((a, c) for nu, c in coeffs.items()
+                              if (a := cols[nu].get(mu)) is not None), gap.num.terms)
     return SymLaurent(n, {k: v for k, v in coeffs.items() if v})
 
 

@@ -9,12 +9,17 @@ ratio need.
 `TermMap` is the sparse container that `NPoly` shares with
 `sympoly.SymLaurent`: a dict {key: CoeffRat} with no zero values, whose
 sums, negation and scalar products are written once.  `add_terms` is the
-one accumulator: every sum of terms in the polynomial and operator layers
-goes through it, adding one value at a time with `CoeffRat.__add__`.  A
-long sum of scalars that should be reduced once (the Jackson pairing, each
-state of the lattice walk behind `macops.chain_sum`) goes through
-`qfield.rat_sum` instead; routing `add_terms` itself through it made the
-operator sums slower.
+accumulator of the polynomial layer and of `macops.branch_sum`, adding
+one value at a time with `CoeffRat.__add__`.  A long sum of scalars that
+should be reduced once goes through `qfield.rat_sum` (the Jackson
+pairing, each state of the lattice walk behind `macops.chain_sum`) or
+`qfield.rat_dot` (each output coefficient of `macops.mac_apply`, of the
+triangular eigen solve and of `daha.res_map`).  Those operator sums are
+sums of products of a Laurent polynomial (an operator column entry, or
+the counted q-powers of a ladder orbit) with a fraction, so their
+products can be formed unreduced and the sum reduced once; reduced
+products added one by one through `add_terms` cost a gcd per product and
+one more per sum.
 """
 
 from __future__ import annotations

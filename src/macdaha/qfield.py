@@ -17,7 +17,10 @@ construction.  Adding zero, a/b + c with c a Laurent polynomial (that is
 a monomial and an inverse run none.  rat_sum adds many fractions with one
 reduction: the numerators of equal denominators are added as term maps,
 the distinct denominators are folded into an lcm, and the total is
-reduced once.
+reduced once.  rat_dot does the same for a sum of products x * y,
+optionally divided by a Laurent polynomial: each product is formed
+unreduced, num * num over den * den, and the division joins the one
+reduction.
 
 Term maps with a single t exponent (every scalar of a one-variable Q(q)
 computation, and many t-contents) take an exact kernel over Z[q] built on
@@ -846,7 +849,7 @@ class CoeffRat:
     whose answer the operands' reduced forms already fix: a zero operand,
     a/b + c with c a Laurent polynomial (gcd(a + cb, b) = gcd(a, b) = 1),
     a product with a monomial, and inv(), which only moves the monomial
-    content and the sign.  rat_sum reduces a many-term sum once.
+    content and the sign.  rat_sum and rat_dot reduce a many-term sum once.
     """
 
     __slots__ = ("num", "den")
@@ -1018,29 +1021,22 @@ class CoeffRat:
         return f"CoeffRat({self})"
 
 
-def rat_sum(values):
-    """The sum of an iterable of CoeffRats (or ints), reduced once.
+def _sum_once(fractions, divisor=None):
+    """The sum of non-zero term-map fractions (num, den), divided by the
+    Laurent term map divisor if given, as one reduced CoeffRat.
 
     The numerators of equal denominators are added as term maps; the
     distinct denominators are folded into a running lcm L, each with the
     cofactors of one gcd (N/L + n/d = (N d' + n L')/(L d') with
     L = L' g, d = d' g), and the total is reduced by one _canonical.
-    A left fold of + would reduce after every term instead.
     """
-    groups, count = {}, 0
-    for x in values:
-        x = _scalar(x)
-        n, d = x.num.terms, x.den.terms
-        if n:
-            count += 1
-            first = x
-            key = None if d == _ONE_D else frozenset(d.items())
-            if key in groups:
-                _add_into(groups[key][1], n)
-            else:
-                groups[key] = [d, dict(n)]
-    if count == 1:
-        return first
+    groups = {}
+    for n, d in fractions:
+        key = None if d == _ONE_D else frozenset(d.items())
+        if key in groups:
+            _add_into(groups[key][1], n)
+        else:
+            groups[key] = [d, dict(n)]
     num = den = None
     for d, n in groups.values():
         if not n:
@@ -1051,10 +1047,43 @@ def rat_sum(values):
             _, den1, d1 = _gcd_cofactors(den, d)
             num = _add(_mul(num, d1), _mul(n, den1))
             den = _mul(den, d1)
-    if num is None:
+    if not num:
         return CR_ZERO
+    if divisor is not None:
+        den = _mul(den, divisor)
     num, den = _canonical(num, den)
     return CoeffRat._raw(LaurentQT._raw(num), LaurentQT._raw(den))
+
+
+def rat_sum(values):
+    """The sum of an iterable of CoeffRats (or ints), reduced once by
+    _sum_once; a left fold of + would reduce after every term instead."""
+    live = [x for x in map(_scalar, values) if x.num.terms]
+    if len(live) == 1:
+        return live[0]
+    return _sum_once((x.num.terms, x.den.terms) for x in live)
+
+
+def rat_dot(pairs, divisor=None):
+    """sum x * y over an iterable of CoeffRat pairs (x, y), divided by the
+    non-zero Laurent term map divisor if given, reduced once.
+
+    Each product is formed unreduced, num * num over den * den, and the
+    products are summed by _sum_once, so the divisor joins the one
+    reduction.  A single product without a divisor is x * y, whose
+    cofactor gcds are smaller.
+    """
+    live = [(x, y) for x, y in pairs if x.num.terms and y.num.terms]
+    if len(live) == 1 and divisor is None:
+        x, y = live[0]
+        return x * y
+
+    def product(x, y):
+        b, d = x.den.terms, y.den.terms
+        den = d if b == _ONE_D else b if d == _ONE_D else _mul(b, d)
+        return _mul(x.num.terms, y.num.terms), den
+
+    return _sum_once((product(x, y) for x, y in live), divisor)
 
 
 CR_ZERO = CoeffRat._raw(L_ZERO, L_ONE)

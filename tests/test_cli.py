@@ -177,7 +177,7 @@ def test_poly_size_envelope(capsys):
     # Just outside each method's envelope (d = |lambda| - n*lambda_n one
     # above its bound in 4 variables, and 11 variables): a usage error
     # before any computation.
-    outside = [("eigen", "--lambda=14,-1,-1,-1", "4"), ("branch", "--lambda=9,5,2,0", "4"),
+    outside = [("eigen", "--lambda=16,-1,-1,-1", "4"), ("branch", "--lambda=9,5,2,0", "4"),
                ("gt", "--lambda=15,0,0,0", "4")]
     outside += [(m, "--lambda=" + ",".join(["0"] * 11), "11")
                 for m in ("eigen", "branch", "gt")]
@@ -186,7 +186,7 @@ def test_poly_size_envelope(capsys):
         rc, out, err = run(capsys, ["poly", lam, "--vars", n, "--method", method])
         assert time.perf_counter() - t0 < 1, (method, lam)
         assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, (method, lam)
-    # Just inside (d = 14 in 4 variables, the eigen bound) still prints.
+    # Inside (d = 14 in 4 variables, two below the eigen bound) still prints.
     rc, out, _ = run(capsys, ["poly", "--lambda=7,5,2,0", "--vars", "4"])
     assert rc == 0 and json.loads(out)["n"] == 4
 

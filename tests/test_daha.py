@@ -151,6 +151,29 @@ def test_res_map_matches_expand_and_fold_oracle():
             assert str(res_map(f, n, l)) == str(res_map_oracle(f, n, l)), (f, n, l)
 
 
+def test_res_map_sums_fractions_over_signatures():
+    # Coefficients in Q(q, t) over denominators that share factors across
+    # signatures, so that one output coefficient sums unequal fractions, and
+    # a second copy that cancels the first signature's image.
+    rng = Random(1413)
+    dens = [CR_ONE - q(1).as_coeffrat(), CR_ONE - (q(1) * t(1)).as_coeffrat(),
+            CR_ONE + q(2).as_coeffrat()]
+    for n, l in ((2, 2), (4, 1), (1, 5), (3, 2), (2, 3)):
+        for _ in range(3):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                sig = tuple(sorted((rng.randint(-2, 2) for _ in range(n * l)), reverse=True))
+                c = CoeffRat.from_int(rng.choice((-2, -1, 1, 3))) * t(rng.randint(-1, 1))
+                for _ in range(rng.randint(1, 2)):
+                    c = c / rng.choice(dens)
+                terms[sig] = c
+            f = SymLaurent(n * l, terms)
+            assert str(res_map(f, n, l)) == str(res_map_oracle(f, n, l)), (f, n, l)
+            sig = min(terms)
+            g = f + SymLaurent(n * l, {sig: -terms[sig]})
+            assert res_map(g, n, l) == res_map_oracle(g, n, l), (g, n, l)
+
+
 def test_res_map_half():
     f = m_sym((1, 0), 2)
     par, val = res_map_half(f, 1, 2)

@@ -19,8 +19,7 @@ from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain,
 from macdaha.macops import macdonald_qk, psi_branch
 from macdaha.npoly import NPoly
 from macdaha.qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError,
-                            LaurentQT, UnitMono, qfact, qfall, qnum)
-from macdaha.sympoly import SymLaurent
+                            LaurentQT, UnitMono, qfall, qnum)
 
 q = UnitMono.q
 

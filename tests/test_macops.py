@@ -14,7 +14,7 @@ from macdaha import clear_caches
 from macdaha.combinat import interlacing_signatures, is_dominant
 
 from macdaha.macops import (MacParams, _op_column, _psi_for_params, branch_sum, chain_sum,
-                            eigenvalue, generic_params,
+                            eigen_point, eigenvalue, generic_params,
                             mac_apply, mac_generator_apply, macdonald_branch,
                             macdonald_eigen, macdonald_gt, macdonald_qk,
                             psi_branch, symmetry_check)
@@ -60,22 +60,40 @@ def test_mac_apply_matches_defining_formula():
         assert mac_apply(f5, r, P) == mac_apply_oracle(f5, r, P), (f5, r)
 
 
+# Generic, restriction (shift q^{-2l}, thalf q and shift q^{-2}, thalf q^l)
+# and negative-sign parameters.
+_PARAMS = [P, MacParams(shift=q(-4), thalf=q(1)), MacParams(shift=q(-6), thalf=q(1)),
+           MacParams(shift=q(-2), thalf=q(2)), MacParams(shift=q(-2), thalf=q(3)),
+           MacParams(shift=UnitMono(-1, 1, 2), thalf=UnitMono(-1, 0, 1))]
+
+
+def _signatures(n, maxdeg):
+    """The partitions up to maxdeg and, for n > 1, signatures with negative entries."""
+    lams = partitions_upto(maxdeg, n)
+    if n > 1:
+        lams += [(2,) + (0,) * (n - 2) + (-1,), (1,) + (-1,) * (n - 2) + (-3,),
+                 (-1,) * (n - 1) + (-2,)]
+    return lams
+
+
 def test_op_column_matches_laurent_recurrence():
-    # The exponent-arithmetic columns against e_r built by LaurentQT
-    # products, at generic, restriction (shift q^{-2l}, thalf q and shift
-    # q^{-2}, thalf q^l) and negative-sign parameters.
-    params = [P, MacParams(shift=q(-4), thalf=q(1)), MacParams(shift=q(-6), thalf=q(1)),
-              MacParams(shift=q(-2), thalf=q(2)), MacParams(shift=q(-2), thalf=q(3)),
-              MacParams(shift=UnitMono(-1, 1, 2), thalf=UnitMono(-1, 0, 1))]
+    # The exponent-arithmetic columns, and the closed forms at r = 0 and
+    # r = n, against e_r built by LaurentQT products.
     for n in (1, 2, 3, 4, 5):
-        lams = partitions_upto(3 if n < 5 else 2, n)
-        if n > 1:
-            lams.append((2,) + (0,) * (n - 2) + (-1,))
-        for lam in lams:
-            for params_ in params:
+        for lam in _signatures(n, 3 if n < 5 else 2):
+            for params_ in _PARAMS:
                 for r in range(n + 1):
                     assert _op_column(lam, r, n, params_) == \
                         op_column_oracle(lam, r, n, params_), (lam, r, params_)
+
+
+def test_eigenvalue_is_e_r_at_the_eigen_point():
+    for n in (1, 2, 3, 4):
+        for lam in _signatures(n, 3):
+            for params_ in _PARAMS:
+                for r in range(n + 1):
+                    assert eigenvalue(lam, r, n, params_) == \
+                        eval_sym(e_sym(r, n), eigen_point(lam, n, params_)), (lam, r, params_)
 
 
 def test_mac_apply_single_variable():
@@ -311,6 +329,16 @@ def test_eigen_beyond_pseudo_remainder_reach():
     params = lambda q, t: (q ** 2, t ** 2)
     assert principal_specialization_holds(f, lam, Random(7520), params)
     assert not principal_specialization_holds(perturbed(f), lam, Random(7520), params)
+
+
+def test_eigen_principal_specialization_at_the_raised_edge():
+    # An n = 3 row near the eigen envelope: the solve's output against
+    # Macdonald VI (6.11'), and a one-coefficient change fails the check.
+    lam = (14, 2, 0)
+    f = macdonald_eigen(lam, 3)
+    params = lambda q, t: (q ** 2, t ** 2)
+    assert principal_specialization_holds(f, lam, Random(1420), params)
+    assert not principal_specialization_holds(perturbed(f), lam, Random(1420), params)
 
 
 def test_gt_principal_specialization():

@@ -708,6 +708,70 @@ def test_rat_sum_edge_cases():
     assert qfield.rat_sum([x, 1]) == CoeffRat(L_ONE_, one_minus_q)
 
 
+def _rand_rat(rng):
+    """A seeded CoeffRat: zero, a Laurent polynomial, or a fraction whose
+    denominator is a product of _DEN_POOL factors (equal, coprime or
+    sharing factors across draws)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return CR_ZERO
+    num = LaurentQT({(rng.randint(-3, 3), rng.randint(-2, 2)): rng.choice((-3, -2, -1, 1, 2, 5))
+                     for _ in range(rng.randint(1, 4))})
+    if kind == 1:
+        return CoeffRat.from_laurent(num)
+    den = L_ONE_
+    for _ in range(rng.randint(1, 3)):
+        den = den * rng.choice(_DEN_POOL)
+    return CoeffRat(num, den)
+
+
+def _fold_dot(pairs, divisor=None):
+    got = reduce(add, (x * y for x, y in pairs), CR_ZERO)
+    return got if divisor is None else got / CoeffRat.from_laurent(LaurentQT(divisor))
+
+
+def test_rat_dot_matches_left_fold():
+    rng = Random(1812)
+    for _ in range(200):
+        pairs = [(_rand_rat(rng), _rand_rat(rng)) for _ in range(rng.randint(0, 6))]
+        if pairs and rng.random() < 0.3:
+            x, y = pairs[0]
+            pairs.append((y, -x))               # cancels the first product
+        divisor = rng.choice((None, {(0, 0): 1, (1, 0): -1}, {(0, 0): 2, (0, 1): 1},
+                              {(1, 0): 1, (0, 0): 1, (2, 1): -3}, {(2, -1): -1}))
+        got, want = qfield.rat_dot(pairs, divisor), _fold_dot(pairs, divisor)
+        assert same(got, want) and str(got) == str(want), (pairs, divisor)
+
+
+def test_rat_dot_edge_cases():
+    one_minus_q = LaurentQT({(0, 0): 1, (1, 0): -1})
+    one_plus_q = LaurentQT({(0, 0): 1, (1, 0): 1})
+    x = CoeffRat(LaurentQT({(1, 0): 1}), one_minus_q)      # q/(1-q)
+    y = CoeffRat(LaurentQT({(0, 1): 2}), one_minus_q)      # 2t/(1-q)
+    z = CoeffRat(L_ONE_, one_plus_q)                       # 1/(1+q)
+    two, one = CoeffRat.from_int(2), CR_ONE
+    # zero products, with and without a divisor
+    assert qfield.rat_dot([]) is CR_ZERO
+    assert qfield.rat_dot([(CR_ZERO, x), (y, CR_ZERO)]) is CR_ZERO
+    assert qfield.rat_dot([(CR_ZERO, x)], one_minus_q.terms) is CR_ZERO
+    # sums that cancel to zero
+    assert qfield.rat_dot([(x, y), (-y, x)]) == CR_ZERO
+    assert qfield.rat_dot([(x, two), (y, z), (-x, two), (-z, y)], one_plus_q.terms) == CR_ZERO
+    # equal denominators: q/(1-q) + 2t/(1-q)
+    assert qfield.rat_dot([(x, one), (y, one)]) == x + y
+    # coprime denominators: 2 q/(1-q) + 1/(1+q)
+    assert qfield.rat_dot([(x, two), (z, one)]) == x * 2 + z
+    # a single pair is x * y
+    assert qfield.rat_dot([(x, z)]) == x * z
+    assert str(qfield.rat_dot([(y, y)])) == str(y * y)
+    # the divisor joins the one reduction: (q/(1-q) + 1) / (1+q) = 1/(1-q^2)
+    assert qfield.rat_dot([(x, one), (one, one)], one_plus_q.terms) == \
+        CoeffRat(L_ONE_, one_minus_q * one_plus_q)
+    # a divisor that cancels the whole numerator: (1 - q^2) / (1 - q) = 1 + q
+    assert qfield.rat_dot([(CoeffRat.from_laurent(one_minus_q * one_plus_q), one)],
+                          one_minus_q.terms) == CoeffRat.from_laurent(one_plus_q)
+
+
 def test_fast_paths_run_no_gcd(monkeypatch):
     calls = []
     inner = qfield._gcd_cofactors

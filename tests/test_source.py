@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "macdaha"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "macdaha"
 
 
 def unused_imports(source):
@@ -28,6 +29,12 @@ def test_no_unused_imports_in_package():
     # __init__.py re-exports the public names it imports.
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_no_unused_imports_in_tests():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(TESTS.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
 
