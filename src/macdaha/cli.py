@@ -70,6 +70,23 @@ Size envelopes, checked before any computation:
   small k, mat_elt at large k; at the next s tried, the slowest route
   took over 20 s.  cg_sq's time jumps rather than grows near its bounds
   (n = 6, k = 3: 7.0 s at s = 42, 26.5 s at s = 45).
+- `verify --suite adjoint` (also through `--suite all`) takes l <= 26 in
+  1 or 2 variables at every k (one index dimension has no pair factors,
+  so k does not enter the run), and in n = 3, ..., 7 variables k up to 8,
+  8, 8, 1 and 1 and l up to a bound per n and k (`_ADJOINT_MAX_L`; for
+  k = 1, 2, ...: n = 3: 13, 10, 10, 9, 9, 9, 9, 9; n = 4: 6, then 3 up
+  to k = 8; n = 5: 3, then 1 up to k = 8; n = 6: 2; n = 7: 1).  For an
+  (l, k) the largest n is the largest row admitting l at k.  Each bound
+  is the largest l at which the suite took at most 20 s at the default
+  --samples 10 and seeds 0 and 1 on a 2-vCPU Xeon, searched from l = 1
+  (from 20 in 1 or 2 variables) per n and k: inside, the slowest runs
+  took 19.9 s at (n, l, k) = (3, 13, 1) and 19.8 s at (4, 3, 4); at l + 1
+  one seed took over 20 s in every row (20.5 s at (3, 10, 4), 21.9 s at
+  (2, 27, 2), most over 25 s, where the search stopped them).  At l = 1,
+  n = 6 and 7 took over 25 s at k = 2, and n = 8 at k = 1.  The sweep
+  stopped at k = 8, so the k caps for n = 3, 4, 5 are not where a run got
+  slow.  The time grows linearly with --samples (one summation-by-parts
+  check per sample); --maxdeg does not enter.
 - `trace` (with or without --ratio) takes at most 6 variables, k up to 8,
   6, 6, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
   up to a bound per n and k (`_TRACE_MAX_DEGREE`; for k = 1, 2, ...:
@@ -143,6 +160,17 @@ _MATELT_MAX_SPREAD = {
     8: (8192, 52, 22),
     9: (8192, 30, 15),
     10: (8192, 16),
+}
+# The size envelope of the adjoint suite (see the module docstring): the
+# largest l in 1 or 2 variables at every k, and per number n >= 3 of
+# variables the largest l at k = 1, 2, ...; a larger k is outside it.
+_ADJOINT_ONE_DIM_MAX_L = 26
+_ADJOINT_MAX_L = {
+    3: (13, 10, 10, 9, 9, 9, 9, 9),
+    4: (6, 3, 3, 3, 3, 3, 3, 3),
+    5: (3, 1, 1, 1, 1, 1, 1, 1),
+    6: (2,),
+    7: (1,),
 }
 # The size envelope of `trace` (see the module docstring): per number n of
 # variables, the largest d = |lambda| - n*lambda_n at k = 1, 2, ...; a
@@ -273,6 +301,24 @@ def _require_matelt_envelope(lam, k):
                           f"matelt size envelope for {n} variables at k = {k}")
 
 
+def _require_adjoint_envelope(names, n, l, k):
+    if "adjoint" not in names:
+        return
+    if n <= 2:
+        if l > _ADJOINT_ONE_DIM_MAX_L:
+            raise _UsageError(f"adjoint in {n} variables takes l <= {_ADJOINT_ONE_DIM_MAX_L} "
+                              f"(got --l {l})")
+        return
+    if n not in _ADJOINT_MAX_L:
+        raise _UsageError(f"adjoint takes at most {max(_ADJOINT_MAX_L)} variables (got --n {n})")
+    bounds = _ADJOINT_MAX_L[n]
+    if k > len(bounds):
+        raise _UsageError(f"adjoint in {n} variables takes k <= {len(bounds)} (got --k {k})")
+    if l > bounds[k - 1]:
+        raise _UsageError(f"adjoint in {n} variables at k = {k} takes l <= {bounds[k - 1]} "
+                          f"(got --l {l})")
+
+
 def _require_trace_envelope(n, k, d, size):
     """The trace envelope at degree d, which the message calls size."""
     if n == 1:
@@ -373,6 +419,7 @@ def _run(args):
             raise _UsageError(f"unknown suite {args.suite!r}")
         _require_res_envelope(names, args.n, args.l)
         _require_matelt_routes_envelope(names, args.n, args.k)
+        _require_adjoint_envelope(names, args.n, args.l, args.k)
         if "trace" in names:
             # suite_trace runs the partitions of degree up to min(maxdeg, 3)
             _require_trace_envelope(args.n, args.k, min(args.maxdeg, 3), "min(--maxdeg, 3)")

@@ -9,27 +9,39 @@ shell: operator shifts never reach beyond it).
 
 Every operator coefficient is a product of pair factors, quotients of
 q-numbers at bar differences.  With [x] = q^(1-x) (q^(2x) - 1)/(q^2 - 1)
-each is prod (q^(2a) - 1) / prod (q^(2b) - 1), built from maps of at most
-4 terms and reduced by one small gcd, with no dense q-number product.
-verify_adjoint decides summation by parts as one zero test: the left
-pairing's terms and the negated right pairing's terms go into one
-rat_sum, equality in Q(q) holds exactly when it is zero, and a zero sum
-needs no final reduction.
+each is a unit monomial times a quotient of binomials q^b - 1 read off
+_PAIR_ARGS, and no binomial is multiplied out where it need not be.  A
+value inside the module is a pair (num, den): num a Laurent term map and
+den a map {factor: e} for num / prod factor^e.  A factor is an int b > 0,
+the binomial q^b - 1, or, for a value of f or g with another denominator,
+that denominator kept opaque as the frozenset of its terms.  e > 0 puts
+the factor in the denominator; e < 0 keeps a numerator binomial symbolic,
+so the pair factors that are identically 1 (tilde and dagger at k = 1)
+cancel in the map.
+- A product multiplies the numerators and adds the maps.
+- A sum lifts each term to the highest exponent of each factor by
+  multiplying in the factors it lacks (their product taken in pairs of
+  similar size, so that large products take the packed kernel of
+  LaurentQT) and adds the numerators, over a common multiple of the
+  denominators rather than their lcm: no gcd runs.
+verify_adjoint runs both operator nests in this form and decides summation
+by parts as one zero test: the left pairing's terms and the negated right
+pairing's terms go into one sum, and since every factor is a non-zero
+polynomial the identity holds exactly when its numerator is zero.  No gcd
+or canonical form is computed on that path.  index_apply and plain_apply
+reduce their single output once, by one CoeffRat construction, and
+jackson_inner reduces its pairing once by rat_sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, product
 
 from .combinat import shift
-from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT, UnitMono,
-                     cached, rat_sum)
-
-
-@cached
-def _qpow(a):
-    return UnitMono.q(a).as_coeffrat()
+from .npoly import add_terms
+from .qfield import CR_ZERO, L_ONE, CoeffRat, DomainViolationError, LaurentQT, cached, rat_sum
 
 
 class AdaptednessError(ValueError):
@@ -110,19 +122,8 @@ _PAIR_ARGS = {
     "tilde": lambda k, d: ((d + k, d - k + 1), (d, d + 1)),
     "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d)),
 }
-
-
-def _binomial_product(args):
-    """prod (q^(2x) - 1) over x in args: at most 4 terms, multiplied out
-    here rather than through LaurentQT arithmetic."""
-    out = {0: 1}
-    for x in args:
-        nxt = {}
-        for a, c in out.items():
-            nxt[a + 2 * x] = nxt.get(a + 2 * x, 0) + c
-            nxt[a] = nxt.get(a, 0) - c
-        out = nxt
-    return LaurentQT._raw({(a, 0): c for a, c in out.items() if c})
+# The argument shift of each selected index, per variant.
+_STEP = {"plain": 1, "tilde": 1, "dagger": -1}
 
 
 @cached
@@ -133,15 +134,141 @@ def _pair_factor(variant, k, d):
         tilde:  [d+k][d-k+1] / ([d][d+1]),
         dagger: [d+k-1][d-k] / ([d-1][d]),
 
-    that is prod (q^(2a) - 1) / prod (q^(2b) - 1), reduced by one gcd of
-    maps of at most 4 terms.  Raises DomainViolationError when a
+    that is prod (q^(2a) - 1) / prod (q^(2b) - 1) over the arguments of
+    _PAIR_ARGS, returned as (c, a, den) for c q^a / prod (q^x - 1)^e over
+    den = {x: e}, read off with no polynomial arithmetic: each argument
+    y != 0 gives the binomial x = 2|y|, and y < 0 the unit -q^(2y) from
+    q^(2y) - 1 = -q^(2y) (q^(-2y) - 1).  A numerator argument 0 makes the
+    factor zero, (0, 0, {}).  Raises DomainViolationError when a
     denominator q-number vanishes, even where a numerator one vanishes
     too: the quotient is not cancelled formally."""
     nums, dens = _PAIR_ARGS[variant](k, d)
     if 0 in dens:
         raise DomainViolationError(
             f"vanishing q-number [0] in the {variant} pair factor at d = {d}")
-    return CoeffRat(_binomial_product(nums), _binomial_product(dens))
+    if 0 in nums:
+        return 0, 0, {}
+    c, a, den = 1, 0, {}
+    for y, e in chain(((y, -1) for y in nums), ((y, 1) for y in dens)):
+        if y < 0:
+            c, a = -c, a - 2 * y * e
+        add_terms(den, [(2 * abs(y), e)])
+    return c, a, den
+
+
+def _lift(x):
+    """A value of f or g, a CoeffRat or an int, as (num, den): a
+    denominator other than 1 is one opaque factor."""
+    if isinstance(x, int):
+        return ({(0, 0): x} if x else {}), {}
+    den = x.den.terms
+    return x.num.terms, ({} if den == L_ONE.terms else {frozenset(den.items()): 1})
+
+
+def _mul(a, b):
+    """The product of two term maps; a one-term factor shifts and scales
+    the other, and 1 returns it as it is (values are never mutated)."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) != 1:
+        return (LaurentQT._raw(a) * LaurentQT._raw(b)).terms
+    ((p, t), c), = a.items()
+    if p == t == 0 and c == 1:
+        return b
+    return {(x + p, y + t): c * v for (x, y), v in b.items()}
+
+
+def _expand(counts):
+    """prod factor^e over counts = {factor: e >= 0}, as a term map,
+    multiplied in pairs of similar size so that the large products go to
+    the packed kernel of LaurentQT."""
+    polys = [{(factor, 0): 1, (0, 0): -1} if type(factor) is int else dict(factor)
+             for factor, e in counts.items() for _ in range(e)]
+    if not polys:
+        return dict(L_ONE.terms)
+    while len(polys) > 1:
+        polys = [_mul(*polys[i:i + 2]) if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return polys[0]
+
+
+def _times(x, y):
+    """The product of two values: numerators multiplied, maps added."""
+    (a, da), (b, db) = x, y
+    if not a or not b:
+        return {}, {}
+    return _mul(a, b), add_terms(dict(da), db.items())
+
+
+def _sum(values):
+    """The sum of values over the highest exponent of each factor.
+
+    Numerators with equal maps are added first; every other term is
+    multiplied by the factors it lacks against the highest exponents, so
+    the result's map is a common multiple of the terms' denominators."""
+    groups, owned = {}, set()
+    for num, den in values:
+        if not num:
+            continue
+        key = frozenset(den.items())
+        if key not in groups:
+            groups[key] = [num, den]
+            continue
+        if key not in owned:
+            owned.add(key)
+            groups[key][0] = dict(groups[key][0])
+        add_terms(groups[key][0], num.items())
+    live = [g for g in groups.values() if g[0]]
+    if len(live) <= 1:
+        return tuple(live[0]) if live else ({}, {})
+    factors = {factor for _, den in live for factor in den}
+    top = {f: max(den.get(f, 0) for _, den in live) for f in factors}
+    total = {}
+    for num, den in live:
+        lack = {f: e - den.get(f, 0) for f, e in top.items() if e > den.get(f, 0)}
+        add_terms(total, (_mul(num, _expand(lack)) if lack else num).items())
+    if not total:
+        return {}, {}
+    return total, {f: e for f, e in top.items() if e}
+
+
+def _reduced(x):
+    """A value as one reduced CoeffRat: its factors multiplied out and a
+    single canonical reduction, by the CoeffRat constructor."""
+    num, den = x
+    if not num:
+        return CR_ZERO
+    num = _mul(num, _expand({f: -e for f, e in den.items() if e < 0}))
+    bottom = _expand({f: e for f, e in den.items() if e > 0})
+    return CoeffRat(LaurentQT._raw(num), LaurentQT._raw(bottom))
+
+
+def _image(fn, variant, m, k, step, r, mu):
+    """The degree-r operator of the variant at mu, over the values of fn,
+    unreduced.  Coefficients are taken at the bar-shift of mu with level
+    k, from the pair factors with parameter m over the pairs (i, j), i in
+    I, j not in I (plain: every such j; tilde and dagger: j < i), and the
+    argument of fn moves by step per selected index.  The plain operator
+    also carries q^(m r (r - n))."""
+    n = len(mu)
+    if not 0 <= r <= n:
+        raise ValueError("need 0 <= r <= arity")
+    # pairs i in I, j not in I exist only when 0 < r < n
+    bar = shift(mu, k, "bar") if 0 < r < n else None
+    plain = variant == "plain"
+    terms = []
+    for I in combinations(range(n), r):
+        c, a, den = 1, m * r * (r - n) if plain else 0, {}
+        for i in I:
+            for j in range(n if plain else i):
+                if j not in I:
+                    pc, pa, pden = _pair_factor(variant, m, bar[i] - bar[j])
+                    c, a = c * pc, a + pa
+                    add_terms(den, pden.items())
+        num, fden = fn(tuple(x + step if i in I else x for i, x in enumerate(mu)))
+        if c and num:
+            terms.append((_mul({(a, 0): c}, num), add_terms(den, fden.items())))
+    return _sum(terms)
 
 
 def plain_apply(f, mu, r, qdir, m, k):
@@ -150,22 +277,7 @@ def plain_apply(f, mu, r, qdir, m, k):
     Coefficients are evaluated at the bar-shift of mu with level k; the
     function argument moves by qdir per selected index.
     """
-    np_ = len(mu)
-    if not 0 <= r <= np_:
-        raise ValueError("need 0 <= r <= arity")
-    bar = shift(mu, k, "bar")
-    total = CR_ZERO
-    for I in combinations(range(np_), r):
-        iset = set(I)
-        coeff = CR_ONE
-        for i in I:
-            for j in range(np_):
-                if j in iset:
-                    continue
-                coeff = coeff * _pair_factor("plain", m, bar[i] - bar[j])
-        shifted = tuple(x + qdir if i in iset else x for i, x in enumerate(mu))
-        total = total + coeff * f(shifted)
-    return _qpow(m * r * (r - np_)) * total
+    return _reduced(_image(lambda nu: _lift(f(nu)), "plain", m, k, qdir, r, tuple(mu)))
 
 
 def index_apply(f, params, mu):
@@ -175,32 +287,8 @@ def index_apply(f, params, mu):
     tilde: the diagonalized conjugate (shift +1 per selected index);
     dagger: the adjoint conjugate (shift -1 per selected index).
     """
-    mu = tuple(mu)
-    k, r = params.k, params.r
-    if params.variant == "plain":
-        return plain_apply(f, mu, r, +1, k, k)
-    bar = shift(mu, k, "bar")
-    np_ = len(mu)
-    if not 0 <= r <= np_:
-        raise ValueError("need 0 <= r <= arity")
-    total = CR_ZERO
-    for I in combinations(range(np_), r):
-        iset = set(I)
-        coeff = CR_ONE
-        for i in I:
-            for j in range(np_):
-                if j in iset or i < j:
-                    continue
-                coeff = coeff * _pair_factor(params.variant, k, bar[i] - bar[j])
-        step = 1 if params.variant == "tilde" else -1
-        shifted = tuple(x + step if i in iset else x for i, x in enumerate(mu))
-        total = total + coeff * f(shifted)
-    return total
-
-
-def op_transform(f, params):
-    """The operator as a function transformer: returns the image IndexFn."""
-    return lambda mu: index_apply(f, params, mu)
+    k, v = params.k, params.variant
+    return _reduced(_image(lambda nu: _lift(f(nu)), v, k, k, _STEP[v], params.r, tuple(mu)))
 
 
 def _memo(fn):
@@ -215,13 +303,12 @@ def _memo(fn):
 
 
 def _nested(fn, variant, rseq, k):
-    """fn under the operators of rseq in turn.  Each operator image that
-    feeds another operator is memoized, so it is evaluated once per point
-    rather than once per shift path.  The last image is not, and neither
-    is fn: the caller passes fn already memoized when it also reads fn
-    elsewhere (verify_adjoint does), so one memo serves every reader."""
+    """fn, a function to values, under the operators of rseq in turn.
+    Each operator image that feeds another is memoized, so it is evaluated
+    once per point rather than once per shift path.  The last image is
+    not, and neither is fn."""
     for i, r in enumerate(rseq):
-        fn = op_transform(_memo(fn) if i else fn, IndexOpParams(k=k, variant=variant, r=r))
+        fn = partial(_image, _memo(fn) if i else fn, variant, k, k, _STEP[variant], r)
     return fn
 
 
@@ -234,17 +321,20 @@ def verify_adjoint(f, g, box, rseq, k):
         < prod_i Dagger^{r_{l+1-i}} f, g >_{(lower, upper + l)}
             = < f, prod_i Tilde^{r_i} g >_box,
 
-    decided as one rat_sum of the left pairing's terms and the negated
-    right pairing's terms being zero.  f and g are memoized once per
-    check, so the adaptedness scan, both operator nests and both pairings
-    share one evaluation per point.
+    decided as one zero test: the left pairing's terms and the negated
+    right pairing's terms are summed over a common multiple of their
+    denominators, with no gcd.  f and g are memoized once per check, so
+    the adaptedness scan, both operator nests and both pairings share one
+    evaluation per point.
     """
     f, g = _memo(f), _memo(g)
     l = len(rseq)
     if not is_adapted(f, box, l):
         raise AdaptednessError("left factor is not adapted to the box")
-    fd = _nested(f, "dagger", rseq, k)
-    gt = _nested(g, "tilde", reversed(rseq), k)
-    lhs = (fd(mu) * g(mu) for mu in box.raised(l).points())
-    rhs = (-(f(mu) * gt(mu)) for mu in box.points())
-    return not rat_sum(chain(lhs, rhs))
+    fv, gv = (lambda mu: _lift(f(mu))), (lambda mu: _lift(g(mu)))
+    fd = _nested(fv, "dagger", rseq, k)
+    gt = _nested(gv, "tilde", reversed(rseq), k)
+    lhs = (_times(fd(mu), gv(mu)) for mu in box.raised(l).points())
+    rhs = (_times(fv(mu), gt(mu)) for mu in box.points())
+    rhs = (({key: -c for key, c in num.items()}, den) for num, den in rhs)
+    return not _sum(chain(lhs, rhs))[0]

@@ -231,7 +231,10 @@ def adjoint_pairings_oracle(f, g, box, rseq, k):
     before it took one zero-tested sum: < Dagger-nest f, g > over the box
     raised by l = len(rseq) and < f, Tilde-nest g > over the box, each a
     left fold of + over its points, with the operator nests applied through
-    index_apply and nothing memoized."""
+    index_apply and nothing memoized.  index_apply reduces every image in
+    Q(q, t), where verify_adjoint keeps one unreduced sum, but both read
+    the same pair factors: the Fraction evaluation of the tests in
+    test_indexops.py is the oracle that shares no code with them."""
     def nest(fn, variant, rs):
         for r in rs:
             fn = (lambda mu, fn=fn, r=r:

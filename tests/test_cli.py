@@ -246,6 +246,27 @@ def test_verify_trace_envelope(capsys):
     assert rc == 0 and json.loads(out)["pass"] is True
 
 
+def test_verify_adjoint_envelope(capsys):
+    # Just outside the adjoint envelope: l one above the bound in 2
+    # variables and at (n, k) = (3, 2), k one above the cap for 3 variables
+    # and for 6, and 8 variables; each exits 2 at once.  (--suite all
+    # stops earlier, at the res-intertwine bound n*l <= 5.)
+    for argv in (["--suite", "adjoint", "--n", "2", "--l", "27"],
+                 ["--suite", "adjoint", "--n", "3", "--l", "11", "--k", "2"],
+                 ["--suite", "adjoint", "--n", "3", "--l", "1", "--k", "9"],
+                 ["--suite", "adjoint", "--n", "6", "--l", "1", "--k", "2"],
+                 ["--suite", "adjoint", "--n", "8", "--l", "1", "--k", "1"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+        assert "adjoint" in err, argv
+    # Just inside: the k cap for 3 variables, and any k in 2 variables.
+    for argv in (["--n", "3", "--l", "1", "--k", "8"], ["--n", "2", "--l", "1", "--k", "40"]):
+        rc, out, _ = run(capsys, ["verify", "--suite", "adjoint", *argv])
+        assert rc == 0 and json.loads(out)["pass"] is True, argv
+
+
 def test_package_runs_as_module():
     # python -m macdaha answers as python -m macdaha.cli does: one poly
     # call and one usage error.

@@ -11,7 +11,7 @@ from macdaha.indexops import (AdaptednessError, Box, IndexOpParams,
                               jackson_inner, plain_apply, verify_adjoint)
 from macdaha.macops import macdonald_qk
 from macdaha.qfield import (CR_ONE, CoeffRat, DomainViolationError, LaurentQT,
-                            UnitMono, clear_caches, qfall, qnum)
+                            UnitMono, qfall, qnum)
 from macdaha.sympoly import e_sym, eval_sym
 
 q = UnitMono.q
@@ -89,10 +89,16 @@ PAIR_DEFS = {"plain": lambda k, d: ((d + k,), (d,), k),
              "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d), 0)}
 
 
+def _pair_value(variant, k, d):
+    """The reduced value of the binomial form of one pair factor."""
+    c, a, den = _pair_factor(variant, k, d)
+    return indexops._reduced(({(a, 0): c} if c else {}, den))
+
+
 def test_pair_factor_is_the_q_number_quotient():
     # the dense q-number product and quotient, over the bar differences
     # the lattice samples reach (about 36-48 for the box at (20, -20))
-    raised = 0
+    raised = zero = 0
     for variant, args in PAIR_DEFS.items():
         for k in range(1, 5):
             for d in range(-50, 51):
@@ -109,35 +115,18 @@ def test_pair_factor_is_the_q_number_quotient():
                     want = want * qnum(x)
                 for x in dens:
                     want = want / qnum(x)
-                assert _pair_factor(variant, k, d) == want, (variant, k, d)
-    # plain at d = 0, tilde at d = 0, -1 and dagger at d = 0, 1, per k
+                zero += not want
+                assert _pair_value(variant, k, d) == want, (variant, k, d)
+    # raised: plain at d = 0, tilde at d = 0, -1 and dagger at d = 0, 1,
+    # per k; zero: plain at d = -k, tilde at d = -k, k - 1 and dagger at
+    # d = 1 - k, k, except where tilde and dagger raise at k = 1
     assert raised == 5 * 4
+    assert zero == 4 + 2 * 3 + 2 * 3
     with pytest.raises(DomainViolationError):
         _pair_factor("tilde", 1, -1)
-
-
-def test_pair_factor_gcds_are_sparse(monkeypatch):
-    # each factor is prod (q^2a - 1) / prod (q^2b - 1): one gcd of maps of
-    # at most 4 terms, never one of dense q-number products
-    sizes = []
-    gcd = qfield._gcd_cofactors
-
-    def recording(A, B):
-        sizes.append((len(A), len(B)))
-        return gcd(A, B)
-
-    monkeypatch.setattr(qfield, "_gcd_cofactors", recording)
-    clear_caches()
-    calls = 0
-    for variant, args in PAIR_DEFS.items():
-        for k in range(1, 5):
-            for d in range(-50, 51):
-                if 0 not in args(k, d)[1]:
-                    _pair_factor(variant, k, d)
-                    calls += 1
-    clear_caches()
-    assert 0 < len(sizes) <= calls
-    assert max(max(s) for s in sizes) <= 4
+    # the k = 1 tilde and dagger factors are identically 1, as an empty map
+    assert _pair_factor("tilde", 1, 7) == (1, 0, {})
+    assert _pair_factor("dagger", 1, -7) == (1, 0, {})
 
 
 def test_index_apply_rejects_colliding_bars():
@@ -256,10 +245,11 @@ def _qnum_at_3(x):
     return (Fraction(3) ** x - Fraction(3) ** -x) / (Fraction(3) - Fraction(1, 3))
 
 
-def _index_apply_at_3(fn, variant, k, r, mu):
+def _index_apply_at_3(fn, variant, k, r, mu, scale=1):
     """The tilde or dagger operator of degree r at mu, in Fractions at
     q = 3, from its defining product over the pairs j < i, i in I, j not
-    in I (fn maps a point to a Fraction)."""
+    in I (fn maps a point to a Fraction); each tilde pair factor is
+    multiplied by scale."""
     bar = [m - k * i for i, m in enumerate(mu)]
     step = 1 if variant == "tilde" else -1
     out = Fraction(0)
@@ -271,7 +261,7 @@ def _index_apply_at_3(fn, variant, k, r, mu):
                     continue
                 d = bar[i] - bar[j]
                 if variant == "tilde":
-                    coeff *= _qnum_at_3(d + k) * _qnum_at_3(d - k + 1) \
+                    coeff *= scale * _qnum_at_3(d + k) * _qnum_at_3(d - k + 1) \
                         / (_qnum_at_3(d) * _qnum_at_3(d + 1))
                 else:
                     coeff *= _qnum_at_3(d + k - 1) * _qnum_at_3(d - k) \
@@ -280,37 +270,142 @@ def _index_apply_at_3(fn, variant, k, r, mu):
     return out
 
 
+def _pairings_at_3(f, g, box, rseq, k, t=1, scale=1):
+    """Both pairings of summation by parts evaluated independently in
+    fractions.Fraction at (q, t) = (3, t), with every tilde pair factor
+    multiplied by scale."""
+    f3 = lambda mu: eval_fraction(f(mu), 3, t)
+    g3 = lambda mu: eval_fraction(g(mu), 3, t)
+    fd, gt = f3, g3
+    for r in rseq:
+        fd = lambda mu, fn=fd, r=r: _index_apply_at_3(fn, "dagger", k, r, mu)
+    for r in reversed(rseq):
+        gt = lambda mu, fn=gt, r=r: _index_apply_at_3(fn, "tilde", k, r, mu, scale)
+    lhs3 = sum(fd(mu) * g3(mu) for mu in box.raised(len(rseq)).points())
+    rhs3 = sum(f3(mu) * gt(mu) for mu in box.points())
+    return lhs3, rhs3
+
+
 def test_adjoint_pairings_at_q_three():
     # both pairings evaluated independently in fractions.Fraction at q = 3
     for f, g, box, rseq, k in _adjoint_cases(19):
-        f3 = lambda mu, f=f: eval_fraction(f(mu), 3, 1)
-        g3 = lambda mu, g=g: eval_fraction(g(mu), 3, 1)
-        fd, gt = f3, g3
-        for r in rseq:
-            fd = lambda mu, fn=fd, r=r, k=k: _index_apply_at_3(fn, "dagger", k, r, mu)
-        for r in reversed(rseq):
-            gt = lambda mu, fn=gt, r=r, k=k: _index_apply_at_3(fn, "tilde", k, r, mu)
-        lhs3 = sum(fd(mu) * g3(mu) for mu in box.raised(len(rseq)).points())
-        rhs3 = sum(f3(mu) * gt(mu) for mu in box.points())
+        lhs3, rhs3 = _pairings_at_3(f, g, box, rseq, k)
         assert lhs3 == rhs3, (box, rseq, k)
         lhs, rhs = adjoint_pairings_oracle(f, g, box, rseq, k)
         assert eval_fraction(lhs, 3, 1) == lhs3 and eval_fraction(rhs, 3, 1) == rhs3
+    # in 3 index dimensions (n = 4), against the Fractions alone: the
+    # unmemoized two-pairing oracle takes seconds here
+    box = Box((20, -20, -60), (21, -19, -59))
+    f, g = _adapted_sample(Random(23), box, 2), qpow_fn((1, 0, -1))
+    lhs3, rhs3 = _pairings_at_3(f, g, box, [1, 2], 2)
+    assert lhs3 == rhs3
+    assert verify_adjoint(f, g, box, [1, 2], 2) is True
+
+
+def _times_q_on_tilde(factor):
+    """_pair_factor with every tilde pair factor multiplied by q."""
+    def wrong(variant, k, d):
+        c, a, den = factor(variant, k, d)
+        return (c, a + 1, den) if variant == "tilde" else (c, a, den)
+    return wrong
 
 
 def test_adjoint_detects_a_wrong_tilde_factor(monkeypatch):
     # with every tilde pair factor multiplied by q the identity fails, and
-    # verify_adjoint must say so
+    # verify_adjoint, which reads the pair factors only through
+    # _pair_factor, must say so
     box = Box((20, -20), (22, -18))
     f = _adapted_sample(Random(17), box, 1)
     g = qpow_fn((1, 0))
     assert verify_adjoint(f, g, box, [1], 2) is True
-    factor = indexops._pair_factor
-    monkeypatch.setattr(indexops, "_pair_factor", lambda variant, k, d:
-                        factor(variant, k, d) * q() if variant == "tilde"
-                        else factor(variant, k, d))
+    monkeypatch.setattr(indexops, "_pair_factor", _times_q_on_tilde(indexops._pair_factor))
     lhs, rhs = adjoint_pairings_oracle(f, g, box, [1], 2)
     assert lhs != rhs
     assert verify_adjoint(f, g, box, [1], 2) is False
+
+
+def _raising(*args):
+    raise AssertionError("a gcd or canonical reduction ran")
+
+
+def test_verify_adjoint_runs_no_gcd(monkeypatch):
+    # Laurent f and g at dim 2, l = 2, k = 3, the box at (20, -20): the
+    # check is decided by the zero test alone, true and with a wrong factor
+    box = Box((20, -20), (22, -18))
+    f = _adapted_sample(Random(29), box, 2)
+    g = qpow_fn((1, -1))
+    monkeypatch.setattr(qfield, "_gcd_cofactors", _raising)
+    monkeypatch.setattr(qfield, "_canonical", _raising)
+    assert verify_adjoint(f, g, box, [1, 1], 3) is True
+    assert verify_adjoint(f, g, box, [1, 2], 3) is True
+    monkeypatch.setattr(indexops, "_pair_factor", _times_q_on_tilde(indexops._pair_factor))
+    assert verify_adjoint(f, g, box, [1, 1], 3) is False
+
+
+def test_index_apply_reduces_once(monkeypatch):
+    canonical, calls = qfield._canonical, []
+
+    def counting(num, den):
+        calls.append(1)
+        return canonical(num, den)
+
+    monkeypatch.setattr(qfield, "_canonical", counting)
+    f = qpow_fn((2, -1, 1))
+    applied = 0
+    for variant in ("plain", "tilde", "dagger"):
+        for r in range(4):
+            for k in (1, 3):
+                assert index_apply(f, IndexOpParams(k=k, variant=variant, r=r), (25, -3, -40))
+                applied += 1
+                assert len(calls) == applied, (variant, r, k)
+    assert plain_apply(f, (25, -3, -40), 1, -1, 1, 2)
+    assert len(calls) == applied + 1
+
+
+def _fraction_cases():
+    """Adapted f and arbitrary g with fractions in q, or in (q, t), among
+    their values: (label, f, g, box, rseq, k, t) with t the second
+    coordinate of the Fraction evaluation point."""
+    rng = Random(31)
+    t = UnitMono.t().as_coeffrat()
+    box = Box((20, -20), (21, -19))
+
+    def over(num, den):
+        return lambda mu: num(mu) / CoeffRat(LaurentQT(den(mu)))
+
+    cases = []
+    fa = _adapted_sample(rng, box, 1)
+    cases.append(("f in Q(q)", over(fa, lambda mu: {(0, 0): 1, (1 + sum(mu) % 3, 0): 2}),
+                  qpow_fn((1, 0)), box, [1], 2, 1))
+    fb = _adapted_sample(rng, box, 2)
+    cases.append(("g in Q(q)", fb, over(qpow_fn((0, 1)), lambda mu: {(1 + mu[0] % 2, 0): 2,
+                                                                     (0, 0): -1}),
+                  box, [1, 0], 3, 1))
+    fc = _adapted_sample(rng, box, 1)
+    cases.append(("f in Q(q, t)", over(lambda mu: fc(mu) * t,
+                                       lambda mu: {(0, 0): 1, (1 + mu[1] % 3, 1): -1}),
+                  qpow_fn((-1, 1)), box, [1], 2, 5))
+    return cases
+
+
+def test_adjoint_with_fraction_values(monkeypatch):
+    # values with denominators other than binomials enter as opaque
+    # factors; the check agrees with the two-pairing oracle and with the
+    # Fraction evaluation, and a wrong tilde factor is caught in each case
+    cases = _fraction_cases()
+    for label, f, g, box, rseq, k, t in cases:
+        lhs3, rhs3 = _pairings_at_3(f, g, box, rseq, k, t)
+        lhs, rhs = adjoint_pairings_oracle(f, g, box, rseq, k)
+        assert lhs == rhs and lhs3 == rhs3, label
+        assert eval_fraction(lhs, 3, t) == lhs3, label
+        assert verify_adjoint(f, g, box, rseq, k) is True, label
+    monkeypatch.setattr(indexops, "_pair_factor", _times_q_on_tilde(indexops._pair_factor))
+    for label, f, g, box, rseq, k, t in cases:
+        lhs3, rhs3 = _pairings_at_3(f, g, box, rseq, k, t, scale=3)
+        lhs, rhs = adjoint_pairings_oracle(f, g, box, rseq, k)
+        assert lhs != rhs and lhs3 != rhs3, label
+        assert (eval_fraction(lhs, 3, t), eval_fraction(rhs, 3, t)) == (lhs3, rhs3), label
+        assert verify_adjoint(f, g, box, rseq, k) is False, label
 
 
 def test_adjoint_nesting_queries_each_point_boundedly():
