@@ -7,12 +7,15 @@ matrix-element window, k < 1, --vars < 1, verify sizes below their minimum,
 sizes outside an envelope below, unknown suite), 3 internal error (any
 other exception, reported as one line).
 
-Size envelopes, checked before any computation:
-- `poly` takes at most 10 variables, and for n variables a degree
-  d = |lambda| - n*lambda_n (lambda shifted to lambda_n = 0) up to a
-  bound per method (`_POLY_MAX_DEGREE`; for n = 2, 3, 4, 5: eigen 25,
-  18, 16, 12, branch 39, 18, 15, 14, gt 39, 18, 14, 12).  Each bound is
-  the largest d at which the slowest signatures of the method took at
+Size envelopes, checked before any computation.  Each is one row of
+`_ENVELOPE`, {number of variables: bound}, where a bound holds at every k
+or is a tuple of bounds at k = 1, 2, ...; a larger k, and a number of
+variables with no entry, are outside.  In the order of the table:
+- `poly` takes at most 10 variables, and for n variables a degree d =
+  |lambda| - n*lambda_n (lambda shifted to lambda_n = 0) up to a bound per
+  method (rows `poly --method eigen|branch|gt`; for n = 2, 3, 4, 5: eigen
+  25, 18, 16, 12, branch 39, 18, 15, 14, gt 39, 18, 14, 12).  Each bound
+  is the largest d at which the slowest signatures of the method took at
   most 20 s on a 2-vCPU Xeon (the shapes (d, 0, ...), (d-1, 1, 0, ...),
   (d-2, 2, 0, ...) and (d-3, 3, 0, ...), the slowest in full sweeps of
   smaller d); at d + 1 one took longer, or all together over 40 s.  The
@@ -22,30 +25,15 @@ Size envelopes, checked before any computation:
   n = 3, 4 were measured with each solve step reduced once: the four
   shapes took 12.0-12.2, 6.4-7.1, 4.8-5.0 and 2.7-2.9 s at n = 3, d = 18
   and 15.1-17.7, 5.6-7.3, 6.2-7.0 and 5.8-6.0 s at n = 4, d = 16 (two
-  runs); at d + 1, 21.7 s for (19, 0, 0) and 52 s together, and 37.1 s
-  for (17, 0, 0, 0) and 94 s together.  The other bounds are older.  In
-  11 variables eigen took 12 s already at d = 0.
-- `verify` runs the restriction suites in n*l variables only for
-  n*l <= 5 (res-intertwine) and n*l <= 10 (res-diff), also through
-  `--suite all`.  At the default samples and maxdeg and seeds 0-3, the
-  slowest res-intertwine run inside took 4.1 s, while at n*l = 6 it took
-  47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
-  seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
-  (4, 3).  Their time grows with --samples.
-- `verify --suite matelt-routes` (also through `--suite all`) takes at
-  most 10 variables and k up to a bound per n (`_MATELT_ROUTES_MAX_K`; for
-  n = 1, ..., 10: 500 (the `matelt` bound), 14, 5, 3, 2, 1, 1, 1, 1, 1),
-  the largest k at which the suite took at most 20 s at the default
-  --maxdeg 4 on a 2-vCPU Xeon (9.0, 5.4, 12.3 and 2.0 s for n = 2, ..., 5,
-  under 0.4 s otherwise; at k + 1, 21.1, 21.6 and 26.9 s for n = 2, 3, 6,
-  over 45 s for n = 4, 5, 7, not run for n >= 8).  Its time grows with
-  --maxdeg.
+  runs); at d + 1, 21.7 s for (19, 0, 0) and 52 s together, and 37.1 s for
+  (17, 0, 0, 0) and 94 s together.  The other bounds are older.  In 11
+  variables eigen took 12 s already at d = 0.
 - `matelt` takes a lambda of at most 10 variables.  With one variable
   every route is one term, and k is at most 500: the shift-path expansion
   recurses k - 1 deep, and k = 1000 exceeded Python's default recursion
   limit.  For n >= 2 variables, k and the spread s = lambda_1 - lambda_n
-  are bounded for every route (`_MATELT_MAX_SPREAD`: per n, the largest s
-  at k = 1, 2, ...; a larger k is outside it).  For n = 2: s <= 8192 at
+  are bounded for every route (per n, the largest s at k = 1, 2, ...;
+  with one variable s is 0 at k <= 500).  For n = 2: s <= 8192 at
   k <= 5, then 5120, 3840, 2400, 1650, 1340, 753, 611, 496, 496, 372, 127,
   35, 21, 14 at k = 6, ..., 19; n = 3: 8192, 3328, 1040, 357, 244, 198,
   123, 30, 22; n = 4: 8192, 704, 264, 148, 74, 24; n = 5: 8192, 352, 88,
@@ -70,26 +58,9 @@ Size envelopes, checked before any computation:
   small k, mat_elt at large k; at the next s tried, the slowest route
   took over 20 s.  cg_sq's time jumps rather than grows near its bounds
   (n = 6, k = 3: 7.0 s at s = 42, 26.5 s at s = 45).
-- `verify --suite adjoint` (also through `--suite all`) takes l <= 26 in
-  1 or 2 variables at every k (one index dimension has no pair factors,
-  so k does not enter the run), and in n = 3, ..., 7 variables k up to 8,
-  8, 8, 1 and 1 and l up to a bound per n and k (`_ADJOINT_MAX_L`; for
-  k = 1, 2, ...: n = 3: 13, 10, 10, 9, 9, 9, 9, 9; n = 4: 6, then 3 up
-  to k = 8; n = 5: 3, then 1 up to k = 8; n = 6: 2; n = 7: 1).  For an
-  (l, k) the largest n is the largest row admitting l at k.  Each bound
-  is the largest l at which the suite took at most 20 s at the default
-  --samples 10 and seeds 0 and 1 on a 2-vCPU Xeon, searched from l = 1
-  (from 20 in 1 or 2 variables) per n and k: inside, the slowest runs
-  took 19.9 s at (n, l, k) = (3, 13, 1) and 19.8 s at (4, 3, 4); at l + 1
-  one seed took over 20 s in every row (20.5 s at (3, 10, 4), 21.9 s at
-  (2, 27, 2), most over 25 s, where the search stopped them).  At l = 1,
-  n = 6 and 7 took over 25 s at k = 2, and n = 8 at k = 1.  The sweep
-  stopped at k = 8, so the k caps for n = 3, 4, 5 are not where a run got
-  slow.  The time grows linearly with --samples (one summation-by-parts
-  check per sample); --maxdeg does not enter.
 - `trace` (with or without --ratio) takes at most 6 variables, k up to 8,
   6, 6, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
-  up to a bound per n and k (`_TRACE_MAX_DEGREE`; for k = 1, 2, ...:
+  up to a bound per n and k (for k = 1, 2, ...:
   n = 2: 40 at every k; n = 3: 30, 30, 30, 25, 21, 18; n = 4: 20, 19,
   11, 7, 4, 2; n = 5: 16, 8, 3; n = 6: 12, 3).  Each bound is the largest
   d at which `trace --ratio` took at most 20 s on each of (d, 0, ...),
@@ -116,12 +87,75 @@ Size envelopes, checked before any computation:
   k <= 2, in 4 variables at k = 6 --maxdeg <= 2, and at most 6 variables.
   Outside it, at --n 6 --k 3, --n 7 --k 2 and --n 5 --k 4, the suite ran
   past 40 s.
+- `verify` runs the restriction suites in n*l variables only for
+  n*l <= 5 (res-intertwine) and n*l <= 10 (res-diff), also through
+  `--suite all`.  At the default samples and maxdeg and seeds 0-3, the
+  slowest res-intertwine run inside took 4.1 s, while at n*l = 6 it took
+  47-54 s at seed 0 and did not finish in 120 s at (n, l) = (3, 2),
+  seed 1; res-diff took 5-14 s at n*l = 10 and did not finish in 100 s at
+  (4, 3).  Their time grows with --samples.
+- `verify --suite matelt-routes` (also through `--suite all`) takes at
+  most 10 variables and k up to a bound per n (for n = 1, ..., 10: 500
+  (the `matelt` bound), 14, 5, 3, 2, 1, 1, 1, 1, 1), the largest k at
+  which the suite took at most 20 s at the default --maxdeg 4 on a 2-vCPU
+  Xeon (9.0, 5.4, 12.3 and 2.0 s for n = 2, ..., 5, under 0.4 s
+  otherwise; at k + 1, 21.1, 21.6 and 26.9 s for n = 2, 3, 6, over 45 s
+  for n = 4, 5, 7, not run for n >= 8).  Its time grows with --maxdeg.
+- `verify --suite adjoint` (also through `--suite all`) takes l <= 26 in
+  1 or 2 variables at every k (one index dimension has no pair factors,
+  so k does not enter the run), and in n = 3, ..., 7 variables k up to 8,
+  8, 8, 1 and 1 and l up to a bound per n and k (for k = 1, 2, ...:
+  n = 3: 13, 10, 10, 9, 9, 9, 9, 9; n = 4: 6, then 3 up to k = 8; n = 5:
+  3, then 1 up to k = 8; n = 6: 2; n = 7: 1).  For an
+  (l, k) the largest n is the largest row admitting l at k.  Each bound
+  is the largest l at which the suite took at most 20 s at the default
+  --samples 10 and seeds 0 and 1 on a 2-vCPU Xeon, searched from l = 1
+  (from 20 in 1 or 2 variables) per n and k: inside, the slowest runs
+  took 19.9 s at (n, l, k) = (3, 13, 1) and 19.8 s at (4, 3, 4); at l + 1
+  one seed took over 20 s in every row (20.5 s at (3, 10, 4), 21.9 s at
+  (2, 27, 2), most over 25 s, where the search stopped them).  At l = 1,
+  n = 6 and 7 took over 25 s at k = 2, and n = 8 at k = 1.  The sweep
+  stopped at k = 8, so the k caps for n = 3, 4, 5 are not where a run got
+  slow.  The time grows linearly with --samples (one summation-by-parts
+  check per sample); --maxdeg does not enter.
+- `verify --suite macops-eigen` and `--suite constructor-agreement` (also
+  through `--suite all`) take at most 10 variables, as `poly` does, and
+  --maxdeg up to a bound per n (for n = 1, ..., 10: macops-eigen 64, 19,
+  13, 11, 10, 9, 8, 8, 8, 8; constructor-agreement 64, 21, 13, 11, 10,
+  10, 9, 9, 9, 9), the largest --maxdeg at which the suite took at most
+  20 s on a 2-vCPU Xeon, one run per size and two searches at a time,
+  doubling --maxdeg from 4, then bisecting.  At the bounds for n = 2, ...,
+  10, macops-eigen took 12.4, 9.9, 13.7, 15.7, 14.3, 8.3, 9.7, 13.5 and
+  19.0 s, constructor-agreement 19.7, 9.7, 9.4, 8.6, 12.9, 7.0, 8.2, 7.9
+  and 11.4 s; one above them, macops-eigen took 20.1 s at n = 3 and
+  20.7 s at n = 7, constructor-agreement 20.8, 23.0, 20.1 and 23.4 s at
+  n = 3, 4, 7 and 8, and every other run over 25 s, where the search
+  stopped it.  For n = 1 the search stopped at 64 (0.2 s), so that bound
+  is not where a run got slow.  Neither suite reads --samples.
+- `verify --suite daha-relations` (also through `--suite all`) takes at
+  most 4 variables, and `--suite spherical-macdonald` at most 5, with
+  --maxdeg up to 64 for n <= 4 and 24 for n = 5, each measured at the
+  default --samples 10 on a 2-vCPU Xeon.  daha-relations took 2.3-4.0 s
+  in 4 variables (seeds 0-3; --l 1, 10 and 100 took 3.6-4.0 s) and
+  79.4 s in 5 (11.6 s at --samples 1); it does not read --maxdeg.
+  spherical-macdonald draws parts up to max(1, --maxdeg // n), so it runs
+  the same samples at every --maxdeg below 2n: in 6 variables it took
+  22.4 s at --maxdeg 4 and 20.0 s at 0.  In 5 variables --maxdeg 24 took
+  7.7-13.0 s over seeds 0-3, and 26, 27 and 28, which draw the same parts,
+  took 19.6, 17.4 and 20.2 s at seed 0; in 4 variables --maxdeg 64 took
+  3.9-9.5 s over seeds 0-3, and the search stopped there (at 64 for
+  n <= 3 too, under 0.3 s).  The time of both suites grows with
+  --samples, which is not bounded.
+- `verify --suite qfield-axioms`, `--suite symmetry` and `--suite branch`
+  have no envelope (`_UNBOUNDED_SUITES`).  qfield-axioms reads only
+  --samples and --seed; the other two are still to be measured.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import intertwiner, macops, suites
@@ -133,55 +167,67 @@ class _UsageError(Exception):
     pass
 
 
-# The size envelope of `poly` (see the module docstring): per method and
-# number n of variables, the largest d = |lambda| - n*lambda_n.
-_POLY_MAX_DEGREE = {
-    "eigen": {1: 0, 2: 25, 3: 18, 4: 16, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
-    "branch": {1: 0, 2: 39, 3: 18, 4: 15, 5: 14, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
-    "gt": {1: 0, 2: 39, 3: 18, 4: 14, 5: 12, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
+# The size envelopes, one row per verb or suite (see the module
+# docstring).  _ANY is no bound.
+_ANY = math.inf
+_ENVELOPE = {
+    "poly --method eigen": {1: 0, 2: 25, 3: 18, 4: 16, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
+    "poly --method branch": {1: 0, 2: 39, 3: 18, 4: 15, 5: 14, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
+    "poly --method gt": {1: 0, 2: 39, 3: 18, 4: 14, 5: 12, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
+    "matelt": {
+        1: (0,) * 500,
+        2: (8192, 8192, 8192, 8192, 8192, 5120, 3840, 2400, 1650, 1340, 753, 611, 496, 496, 372,
+            127, 35, 21, 14),
+        3: (8192, 3328, 1040, 357, 244, 198, 123, 30, 22),
+        4: (8192, 704, 264, 148, 74, 24),
+        5: (8192, 352, 88, 35, 16),
+        6: (8192, 192, 42, 19),
+        7: (8192, 80, 23),
+        8: (8192, 52, 22),
+        9: (8192, 30, 15),
+        10: (8192, 16),
+    },
+    "trace": {
+        1: _ANY,
+        2: (40,) * 8,
+        3: (30, 30, 30, 25, 21, 18),
+        4: (20, 19, 11, 7, 4, 2),
+        5: (16, 8, 3),
+        6: (12, 3),
+    },
+    "res-intertwine": dict.fromkeys(range(1, 6), _ANY),
+    "res-diff": dict.fromkeys(range(1, 11), _ANY),
+    "matelt-routes": {1: 500, 2: 14, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1},
+    "adjoint": {
+        1: 26,
+        2: 26,
+        3: (13, 10, 10, 9, 9, 9, 9, 9),
+        4: (6,) + (3,) * 7,
+        5: (3,) + (1,) * 7,
+        6: (2,),
+        7: (1,),
+    },
+    "macops-eigen": {1: 64, 2: 19, 3: 13, 4: 11, 5: 10, 6: 9, 7: 8, 8: 8, 9: 8, 10: 8},
+    "constructor-agreement": {1: 64, 2: 21, 3: 13, 4: 11, 5: 10, 6: 10, 7: 9, 8: 9, 9: 9, 10: 9},
+    "daha-relations": dict.fromkeys(range(1, 5), _ANY),
+    "spherical-macdonald": {1: 64, 2: 64, 3: 64, 4: 64, 5: 24},
 }
-# The size envelopes of the restriction suites: the largest n*l.
-_RES_MAX_VARS = {"res-intertwine": 5, "res-diff": 10}
-# The size envelope of the matelt-routes suite: per n, the largest k.
-_MATELT_ROUTES_MAX_K = {1: 500, 2: 14, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}
-# The size envelope of `matelt` (see the module docstring): for one
-# variable the largest k, and per number n >= 2 of variables of lambda the
-# largest spread lambda_1 - lambda_n at k = 1, 2, ..., for every route; a
-# larger k is outside it.
-_MATELT_ONE_VAR_MAX_K = 500
-_MATELT_MAX_SPREAD = {
-    2: (8192, 8192, 8192, 8192, 8192, 5120, 3840, 2400, 1650, 1340, 753, 611, 496, 496, 372,
-        127, 35, 21, 14),
-    3: (8192, 3328, 1040, 357, 244, 198, 123, 30, 22),
-    4: (8192, 704, 264, 148, 74, 24),
-    5: (8192, 352, 88, 35, 16),
-    6: (8192, 192, 42, 19),
-    7: (8192, 80, 23),
-    8: (8192, 52, 22),
-    9: (8192, 30, 15),
-    10: (8192, 16),
+# How the arguments of each bounded suite give (variables, k, size), and
+# the name of the size, in the order the suites are checked.
+_SUITE_SIZE = {
+    "res-intertwine": ("--samples", lambda a: (a.n * a.l, a.k, a.samples)),
+    "res-diff": ("--samples", lambda a: (a.n * a.l, a.k, a.samples)),
+    "matelt-routes": ("--k", lambda a: (a.n, a.k, a.k)),
+    "adjoint": ("--l", lambda a: (a.n, a.k, a.l)),
+    # suite_trace runs the partitions of degree up to min(--maxdeg, 3)
+    "trace": ("min(--maxdeg, 3)", lambda a: (a.n, a.k, min(a.maxdeg, 3))),
+    "macops-eigen": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
+    "constructor-agreement": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
+    "daha-relations": ("--samples", lambda a: (a.n, a.k, a.samples)),
+    "spherical-macdonald": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
 }
-# The size envelope of the adjoint suite (see the module docstring): the
-# largest l in 1 or 2 variables at every k, and per number n >= 3 of
-# variables the largest l at k = 1, 2, ...; a larger k is outside it.
-_ADJOINT_ONE_DIM_MAX_L = 26
-_ADJOINT_MAX_L = {
-    3: (13, 10, 10, 9, 9, 9, 9, 9),
-    4: (6, 3, 3, 3, 3, 3, 3, 3),
-    5: (3, 1, 1, 1, 1, 1, 1, 1),
-    6: (2,),
-    7: (1,),
-}
-# The size envelope of `trace` (see the module docstring): per number n of
-# variables, the largest d = |lambda| - n*lambda_n at k = 1, 2, ...; a
-# larger k is outside it.  One variable has no links and no bound.
-_TRACE_MAX_DEGREE = {
-    2: (40, 40, 40, 40, 40, 40, 40, 40),
-    3: (30, 30, 30, 25, 21, 18),
-    4: (20, 19, 11, 7, 4, 2),
-    5: (16, 8, 3),
-    6: (12, 3),
-}
+# The suites with no envelope yet.
+_UNBOUNDED_SUITES = ("qfield-axioms", "symmetry", "branch")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -257,80 +303,20 @@ def _require_vars(n):
     return n
 
 
-def _require_poly_envelope(lam, n, method):
-    bounds = _POLY_MAX_DEGREE[method]
-    if n not in bounds:
-        raise _UsageError(f"poly supports at most {max(bounds)} variables")
-    d = sum(lam) - n * lam[-1]
-    if d > bounds[n]:
-        raise _UsageError(f"|lambda| - n*lambda_n = {d} exceeds {bounds[n]}, the "
-                          f"poly --method {method} size envelope for {n} variables")
-
-
-def _require_res_envelope(names, n, l):
-    for name in names:
-        if n * l > _RES_MAX_VARS.get(name, n * l):
-            raise _UsageError(f"{name} takes n*l <= {_RES_MAX_VARS[name]} "
-                              f"variables (got --n {n} --l {l})")
-
-
-def _require_matelt_routes_envelope(names, n, k):
-    if "matelt-routes" not in names:
-        return
-    bounds = _MATELT_ROUTES_MAX_K
-    if n not in bounds:
-        raise _UsageError(f"matelt-routes takes at most {max(bounds)} variables (got --n {n})")
-    if k > bounds[n]:
-        raise _UsageError(f"matelt-routes in {n} variables takes k <= {bounds[n]} (got --k {k})")
-
-
-def _require_matelt_envelope(lam, k):
-    n = len(lam)
-    if n == 1:
-        if k > _MATELT_ONE_VAR_MAX_K:
-            raise _UsageError(f"matelt in 1 variables supports k <= {_MATELT_ONE_VAR_MAX_K}")
-        return
-    if n not in _MATELT_MAX_SPREAD:
-        raise _UsageError(f"matelt supports at most {max(_MATELT_MAX_SPREAD)} variables")
-    bounds = _MATELT_MAX_SPREAD[n]
-    if k > len(bounds):
-        raise _UsageError(f"matelt in {n} variables supports k <= {len(bounds)}")
-    spread = lam[0] - lam[-1]
-    if spread > bounds[k - 1]:
-        raise _UsageError(f"lambda_1 - lambda_n = {spread} exceeds {bounds[k - 1]}, the "
-                          f"matelt size envelope for {n} variables at k = {k}")
-
-
-def _require_adjoint_envelope(names, n, l, k):
-    if "adjoint" not in names:
-        return
-    if n <= 2:
-        if l > _ADJOINT_ONE_DIM_MAX_L:
-            raise _UsageError(f"adjoint in {n} variables takes l <= {_ADJOINT_ONE_DIM_MAX_L} "
-                              f"(got --l {l})")
-        return
-    if n not in _ADJOINT_MAX_L:
-        raise _UsageError(f"adjoint takes at most {max(_ADJOINT_MAX_L)} variables (got --n {n})")
-    bounds = _ADJOINT_MAX_L[n]
-    if k > len(bounds):
-        raise _UsageError(f"adjoint in {n} variables takes k <= {len(bounds)} (got --k {k})")
-    if l > bounds[k - 1]:
-        raise _UsageError(f"adjoint in {n} variables at k = {k} takes l <= {bounds[k - 1]} "
-                          f"(got --l {l})")
-
-
-def _require_trace_envelope(n, k, d, size):
-    """The trace envelope at degree d, which the message calls size."""
-    if n == 1:
-        return
-    if n not in _TRACE_MAX_DEGREE:
-        raise _UsageError(f"trace supports at most {max(_TRACE_MAX_DEGREE)} variables")
-    bounds = _TRACE_MAX_DEGREE[n]
-    if k > len(bounds):
-        raise _UsageError(f"trace in {n} variables supports k <= {len(bounds)}")
-    if d > bounds[k - 1]:
-        raise _UsageError(f"{size} = {d} exceeds {bounds[k - 1]}, the "
-                          f"trace size envelope for {n} variables at k = {k}")
+def _require_envelope(name, n, k, size, what):
+    """Raise the usage error unless n variables, k and a size (called what)
+    lie inside the envelope of name."""
+    row = _ENVELOPE[name]
+    if n not in row:
+        raise _UsageError(f"{name} takes at most {max(row)} variables (got {n})")
+    bound, at = row[n], ""
+    if isinstance(bound, tuple):
+        if k > len(bound):
+            raise _UsageError(f"{name} in {n} variables takes k <= {len(bound)} (got {k})")
+        bound, at = bound[k - 1], f" at k = {k}"
+    if size > bound:
+        raise _UsageError(f"{what} = {size} exceeds {bound}, the {name} size envelope "
+                          f"for {n} variables{at}")
 
 
 def _run(args):
@@ -339,7 +325,8 @@ def _run(args):
         n = _require_vars(args.vars)
         if len(lam) != n:
             raise _UsageError("signature length must equal --vars")
-        _require_poly_envelope(lam, n, args.method)
+        _require_envelope(f"poly --method {args.method}", n, args.k, sum(lam) - n * lam[-1],
+                          "|lambda| - n*lambda_n")
         method = {"eigen": macops.macdonald_eigen,
                   "branch": macops.macdonald_branch,
                   "gt": macops.macdonald_gt}[args.method]
@@ -374,7 +361,7 @@ def _run(args):
         if len(mu) != len(lam) - 1:
             raise _UsageError("mu must be one entry shorter than lambda")
         k = _require_k(args.k)
-        _require_matelt_envelope(lam, k)
+        _require_envelope("matelt", len(lam), k, lam[0] - lam[-1], "lambda_1 - lambda_n")
         if not in_window(mu, lam, k):
             raise _UsageError("mu must satisfy lambda_{i+1} - (k-1) <= mu_i <= lambda_i")
         if args.route == "diag_sum":
@@ -392,7 +379,7 @@ def _run(args):
         if len(lam) != n:
             raise _UsageError("signature length must equal --vars")
         k = _require_k(args.k)
-        _require_trace_envelope(n, k, sum(lam) - n * lam[-1], "|lambda| - n*lambda_n")
+        _require_envelope("trace", n, k, sum(lam) - n * lam[-1], "|lambda| - n*lambda_n")
         if args.ratio:
             _emit(sym_to_json(intertwiner.trace_ratio(lam, n, k)))
         else:
@@ -417,12 +404,9 @@ def _run(args):
             names = [args.suite]
         else:
             raise _UsageError(f"unknown suite {args.suite!r}")
-        _require_res_envelope(names, args.n, args.l)
-        _require_matelt_routes_envelope(names, args.n, args.k)
-        _require_adjoint_envelope(names, args.n, args.l, args.k)
-        if "trace" in names:
-            # suite_trace runs the partitions of degree up to min(maxdeg, 3)
-            _require_trace_envelope(args.n, args.k, min(args.maxdeg, 3), "min(--maxdeg, 3)")
+        for name, (what, size) in _SUITE_SIZE.items():
+            if name in names:
+                _require_envelope(name, *size(args), what)
         reports = [suites.run_suite(name, n=args.n, l=args.l, k=args.k,
                                     maxdeg=args.maxdeg, samples=args.samples,
                                     seed=args.seed)

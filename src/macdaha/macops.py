@@ -233,7 +233,7 @@ def psi_branch(lam, mu):
     (Macdonald, Symmetric Functions and Hall Polynomials, VI (6.24)),
     reduced and expanded by qfield.binomial_ratio without a gcd.
     """
-    return _psi_formal(tuple(lam), tuple(mu))
+    return _psi(tuple(lam), tuple(mu), UnitMono.q(), UnitMono.t())
 
 
 def _psi_factors(lam, mu):
@@ -260,13 +260,9 @@ def _psi_factors(lam, mu):
 
 
 @cached
-def _psi_formal(lam, mu):
-    return binomial_ratio(_psi_factors(lam, mu), UnitMono.q(), UnitMono.t())
-
-
-@cached
-def _psi_for_params(lam, mu, params):
-    return binomial_ratio(_psi_factors(lam, mu), params.shift, params.thalf ** 2)
+def _psi(lam, mu, shift, t2):
+    """psi_{lam/mu} under q -> shift and t -> t2."""
+    return binomial_ratio(_psi_factors(lam, mu), shift, t2)
 
 
 def branch_sum(lam, psi, sub):
@@ -302,7 +298,8 @@ def branch_sum(lam, psi, sub):
 def _branch_cached(lam, n, params):
     if n == 0:
         return SymLaurent.one(0)
-    return branch_sum(lam, lambda mu: _psi_for_params(lam, mu, params),
+    t2 = params.thalf ** 2
+    return branch_sum(lam, lambda mu: _psi(lam, mu, params.shift, t2),
                       lambda mu: _branch_cached(mu, n - 1, params))
 
 
@@ -332,7 +329,8 @@ def macdonald_gt(lam, n, params=None):
     lam = check_signature(lam, n)
     if params is None:
         params = generic_params()
-    return SymLaurent._raw(n, chain_sum(lam, 1, lambda mu, nu: _psi_for_params(nu, mu, params),
+    t2 = params.thalf ** 2
+    return SymLaurent._raw(n, chain_sum(lam, 1, lambda mu, nu: _psi(nu, mu, params.shift, t2),
                                         dominant=True))
 
 

@@ -277,7 +277,7 @@ def _q_gcd(u, v):
 
 
 def _q_longdiv(u, v):
-    """Exact long division in Z[q]; raises ArithmeticError if not divisible."""
+    """Exact long division in Z[q]; None if v does not divide u."""
     if not u:
         return {}
     dv = max(v)
@@ -287,10 +287,10 @@ def _q_longdiv(u, v):
     while r:
         dr = max(r)
         if dr < dv:
-            raise ArithmeticError("inexact polynomial division in Z[q]")
+            return None
         c, rem = divmod(r[dr], lcv)
         if rem:
-            raise ArithmeticError("inexact polynomial division in Z[q]")
+            return None
         quo[dr - dv] = c
         del r[dr]
         for a, d in v.items():
@@ -369,7 +369,7 @@ def _q_kron_mul(u, v):
 
 
 def _q_divexact(u, v):
-    """Exact division in Z[q]; raises ArithmeticError if not divisible.
+    """Exact division in Z[q]; None if v does not divide u.
 
     A non-zero remainder of u(2^s) by v(2^s) disproves divisibility.  The
     quotient Q read from the integer quotient satisfies
@@ -391,13 +391,13 @@ def _q_divexact(u, v):
         return _q_longdiv(u, v)
     lu, lv = min(u), min(v)
     if lu < lv or max(u) - lu < max(v) - lv:
-        raise ArithmeticError("inexact polynomial division in Z[q]")
+        return None
     nv = _norm(v)
     w = _width(_norm(u) * nv * min(len(u), len(v)))  # Q about as wide as u
     for _ in range(_HEU_TRIES):
         quo, rem = divmod(_pack(u, lu, w), _pack(v, lv, w))
         if rem:
-            raise ArithmeticError("inexact polynomial division in Z[q]")
+            return None
         Q = _unpack(quo, lu - lv, w)
         if _norm(Q) * nv * min(len(Q), len(v)) < 1 << (8 * w - 1):
             return Q
@@ -441,10 +441,11 @@ def _q_gcd_primitive(u, v):
         g = _q_divexact_int(g, _q_int_content(g))
         if g == {0: 1}:             # divides both: u and v are coprime
             return g, u, v
-        try:
-            return g, _q_divexact(u, g), _q_divexact(v, g)
-        except ArithmeticError:
-            w *= 2
+        f = _q_divexact(u, g)
+        h = f and _q_divexact(v, g)
+        if h:
+            return g, f, h
+        w *= 2
     g = _q_gcd(u, v)
     return g, _q_divexact(u, g), _q_divexact(v, g)
 
@@ -539,7 +540,7 @@ def _poly_gcd(A, B):
 
 def _poly_divexact(A, B):
     """Exact division in Z[q, t] of maps with non-negative exponents;
-    raises ArithmeticError if not divisible.
+    None if B does not divide A.
 
     With D above the q-degree of A, t -> q^D maps both maps into Z[q],
     injectively on q-degrees below D.  The quotient there, read back with
@@ -553,9 +554,11 @@ def _poly_divexact(A, B):
     D = max(a for a, _ in A) + 1
     Q = _q_divexact({a + D * b: c for (a, b), c in A.items()},
                     {a + D * b: c for (a, b), c in B.items()})
+    if Q is None:
+        return None
     Q = {(e % D, e // D): c for e, c in Q.items()}
     if max(a for a, _ in Q) + max(a for a, _ in B) >= D:
-        raise ArithmeticError("inexact polynomial division in Z[q,t]")
+        return None
     return Q
 
 
@@ -589,10 +592,7 @@ def _t_cofactor(X, G, Y, w):
     half = 1 << (8 * w - 1)
     if _norm(X) < half and _norm(G) * _norm(Y) * min(len(G), len(Y)) < half:
         return Y
-    try:
-        return _poly_divexact(X, G)
-    except ArithmeticError:
-        return None
+    return _poly_divexact(X, G)
 
 
 def _qt_heu_gcd(A, B):

@@ -11,7 +11,7 @@ from macdaha import qfield
 from macdaha.combinat import interlaces, interlacing_signatures, inversions, is_dominant, shift
 from macdaha.indexops import IndexOpParams, index_apply
 from macdaha.intertwiner import _cg_qpower
-from macdaha.macops import _psi_for_params
+from macdaha.macops import _psi
 from macdaha.npoly import NPoly, add_terms
 from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, DomainViolationError,
                             LaurentQT, UnitMono, _add, _mul, _scale, qfact, qfall)
@@ -162,7 +162,7 @@ def branch_oracle(lam, params):
         return SymLaurent(1, {lam: CR_ONE})
     acc = {}
     for mu in interlacing_signatures(lam):
-        c_mu = _psi_for_params(lam, mu, params)
+        c_mu = _psi(lam, mu, params.shift, params.thalf ** 2)
         xn = (sum(lam) - sum(mu),)
         for sig, c in branch_oracle(mu, params).terms.items():
             w = c * c_mu
@@ -173,7 +173,8 @@ def branch_oracle(lam, params):
 def gt_oracle(lam, params):
     """P_lam as the sum over every Gelfand-Tsetlin pattern of its psi
     product times x^w, w_i = |mu^i| - |mu^{i-1}|, folded back."""
-    terms = per_chain_sum(box_chains(lam, 1), 1, lambda mu, nu: _psi_for_params(nu, mu, params))
+    t2 = params.thalf ** 2
+    terms = per_chain_sum(box_chains(lam, 1), 1, lambda mu, nu: _psi(nu, mu, params.shift, t2))
     return from_npoly(NPoly(len(lam), terms))
 
 

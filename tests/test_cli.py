@@ -5,7 +5,7 @@ import sys
 import time
 from pathlib import Path
 
-from macdaha.cli import main
+from macdaha.cli import _ENVELOPE, _SUITE_SIZE, _UNBOUNDED_SUITES, main
 from macdaha.suites import SUITES, list_suites, run_suite
 
 
@@ -265,6 +265,51 @@ def test_verify_adjoint_envelope(capsys):
     for argv in (["--n", "3", "--l", "1", "--k", "8"], ["--n", "2", "--l", "1", "--k", "40"]):
         rc, out, _ = run(capsys, ["verify", "--suite", "adjoint", *argv])
         assert rc == 0 and json.loads(out)["pass"] is True, argv
+
+
+def test_verify_operator_suite_envelopes(capsys):
+    # Just outside: --maxdeg one above the macops-eigen bound in 2
+    # variables and the constructor-agreement bound in 2 and 3 (also
+    # through --suite all), 11 variables, daha-relations in 5 variables,
+    # spherical-macdonald in 6 and --maxdeg one above its bound in 5; each
+    # exits 2 at once.
+    for argv, name in ((["--suite", "macops-eigen", "--n", "2", "--maxdeg", "20"], "macops-eigen"),
+                       (["--suite", "macops-eigen", "--n", "11", "--maxdeg", "0"], "macops-eigen"),
+                       (["--suite", "constructor-agreement", "--n", "2", "--maxdeg", "22"],
+                        "constructor-agreement"),
+                       (["--suite", "constructor-agreement", "--n", "3", "--maxdeg", "14"],
+                        "constructor-agreement"),
+                       (["--suite", "all", "--n", "3", "--l", "1", "--maxdeg", "14"],
+                        "macops-eigen"),
+                       (["--suite", "daha-relations", "--n", "5"], "daha-relations"),
+                       (["--suite", "spherical-macdonald", "--n", "6", "--maxdeg", "0"],
+                        "spherical-macdonald"),
+                       (["--suite", "spherical-macdonald", "--n", "5", "--maxdeg", "25"],
+                        "spherical-macdonald")):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+        assert name in err, argv
+    # Just inside: each suite at a bound, with one sample where it draws
+    # samples.
+    for argv in (["--suite", "macops-eigen", "--n", "1", "--maxdeg", "64"],
+                 ["--suite", "constructor-agreement", "--n", "1", "--maxdeg", "64"],
+                 ["--suite", "daha-relations", "--n", "4", "--samples", "1"],
+                 ["--suite", "spherical-macdonald", "--n", "5", "--maxdeg", "24",
+                  "--samples", "1"]):
+        rc, out, _ = run(capsys, ["verify", *argv])
+        assert rc == 0 and json.loads(out)["pass"] is True, argv
+
+
+def test_every_suite_has_an_envelope_or_is_listed_unbounded():
+    # A new suite cannot ship without a decision: a row of the envelope
+    # table with the map from its arguments to (variables, k, size), or a
+    # place on the list of unbounded suites, which may only shrink.
+    bounded, unbounded = set(_SUITE_SIZE), set(_UNBOUNDED_SUITES)
+    assert bounded <= set(_ENVELOPE)
+    assert unbounded <= {"qfield-axioms", "symmetry", "branch"}
+    assert not bounded & unbounded and bounded | unbounded == set(SUITES)
 
 
 def test_package_runs_as_module():

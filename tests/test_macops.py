@@ -13,7 +13,7 @@ from conftest import (box_chains, branch_oracle, eval_fraction, gt_oracle, mac_a
 from macdaha import clear_caches
 from macdaha.combinat import interlacing_signatures, is_dominant
 
-from macdaha.macops import (MacParams, _op_column, _psi_for_params, branch_sum, chain_sum,
+from macdaha.macops import (MacParams, _op_column, _psi, branch_sum, chain_sum,
                             eigen_point, eigenvalue, generic_params,
                             mac_apply, mac_generator_apply, macdonald_branch,
                             macdonald_eigen, macdonald_gt, macdonald_qk,
@@ -196,7 +196,7 @@ _PSI_PARAMS = [
 
 
 def test_psi_matches_oracle():
-    # psi_branch and _psi_for_params against the running product of
+    # psi_branch and _psi against the running product of
     # CoeffRat-reduced Pochhammer ratios, substituted after reduction;
     # the vanishing denominators must raise in both.
     raised = contents = 0
@@ -209,9 +209,9 @@ def test_psi_matches_oracle():
             except DomainViolationError:
                 raised += 1
                 with pytest.raises(DomainViolationError):
-                    _psi_for_params(lam, mu, p)
+                    _psi(lam, mu, p.shift, p.thalf ** 2)
                 continue
-            got = _psi_for_params(lam, mu, p)
+            got = _psi(lam, mu, p.shift, p.thalf ** 2)
             assert got == w, (lam, mu, p)
             contents += max(gcd(*got.num.terms.values()), gcd(*got.den.terms.values())) > 1
     assert raised and contents
@@ -246,7 +246,7 @@ def test_psi_values_at_prime_points():
         q0, t0 = prime_point(rng)
         assert eval_fraction(psi_branch(lam, mu), q0, t0) == _psi_value(lam, mu, q0, t0)
         # generic parameters: psi(q^2, t^2)
-        assert eval_fraction(_psi_for_params(lam, mu, P), q0, t0) == \
+        assert eval_fraction(_psi(lam, mu, P.shift, P.thalf ** 2), q0, t0) == \
             _psi_value(lam, mu, q0 ** 2, t0 ** 2)
 
 
@@ -303,7 +303,7 @@ def test_branch_sum_skips_mu_without_kept_terms():
 
         def psi(mu):
             called.add(mu)
-            return _psi_for_params(lam, mu, P)
+            return _psi(lam, mu, P.shift, P.thalf ** 2)
 
         assert branch_sum(lam, psi, sub) == macdonald_branch(lam, n), lam
         mus = interlacing_signatures(lam)
@@ -350,6 +350,27 @@ def test_gt_principal_specialization():
         f = macdonald_gt(lam, 4)
         assert principal_specialization_holds(f, lam, Random(seed), params), lam
         assert not principal_specialization_holds(perturbed(f), lam, Random(seed), params), lam
+
+
+def test_branch_principal_specialization():
+    # The branching recursion at an n = 4 partition of degree 14 against
+    # Macdonald VI (6.11') at (Q, T) = (q^2, t^2); a one-coefficient change
+    # fails the check.
+    lam = (8, 4, 2, 0)
+    f = macdonald_branch(lam, 4)
+    params = lambda q, t: (q ** 2, t ** 2)
+    assert principal_specialization_holds(f, lam, Random(8420), params)
+    assert not principal_specialization_holds(perturbed(f), lam, Random(8420), params)
+
+
+def test_qk_principal_specialization():
+    # P_lam(x; q^2, q^6), the t = q^3 specialization, against Macdonald VI
+    # (6.11') at (Q, T) = (q^2, q^6); a one-coefficient change fails it.
+    lam = (5, 3, 1, 0)
+    f = macdonald_qk(lam, 4, 3)
+    params = lambda q, t: (q ** 2, q ** 6)
+    assert principal_specialization_holds(f, lam, Random(5310), params)
+    assert not principal_specialization_holds(perturbed(f), lam, Random(5310), params)
 
 
 def test_branch_base_cases():

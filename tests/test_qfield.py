@@ -339,12 +339,9 @@ def test_t_free_poly_divexact_rejects_inexact():
         ({0: 1}, {1: 1}),                           # negative quotient power
         (q_numbers(3), q_numbers(9)),               # divisor of higher degree
     ]:
-        with pytest.raises(ArithmeticError):
-            qfield._poly_divexact(two_d(u), two_d(v))
-        with pytest.raises(ArithmeticError):
-            qfield._poly_divexact(two_d(u, 3), two_d(v, 1))
-    with pytest.raises(ArithmeticError):
-        qfield._poly_divexact(two_d({0: 1}), two_d({0: 1}, 1))
+        assert qfield._poly_divexact(two_d(u), two_d(v)) is None
+        assert qfield._poly_divexact(two_d(u, 3), two_d(v, 1)) is None
+    assert qfield._poly_divexact(two_d({0: 1}), two_d({0: 1}, 1)) is None
     assert qfield._poly_divexact(two_d(qfield._q_mul(big, {2: 5}), 4),
                                  two_d({2: 5}, 1)) == two_d(big, 3)
 
@@ -483,12 +480,10 @@ def test_poly_divexact_both_variables():
         g = qfield._shift(g, *(-e for e in qfield._min_exps(g)))
         f = qt_poly(rng, rng.randint(1, 8), hi=6, cmax=rng.choice((9, 2 ** 80)))
         assert qfield._poly_divexact(schoolbook(g, f), g) == f
-        with pytest.raises(ArithmeticError):
-            qfield._poly_divexact(qfield._add(schoolbook(g, f), {(0, 0): 1}), g)
+        assert qfield._poly_divexact(qfield._add(schoolbook(g, f), {(0, 0): 1}), g) is None
     # With D = 2, t -> q^2 sends t + q t to q (q + q^2), the image of
     # q (q + t): the quotient q wraps past q-degree 1 and is rejected.
-    with pytest.raises(ArithmeticError):
-        qfield._poly_divexact({(0, 1): 1, (1, 1): 1}, {(1, 0): 1, (0, 1): 1})
+    assert qfield._poly_divexact({(0, 1): 1, (1, 1): 1}, {(1, 0): 1, (0, 1): 1}) is None
 
 
 def test_clear_caches_reaches_every_cache():
