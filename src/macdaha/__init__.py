@@ -16,11 +16,11 @@ from .indexops import (AdaptednessError, Box, IndexOpParams, index_apply,
                        is_adapted, jackson_inner, plain_apply, verify_adjoint)
 from .daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv, act_e,
                    e_r_Y_apply, generic_daha_params, is_multiwheel,
-                   p1_Yinv_apply, p1_Yinv_via_y, res_map, res_map_half,
-                   verify_relations, verify_res_diff, verify_res_intertwine)
+                   p1_Yinv_apply, p1_Yinv_via_y, res_map, res_map_half)
 from .intertwiner import (branch_reconstruct_qk, c_squared_chain, delta1, delta2,
                           delta_cross, diag_coeff_sum, ek_denominator, mat_elt,
                           psi_qnum, trace_ratio, trace_reconstruct)
-from .suites import SUITES, list_suites, run_suite
+from .suites import (SUITES, list_suites, run_suite, verify_relations, verify_res_diff,
+                     verify_res_intertwine)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line front end: compute polynomials and coefficients, run the
 named verification suites, and emit canonical JSON on standard output.
 
-Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage
+Exit codes: 0 success (all checks pass), 1 verification failure (a check
+that fails, or that evaluated no instance, or a suite with no check), 2 usage
 error (malformed signatures, non-interlacing pairs, mu outside the
 matrix-element window, k < 1, --vars < 1, verify sizes below their minimum,
 sizes outside an envelope below, unknown suite), 3 internal error (any
@@ -146,9 +147,35 @@ variables with no entry, are outside.  In the order of the table:
   3.9-9.5 s over seeds 0-3, and the search stopped there (at 64 for
   n <= 3 too, under 0.3 s).  The time of both suites grows with
   --samples, which is not bounded.
-- `verify --suite qfield-axioms`, `--suite symmetry` and `--suite branch`
-  have no envelope (`_UNBOUNDED_SUITES`).  qfield-axioms reads only
-  --samples and --seed; the other two are still to be measured.
+- `verify --suite symmetry` and `--suite branch` (also through `--suite
+  all`) take at most 10 variables, k up to a cap per n and --maxdeg up to
+  a bound per n and k.  The caps for n = 1, ..., 10: symmetry any k (in
+  one variable it does not read k), 84, 66, 54, 47, 43, 40, 38, 35, 33;
+  branch 131, 96, 38, 21, 14, 10, 7, 6, 5, 4.  The bounds at k = 1:
+  symmetry 64, 19, 13, 9, 8, 7, 6, 6, 5, 5; branch 64, 21, 14, 12, 11, 10,
+  10, 9, 9, 9; they fall with k, to 0 at the caps for n >= 2 (`_ENVELOPE`
+  lists every k).  Each bound is the largest --maxdeg at which the suite took
+  at most 20 s on a 2-vCPU Xeon, one run per size in a fresh process,
+  two searches at a time.  At k = 1 --maxdeg was doubled from 4, then
+  bisected.  From there the search kept the bound while k, in doubling
+  steps, still passed, bisected to the last k that did, and at the next
+  k lowered --maxdeg (in doubling steps, then bisecting), on the
+  assumption that the time grows with k and with --maxdeg; a cap is the
+  last k at which --maxdeg 0 passed.  The rows for n = 2 at k <= 24
+  (branch) and k <= 18 (symmetry), first searched while other work ran,
+  were measured again with only the searches running, raising --maxdeg
+  by one until a run took over 20 s.  At the k = 1 bounds the suites took 15.6 s (symmetry) and
+  18.3 s (branch) in 2 variables and 6.1-17.4 s and 6.7-18.2 s in 3 to
+  10; at one above, branch took 20.7-20.9 s at n = 3, 8 and 10, and every
+  other run over 21 s, where the search stopped it.  At the caps
+  --maxdeg 0 took 9.2-19.0 s; at k + 1, symmetry took 20.4-20.9 s at n =
+  3, 5, 6 and 10, and every other run over 21 s.  In one variable
+  the search stopped at --maxdeg 64 (0.35 s for symmetry at k = 1 and
+  0.21 s at k = 10^6; 0.15 s for branch at k = 1), and branch's cap there
+  is set by psi_qnum's [k-1]! (19.1 s at k = 131).  The time at large k
+  goes to q-factorials.  Neither suite reads --samples.
+- `verify --suite qfield-axioms` has no envelope (`_UNBOUNDED_SUITES`):
+  it reads only --samples and --seed.
 """
 
 from __future__ import annotations
@@ -211,6 +238,37 @@ _ENVELOPE = {
     "constructor-agreement": {1: 64, 2: 21, 3: 13, 4: 11, 5: 10, 6: 10, 7: 9, 8: 9, 9: 9, 10: 9},
     "daha-relations": dict.fromkeys(range(1, 5), _ANY),
     "spherical-macdonald": {1: 64, 2: 64, 3: 64, 4: 64, 5: 24},
+    "symmetry": {
+        1: 64,
+        2: ((19, 19, 17, 17, 16, 16, 15, 15, 13, 13, 12, 12, 11, 11, 9, 8, 8, 7, 6, 6) + (5,) * 5 +
+            (4,) * 3 + (3,) * 12 + (2,) * 3 + (1,) * 22 + (0,) * 19),
+        3: ((13, 11) + (10,) * 3 + (9, 9) + (7,) * 4 + (6, 6, 5, 5) + (4,) * 6 + (3,) + (2,) * 11 +
+            (1,) * 10 + (0,) * 23),
+        4: ((9,) + (8,) * 3 + (7,) * 3 + (6, 6) + (5,) * 3 + (4, 4) + (3,) * 6 + (2,) * 4 +
+            (1,) * 12 + (0,) * 18),
+        5: ((8,) + (7,) * 3 + (6,) * 3 + (5, 5) + (4,) * 3 + (3, 3) + (2,) * 6 + (1,) * 12 +
+            (0,) * 15),
+        6: (7,) + (6,) * 4 + (5, 5) + (4,) * 3 + (3, 3) + (2,) * 7 + (1,) * 7 + (0,) * 17,
+        7: (6,) * 4 + (5,) * 3 + (4, 4) + (3,) * 3 + (2,) * 5 + (1,) * 6 + (0,) * 17,
+        8: (6, 6) + (5,) * 4 + (4, 4) + (3,) * 3 + (2,) * 3 + (1,) * 6 + (0,) * 18,
+        9: (5,) * 5 + (4, 4) + (3,) * 3 + (2,) * 3 + (1,) * 6 + (0,) * 16,
+        10: (5,) * 3 + (4,) * 3 + (3,) * 3 + (2, 2) + (1,) * 7 + (0,) * 15,
+    },
+    "branch": {
+        1: (64,) * 127 + (62,) * 4,
+        2: ((21,) * 3 + (20, 20, 21) + (20,) * 3 + (19,) * 3 +
+            (18, 17, 17, 16, 16, 15, 13, 11, 10, 10, 9, 9) + (7,) * 8 + (6, 5) + (4,) * 4 +
+            (3,) * 11 + (2,) * 8 + (1,) * 17 + (0,) * 22),
+        3: ((14,) * 5 + (12, 11, 11, 8, 7, 7, 6, 6, 5, 4) + (3,) * 5 + (2,) * 3 + (1,) * 4 +
+            (0,) * 11),
+        4: (12, 12, 11, 10, 9, 7, 6, 5, 4, 3, 3, 2, 2) + (1,) * 3 + (0,) * 5,
+        5: (11, 10, 9, 7, 6, 4, 3, 3, 2, 1, 1) + (0,) * 3,
+        6: (10, 10, 7, 6, 3, 3, 1, 1, 0, 0),
+        7: (10, 9, 6, 4, 2, 1, 0),
+        8: (9, 8, 4, 3, 0, 0),
+        9: (9, 7, 3, 1, 0),
+        10: (9, 5, 2, 0),
+    },
 }
 # How the arguments of each bounded suite give (variables, k, size), and
 # the name of the size, in the order the suites are checked.
@@ -225,9 +283,11 @@ _SUITE_SIZE = {
     "constructor-agreement": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
     "daha-relations": ("--samples", lambda a: (a.n, a.k, a.samples)),
     "spherical-macdonald": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
+    "symmetry": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
+    "branch": ("--maxdeg", lambda a: (a.n, a.k, a.maxdeg)),
 }
-# The suites with no envelope yet.
-_UNBOUNDED_SUITES = ("qfield-axioms", "symmetry", "branch")
+# The suites with no envelope: qfield-axioms reads only --samples and --seed.
+_UNBOUNDED_SUITES = ("qfield-axioms",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,15 +467,10 @@ def _run(args):
         for name, (what, size) in _SUITE_SIZE.items():
             if name in names:
                 _require_envelope(name, *size(args), what)
-        reports = [suites.run_suite(name, n=args.n, l=args.l, k=args.k,
-                                    maxdeg=args.maxdeg, samples=args.samples,
-                                    seed=args.seed)
-                   for name in names]
-        if len(reports) == 1:
-            _emit(reports[0])
-        else:
-            _emit({"suites": reports, "pass": all(r["pass"] for r in reports)})
-        return 0 if all(r["pass"] for r in reports) else 1
+        report = suites.run_suite(args.suite, n=args.n, l=args.l, k=args.k,
+                                  maxdeg=args.maxdeg, samples=args.samples, seed=args.seed)
+        _emit(report)
+        return 0 if report["pass"] else 1
 
     raise _UsageError(f"unknown verb {args.verb!r}")
 

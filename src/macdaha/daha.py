@@ -12,7 +12,8 @@ computations stay inside Q(q, t).
 
 The restriction map collapses n*l variables onto n geometric ladders of
 ratio q^2 and intertwines the spherical actions in ranks n*l and n; the
-verification routines check this exactly on seeded samples.
+`suites` module checks the relations and the intertwining exactly on
+seeded samples.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from random import Random
 
 from .combinat import inversions, is_dominant
-from .macops import MacParams, mac_apply, mac_generator_apply
+from .macops import MacParams, mac_apply
 from .npoly import NPoly
-from .qfield import CR_ONE, L_ONE, CoeffRat, LaurentQT, UnitMono, cached, qnum, rat_dot
-from .sympoly import SymLaurent, e_sym, from_npoly, mono_shift, orbit, to_npoly
+from .qfield import CR_ONE, L_ONE, CoeffRat, LaurentQT, UnitMono, cached, rat_dot
+from .sympoly import SymLaurent, from_npoly, mono_shift, orbit, to_npoly
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ def act_T(i, f, p):
     e[i] = 1
     corr = quo.mul_monomial(tuple(e), thalf - p.thalf.inv().as_coeffrat())
     return out + corr
+
 
 def act_T_inv(i, f, p):
     """T_i^{-1} = T_i - t^{1/2} + t^{-1/2}, from the quadratic relation."""
@@ -247,185 +248,3 @@ def is_multiwheel(point, n, l, t):
         return False
 
     return rec(counts, n)
-
-
-def _rand_sym(rng, n, maxdeg):
-    """Random symmetric Laurent polynomial with small support."""
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        parts = sorted((rng.randint(-1, max(1, maxdeg // n))
-                        for _ in range(n)), reverse=True)
-        c = rng.randint(-3, 3)
-        if c:
-            terms[tuple(parts)] = CoeffRat.from_int(c)
-    if not terms:
-        terms = {(0,) * n: CR_ONE}
-    return SymLaurent(n, terms)
-
-
-def _rand_npoly(rng, n, deg=2):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        e = tuple(rng.randint(-deg, deg) for _ in range(n))
-        c = rng.randint(-3, 3)
-        if c:
-            terms[e] = CoeffRat.from_int(c)
-    if not terms:
-        terms = {(0,) * n: CR_ONE}
-    return NPoly(n, terms)
-
-
-def verify_relations(n, p, seed=0, samples=20):
-    """Check the defining relations on seeded random Laurent polynomials.
-
-    Returns a list of {"name", "pass"} entries, one per relation family.
-    """
-    rng = Random(seed)
-    fs = [_rand_npoly(rng, n) for _ in range(samples)]
-    thc = p.thalf.as_coeffrat() - p.thalf.inv().as_coeffrat()
-    q = (p.qhalf ** 2).as_coeffrat()
-    checks = []
-
-    def record(name, ok):
-        checks.append({"name": name, "pass": bool(ok)})
-
-    ok = all((act_T(i, act_T(i, f, p), p) - act_T(i, f, p).scalar_mul(thc) - f).is_zero()
-             for f in fs for i in range(1, n))
-    record("hecke-quadratic", ok)
-
-    ok = True
-    for f in fs:
-        for i in range(1, n - 1):
-            a = act_T(i, act_T(i + 1, act_T(i, f, p), p), p)
-            b = act_T(i + 1, act_T(i, act_T(i + 1, f, p), p), p)
-            ok = ok and (a - b).is_zero()
-    record("braid", ok)
-
-    ok = True
-    for f in fs:
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                if abs(i - j) > 1:
-                    ok = ok and (act_T(i, act_X(j, f), p) - act_X(j, act_T(i, f, p))).is_zero()
-                    ok = ok and (act_T(i, act_Y(j, f, p), p) - act_Y(j, act_T(i, f, p), p)).is_zero()
-    record("locality", ok)
-
-    ok = all((act_T(i, act_X(i, act_T(i, f, p)), p) - act_X(i + 1, f)).is_zero()
-             for f in fs for i in range(1, n))
-    record("TXT", ok)
-
-    ok = all((act_T_inv(i, act_Y(i, act_T_inv(i, f, p), p), p) - act_Y(i + 1, f, p)).is_zero()
-             for f in fs for i in range(1, n))
-    record("TinvYTinv", ok)
-
-    ok = all((act_X(i, act_X(j, f)) - act_X(j, act_X(i, f))).is_zero()
-             for f in fs[:3] for i in range(1, n + 1) for j in range(1, n + 1))
-    record("XX-commute", ok)
-
-    ok = True
-    for f in fs:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                ok = ok and (act_Y(i, act_Y(j, f, p), p) - act_Y(j, act_Y(i, f, p), p)).is_zero()
-    record("YY-commute", ok)
-
-    ok = True
-    for f in fs:
-        xprod = f.mul_monomial((1,) * n)
-        lhs = act_Y(1, xprod, p)
-        rhs = act_Y(1, f, p).mul_monomial((1,) * n).scalar_mul(q)
-        ok = ok and (lhs - rhs).is_zero()
-    record("Y1-Xcycle", ok)
-
-    if n >= 2:
-        ok = True
-        for f in fs:
-            lhs = act_X(1, act_Y(2, f, p), power=-1)
-            rhs = act_Y(2, act_X(1, act_T_inv(1, act_T_inv(1, f, p), p), power=-1), p)
-            ok = ok and (lhs - rhs).is_zero()
-        record("X1inv-Y2", ok)
-
-    ok = True
-    for f in fs[:5]:
-        ef = act_e(f, p)
-        ok = ok and (act_e(ef, p) - ef).is_zero()
-    record("symmetrizer-idempotent", ok)
-
-    return checks
-
-
-def verify_res_intertwine(n, l, seed=0, samples=5, maxdeg=3):
-    """Intertwining of the ladder restriction with degree-one operators."""
-    rng = Random(seed)
-    src = MacParams(shift=UnitMono.q(-2 * l), thalf=UnitMono.q(1))
-    tgt = MacParams(shift=UnitMono.q(-2), thalf=UnitMono.q(l))
-    src_daha = DahaParams(qhalf=UnitMono.q(-l), thalf=UnitMono.q(1))
-    tgt_daha = DahaParams(qhalf=UnitMono.q(-1), thalf=UnitMono.q(l))
-    lnum = qnum(l)
-    checks = []
-
-    ok = ok2 = ok3 = True
-    for _ in range(samples):
-        f = _rand_sym(rng, n * l, maxdeg)
-        rf = res_map(f, n, l)
-        lhs = res_map(mac_apply(f, 1, src), n, l)
-        rhs = mac_apply(rf, 1, tgt).scalar_mul(lnum)
-        ok = ok and lhs == rhs
-        lhs2 = res_map(p1_Yinv_apply(f, src_daha), n, l)
-        rhs2 = p1_Yinv_apply(rf, tgt_daha).scalar_mul(lnum)
-        ok2 = ok2 and lhs2 == rhs2
-        lhs3 = res_map(e_sym(1, n * l) * f, n, l)
-        rhs3 = (e_sym(1, n) * rf).scalar_mul(lnum)
-        ok3 = ok3 and lhs3 == rhs3
-    checks.append({"name": "res-D1", "pass": bool(ok)})
-    checks.append({"name": "res-p1Yinv", "pass": bool(ok2)})
-    checks.append({"name": "res-multX", "pass": bool(ok3)})
-
-    # Kernel containment: the symmetric product over all ordered pairs of
-    # (X_a - q^2 X_b) vanishes on every ladder configuration, hence must
-    # map to zero (vacuous at l = 1 where the substitution is injective).
-    if l > 1:
-        kern = NPoly.binomial_product(n * l, ((x, y, UnitMono.q(2))
-                                              for a, b in combinations(range(n * l), 2)
-                                              for x, y in ((a, b), (b, a))))
-        kf = from_npoly(kern)
-        okk = res_map(kf, n, l).is_zero()
-        g = _rand_sym(rng, n * l, 2)
-        okk = okk and res_map(kf * g, n, l).is_zero()
-        checks.append({"name": "res-kernel", "pass": bool(okk)})
-    return checks
-
-
-def verify_res_diff(n, l, seed=0, samples=3, maxdeg=2):
-    """Restriction of the generating operator at u = q^{l+1}: equals the
-    product of target generating operators at u = q^2, ..., q^{2l}; also the
-    half-exponent extension of the same identity."""
-    rng = Random(seed)
-    src = MacParams(shift=UnitMono.q(-2 * l), thalf=UnitMono.q(1))
-    tgt = MacParams(shift=UnitMono.q(-2), thalf=UnitMono.q(l))
-    u0 = UnitMono.q(l + 1)
-    checks = []
-
-    ok = True
-    for _ in range(samples):
-        f = _rand_sym(rng, n * l, maxdeg)
-        lhs = res_map(mac_generator_apply(f, u0, src), n, l)
-        rhs = res_map(f, n, l)
-        for a in range(1, l + 1):
-            rhs = mac_generator_apply(rhs, UnitMono.q(2 * a), tgt)
-        ok = ok and lhs == rhs
-    checks.append({"name": "res-diff", "pass": bool(ok)})
-
-    ok = True
-    src_half = UnitMono.q(-l)
-    tgt_half = UnitMono.q(-1)
-    for _ in range(samples):
-        f = _rand_sym(rng, n * l, maxdeg)
-        par, lhs = res_map_half(mac_generator_apply(f, u0, src, half_root=src_half), n, l)
-        par0, rhs = res_map_half(f, n, l)
-        for a in range(1, l + 1):
-            rhs = mac_generator_apply(rhs, UnitMono.q(2 * a), tgt,
-                                      half_root=tgt_half if par0 else None)
-        ok = ok and lhs == rhs and par == par0
-    checks.append({"name": "res-diff-half", "pass": bool(ok)})
-    return checks

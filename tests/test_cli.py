@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 from macdaha.cli import _ENVELOPE, _SUITE_SIZE, _UNBOUNDED_SUITES, main
-from macdaha.suites import SUITES, list_suites, run_suite
+from macdaha.suites import SUITES, _check, list_suites, run_suite
 
 
 def run(capsys, argv):
@@ -121,6 +121,46 @@ def test_suite_with_no_checks_fails(capsys, monkeypatch):
     rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
     doc = json.loads(out)
     assert rc == 1 and doc["checks"] == [] and doc["pass"] is False and err == ""
+
+
+def test_check_with_no_instance_fails(capsys, monkeypatch):
+    # One check over an empty iterable of instances fails its suite.
+    monkeypatch.setitem(SUITES, "qfield-axioms",
+                        (lambda **kwargs: [_check("nothing", iter(()))], "runs nothing"))
+    rc, out, err = run(capsys, ["verify", "--suite", "qfield-axioms"])
+    doc = json.loads(out)
+    assert rc == 1 and err == ""
+    assert doc["checks"] == [{"name": "nothing", "pass": False}] and doc["pass"] is False
+
+
+def test_check_evaluates_every_instance():
+    # A failing first instance does not stop the rest from being evaluated.
+    seen = []
+
+    def instances():
+        for i in range(5):
+            seen.append(i)
+            yield i > 0
+
+    assert _check("first-fails", instances()) == {"name": "first-fails", "pass": False}
+    assert seen == [0, 1, 2, 3, 4]
+    assert _check("all-hold", (True for _ in range(3)))["pass"] is True
+
+
+def test_daha_relations_emit_only_checks_with_instances(capsys):
+    # In 1 variable there is no T_i, so the relations among the T_i and
+    # Y_i Y_j (i < j) have no instance; in 2 the braid relation and
+    # locality (|i - j| > 1) have none.  Neither is emitted.
+    one = ["XX-commute", "Y1-Xcycle", "symmetrizer-idempotent"]
+    two = ["hecke-quadratic", "TXT", "TinvYTinv", "XX-commute", "YY-commute", "Y1-Xcycle",
+           "X1inv-Y2", "symmetrizer-idempotent"]
+    for n, names in (("1", one), ("2", two)):
+        rc, out, _ = run(capsys, ["verify", "--suite", "daha-relations", "--n", n,
+                                  "--samples", "2"])
+        doc = json.loads(out)
+        assert rc == 0 and doc["pass"] is True, n
+        assert [c["name"] for c in doc["checks"]] == \
+            [f"{tag}:{name}" for tag in ("generic", "special") for name in names], n
 
 
 def test_verify_suite_report_shape(capsys):
@@ -271,8 +311,9 @@ def test_verify_operator_suite_envelopes(capsys):
     # Just outside: --maxdeg one above the macops-eigen bound in 2
     # variables and the constructor-agreement bound in 2 and 3 (also
     # through --suite all), 11 variables, daha-relations in 5 variables,
-    # spherical-macdonald in 6 and --maxdeg one above its bound in 5; each
-    # exits 2 at once.
+    # spherical-macdonald in 6 and --maxdeg one above its bound in 5;
+    # symmetry and branch with --maxdeg one above their bound at k = 1 and
+    # with k one above their cap in 2 variables; each exits 2 at once.
     for argv, name in ((["--suite", "macops-eigen", "--n", "2", "--maxdeg", "20"], "macops-eigen"),
                        (["--suite", "macops-eigen", "--n", "11", "--maxdeg", "0"], "macops-eigen"),
                        (["--suite", "constructor-agreement", "--n", "2", "--maxdeg", "22"],
@@ -285,7 +326,14 @@ def test_verify_operator_suite_envelopes(capsys):
                        (["--suite", "spherical-macdonald", "--n", "6", "--maxdeg", "0"],
                         "spherical-macdonald"),
                        (["--suite", "spherical-macdonald", "--n", "5", "--maxdeg", "25"],
-                        "spherical-macdonald")):
+                        "spherical-macdonald"),
+                       (["--suite", "symmetry", "--n", "2", "--k", "1", "--maxdeg", "20"],
+                        "symmetry"),
+                       (["--suite", "symmetry", "--n", "2", "--k", "85", "--maxdeg", "0"],
+                        "symmetry"),
+                       (["--suite", "branch", "--n", "2", "--k", "1", "--maxdeg", "22"], "branch"),
+                       (["--suite", "branch", "--n", "2", "--k", "97", "--maxdeg", "0"],
+                        "branch")):
         t0 = time.perf_counter()
         rc, out, err = run(capsys, ["verify", *argv])
         assert time.perf_counter() - t0 < 1, argv
@@ -294,6 +342,8 @@ def test_verify_operator_suite_envelopes(capsys):
     # Just inside: each suite at a bound, with one sample where it draws
     # samples.
     for argv in (["--suite", "macops-eigen", "--n", "1", "--maxdeg", "64"],
+                 ["--suite", "symmetry", "--n", "1", "--k", "1000", "--maxdeg", "64"],
+                 ["--suite", "branch", "--n", "1", "--k", "1", "--maxdeg", "64"],
                  ["--suite", "constructor-agreement", "--n", "1", "--maxdeg", "64"],
                  ["--suite", "daha-relations", "--n", "4", "--samples", "1"],
                  ["--suite", "spherical-macdonald", "--n", "5", "--maxdeg", "24",
@@ -308,7 +358,7 @@ def test_every_suite_has_an_envelope_or_is_listed_unbounded():
     # place on the list of unbounded suites, which may only shrink.
     bounded, unbounded = set(_SUITE_SIZE), set(_UNBOUNDED_SUITES)
     assert bounded <= set(_ENVELOPE)
-    assert unbounded <= {"qfield-axioms", "symmetry", "branch"}
+    assert unbounded <= {"qfield-axioms"}
     assert not bounded & unbounded and bounded | unbounded == set(SUITES)
 
 

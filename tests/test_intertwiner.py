@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -229,6 +230,39 @@ def test_trace_five_variables_principal_specialization():
     params = lambda q, t: (q ** 2, q ** 4)
     assert principal_specialization_holds(tr, lam, random.Random(5), params)
     assert not principal_specialization_holds(perturbed(tr), lam, random.Random(5), params)
+
+
+def _sympy_coeff(c, sympy, q):
+    """The CoeffRat c, in which t does not occur, as a sympy expression in q."""
+    def value(terms):
+        assert all(b == 0 for _, b in terms)
+        return sum(m * q ** a for (a, _), m in terms.items())
+    return value(c.num.terms) / value(c.den.terms)
+
+
+@pytest.mark.parametrize("lam,n,k", [((0, 0), 2, 2), ((2, 1), 2, 3), ((1, 0, 0), 3, 2),
+                                     ((2, 1, 0), 3, 2)])
+def test_chain_sum_is_ek_denominator_times_polynomial(lam, n, k):
+    # trace_reconstruct before any division: the chain sum equals
+    # (x_1...x_n)^{-(k-1)(n-1)} prod_{s<k} prod_{i<j} (x_i - q^{2s} x_j)
+    # times P_lam(x; q^2, q^{2k}), with the product expanded by sympy from
+    # its formula and m_nu summed over the rearrangements of nu.
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    xs = sympy.symbols(f"x1:{n + 1}")
+
+    def monomial(exps):
+        return sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+
+    ek = sympy.Mul(*(xs[i] - q ** (2 * s) * xs[j] for s in range(1, k)
+                     for i in range(n) for j in range(i + 1, n)))
+    ek = ek / sympy.Mul(*xs) ** ((k - 1) * (n - 1))
+    p = sum(_sympy_coeff(c, sympy, q) * sum(monomial(e) for e in set(permutations(sig)))
+            for sig, c in macdonald_qk(lam, n, k).terms.items())
+    chain = sum(_sympy_coeff(c, sympy, q) * monomial(e)
+                for e, c in trace_reconstruct(lam, n, k).terms.items())
+    assert sympy.cancel(chain - ek * p) == 0
+    assert sympy.cancel(chain + 1 - ek * p) != 0
 
 
 def test_routes_are_translation_invariant():

@@ -1,8 +1,8 @@
 import pytest
 
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from itertools import permutations, product
+from math import gcd, prod
 from random import Random
 
 from conftest import (box_chains, branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
@@ -416,6 +416,43 @@ def test_symmetry_identity():
         assert l == r, (lam, mu, k)
     l, r = symmetry_check((2, 1), (2, 1), 3)
     assert l == r
+
+
+def _eval_at(f, xs, q, t):
+    """The SymLaurent f at the point xs, each coefficient taken at the
+    integer point (q, t), in Fractions: m_nu(xs) sums over the distinct
+    rearrangements of nu."""
+    return sum(eval_fraction(c, q, t)
+               * sum(prod(x ** a for x, a in zip(xs, e)) for e in set(permutations(sig)))
+               for sig, c in f.terms.items())
+
+
+def _symmetry_holds(polys, q, t):
+    """Macdonald VI (6.6) for every pair of polys {lam: P_lam}, with the
+    coefficients at the prime point (q, t), so (Q, T) = (q^2, t^2):
+    P_lam(Q^mu T^delta) / P_lam(T^delta) = P_mu(Q^lam T^delta) / P_mu(T^delta),
+    delta = (n-1, ..., 0)."""
+    Q, T = Fraction(q) ** 2, Fraction(t) ** 2
+
+    def ratio(lam, mu):
+        n = len(mu)
+        point = [Q ** m * T ** (n - 1 - i) for i, m in enumerate(mu)]
+        return _eval_at(polys[lam], point, q, t) / \
+            _eval_at(polys[lam], [T ** (n - 1 - i) for i in range(n)], q, t)
+
+    return all(ratio(lam, mu) == ratio(mu, lam) for lam in polys for mu in polys)
+
+
+def test_evaluation_symmetry_oracle():
+    # Independent of symmetry_check and of the package arithmetic: the
+    # generic coefficients of the eigen solve, evaluated in Fractions.  A
+    # copy with one coefficient changed breaks the identity.
+    for n, maxdeg, seed in ((2, 6, 66), (3, 4, 67), (4, 3, 68)):
+        q, t = prime_point(Random(seed))
+        polys = {lam: macdonald_eigen(lam, n) for lam in partitions_upto(maxdeg, n)}
+        assert _symmetry_holds(polys, q, t), n
+        lam = max(polys)
+        assert not _symmetry_holds({**polys, lam: perturbed(polys[lam])}, q, t), n
 
 
 def test_eigen_rejects_bad_input():

@@ -164,3 +164,28 @@ def test_every_definition_is_read_in_package():
     # A helper left behind by a removal, unexported, fails here.
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def check_dict_builders(source):
+    """Qualified names of the functions in source that build a dict literal
+    with a "pass" key."""
+    return sorted(name for name, fn in _functions(ast.parse(source))
+                  if any(isinstance(node, ast.Dict)
+                         and any(isinstance(key, ast.Constant) and key.value == "pass"
+                                 for key in node.keys)
+                         for node in ast.walk(fn)))
+
+
+def test_check_dict_builders_detected():
+    source = ("def _check(name, outcomes):\n    return {\"name\": name, \"pass\": True}\n"
+              "def suite(ok):\n    return [{\"name\": \"x\", \"pass\": ok}, {\"pass2\": 1}]\n"
+              "def other():\n    return {\"name\": \"pass\"}\n")
+    assert check_dict_builders(source) == ["_check", "suite"]
+
+
+def test_checks_built_only_by_the_check_helper():
+    # Every check goes through suites._check, which counts its instances
+    # and fails on none; run_suite alone folds checks into a suite report.
+    found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in check_dict_builders(path.read_text())}
+    assert found == {"suites._check", "suites.run_suite"}
