@@ -62,32 +62,37 @@ variables with no entry, are outside.  In the order of the table:
 - `trace` (with or without --ratio) takes at most 6 variables, k up to 8,
   6, 6, 3 and 2 for n = 2, ..., 6, and a degree d = |lambda| - n*lambda_n
   up to a bound per n and k (for k = 1, 2, ...:
-  n = 2: 40 at every k; n = 3: 30, 30, 30, 25, 21, 18; n = 4: 20, 19,
-  11, 7, 4, 2; n = 5: 16, 8, 3; n = 6: 12, 3).  Each bound is the largest
+  n = 2: 40 at every k; n = 3: 30, 30, 30, 25, 21, 18; n = 4: 20, 22,
+  13, 9, 5, 3; n = 5: 16, 11, 4; n = 6: 12, 3).  Each bound is the largest
   d at which `trace --ratio` took at most 20 s on each of (d, 0, ...),
   (d-1, 1, 0, ...), (d-2, 2, 0, ...) and (d-3, 3, 0, ...) and at most 40 s
   on all of them together, on a 2-vCPU Xeon (doubling d, then bisecting).
   The search stopped at d = 40, 30, 20, 16 and 12 for n = 2, ..., 6, so
   the bounds equal to those caps are not where a run got slow.  The rows
-  for n = 4 and 5 at k >= 2 were last timed at d + 1 with the route terms
-  built in the limit engine's keyed form (trace_ratio called directly):
-  n = 4 took 42.4, 31.8, 48.7, 43.7 and 27.7 s together at k = 2, ..., 6
-  and n = 5 41.0 and 25.4 s at k = 2, 3; the rows at (n, k) = (4, 3),
-  (4, 6) and (5, 3), with no run over 17.9 s, went up by one, and at their
-  new d + 1 took 45.3 s together, 21.4 s on (3, 0, 0, 0) and 25.0 s on
-  (4, 0, 0, 0, 0).  At the old d + 1 of those rows the code before took
-  32.8 s together, 21.2 s on (2, 0, 0, 0) and 19.2 s on (3, 0, 0, 0, 0) on
-  the same day.  At d = 0, k = 7 in 4 variables took 34 s, k = 4 in 5
-  variables did not finish in 45 s, and k = 2 in 7 variables took 52 s.
+  for n = 4 and 5 were timed again with one reduction per lattice state
+  and the EK division over one common denominator (trace_ratio called
+  directly, one process per shape), from the old bound + 1 up, one d at a
+  time, until a run failed the rule.  The shapes took together, for
+  n = 4: at k = 2, 29.4, 35.3 and 39.0 s at d = 20, 21, 22 and 41.1 s at
+  23; at k = 3, 26.7 and 34.9 s at d = 12, 13 and 41.4 s at 14; at k = 4,
+  25.1 and 36.2 s at d = 8, 9 and 53.1 s at 10; at k = 5, 23.0 s at d = 5
+  and 42.3 s at 6; at k = 6, 23.1 s at d = 3 and 20.1 s on (4, 0, 0, 0)
+  alone at 4; for n = 5: at k = 2, 20.9, 30.3 and 38.5 s at d = 9, 10,
+  11 and 56.2 s at 12; at k = 3, 29.0 s at d = 4 and 44.1 s at 5.  At
+  k = 1, d + 1 took 0.4 s (n = 4) and 0.9 s (n = 5) together; those rows
+  stay at the search caps.  Measured before: at d = 0, k = 7 in 4
+  variables took 34 s, k = 4 in 5 variables did not finish in 45 s, and
+  k = 2 in 7 variables took 52 s.
   The k caps for n = 2 and 3 are where the sweep stopped, too (at d = 0
   and k = 8, n = 2 took 0.14 s and n = 3 3.3 s).  One variable has no
   links: every k and d.
 - `verify --suite trace` (also through `--suite all`) computes the traces
   of every partition of degree up to d = min(--maxdeg, 3), so it takes the
   `trace` envelope at that d: in 5 variables k <= 3, in 6 variables
-  k <= 2, in 4 variables at k = 6 --maxdeg <= 2, and at most 6 variables.
+  k <= 2, and at most 6 variables.
   Outside it, at --n 6 --k 3, --n 7 --k 2 and --n 5 --k 4, the suite ran
-  past 40 s.
+  past 40 s; inside it, at --n 4 --k 6 (d = 3 since that row was raised),
+  it took 61 s.
 - `verify` runs the restriction suites in n*l variables only for
   n*l <= 5 (res-intertwine) and n*l <= 10 (res-diff), also through
   `--suite all`.  At the default samples and maxdeg and seeds 0-3, the
@@ -172,8 +177,9 @@ variables with no entry, are outside.  In the order of the table:
   3, 5, 6 and 10, and every other run over 21 s.  In one variable
   the search stopped at --maxdeg 64 (0.35 s for symmetry at k = 1 and
   0.21 s at k = 10^6; 0.15 s for branch at k = 1), and branch's cap there
-  is set by psi_qnum's [k-1]! (19.1 s at k = 131).  The time at large k
-  goes to q-factorials.  Neither suite reads --samples.
+  was set by psi_qnum's [k-1]! (19.1 s at k = 131), which psi_qnum no
+  longer forms in one variable; that cap is not measured again.  The time
+  at large k goes to q-factorials.  Neither suite reads --samples.
 - `verify --suite qfield-axioms` has no envelope (`_UNBOUNDED_SUITES`):
   it reads only --samples and --seed.
 """
@@ -218,8 +224,8 @@ _ENVELOPE = {
         1: _ANY,
         2: (40,) * 8,
         3: (30, 30, 30, 25, 21, 18),
-        4: (20, 19, 11, 7, 4, 2),
-        5: (16, 8, 3),
+        4: (20, 22, 13, 9, 5, 3),
+        5: (16, 11, 4),
         6: (12, 3),
     },
     "res-intertwine": dict.fromkeys(range(1, 6), _ANY),

@@ -115,7 +115,8 @@ def lattice_sum(lam, k, link, one, total, dominant=False):
     """The chain sum, sum_chain prod_i link(mu^i, mu^{i+1}) x^w, over the
     chains mu^1, ..., mu^n = lam whose level-k tilde shifts interlace, as a
     term map {w: value}; with dominant, over those of weakly decreasing w
-    only.  one is the empty product and total adds a list of products.
+    only.  one is the empty product, and total(pairs) is the sum of
+    value * link over a list of pairs (value, link).
 
     The chains are mu^{i+1}_j >= mu^i_j >= mu^{i+1}_{j+1} - (k-1), so each
     row below mu^{i+1} ranges over interlacing_signatures(mu^{i+1}, k); at
@@ -128,11 +129,13 @@ def lattice_sum(lam, k, link, one, total, dominant=False):
     on each (state, child) pair: w_i >= w_{i+1}, and |tilde mu^{i-1}| >=
     (i-1) w_i, because the weights w_1, ..., w_{i-1} still to come sum to
     |tilde mu^{i-1}| and none of them is below w_i.  A state's value is the
-    total, over the paths from lam to it, of their link products: each
-    product value * link is formed once per edge, each distinct link is
-    evaluated once and a zero link adds no term, and a state of value zero
-    is dropped, so no link below it is evaluated.  The bottom states
-    (mu^1, (w_2, ..., w_n)) are one per weight.
+    total, over the paths from lam to it, of their link products: the
+    pairs (value, link) of its incoming edges are collected and summed by
+    one call of total, so a total that forms the products unreduced
+    reduces each state once.  Each distinct link is evaluated once and a
+    zero link adds no pair, and a state of value zero is dropped, so no
+    link below it is evaluated.  The bottom states (mu^1, (w_2, ..., w_n))
+    are one per weight.
     """
     if not is_dominant(shift(lam, k, "tilde")):
         raise ValueError("tilde-shifted top row must be dominant")
@@ -157,10 +160,10 @@ def lattice_sum(lam, k, link, one, total, dominant=False):
                 if pair not in links:
                     links[pair] = link(*pair)
                 if links[pair]:
-                    incoming.setdefault((mu, (w,) + tail), []).append(value * links[pair])
+                    incoming.setdefault((mu, (w,) + tail), []).append((value, links[pair]))
         values = {}
-        for state, terms in incoming.items():
-            value = total(terms)
+        for state, pairs in incoming.items():
+            value = total(pairs)
             if value:
                 values[state] = value
     return {((size(row),) + tail if row else tail): value
@@ -172,4 +175,5 @@ def kostka_dominant(lam):
     """{nu: number of Gelfand-Tsetlin patterns subordinate to lam with
     weight nu} over the dominant nu: the Kostka numbers K_{lam, nu}, the
     dominant lattice_sum at k = 1 counted in integers."""
-    return lattice_sum(lam, 1, lambda mu, nu: 1, 1, sum, dominant=True)
+    return lattice_sum(lam, 1, lambda mu, nu: 1, 1, lambda pairs: sum(a * b for a, b in pairs),
+                       dominant=True)

@@ -41,7 +41,8 @@ from itertools import chain, combinations, product
 
 from .combinat import shift
 from .npoly import add_terms
-from .qfield import CR_ZERO, L_ONE, CoeffRat, DomainViolationError, LaurentQT, cached, rat_sum
+from .qfield import (CR_ZERO, L_ONE, CoeffRat, DomainViolationError, LaurentQT, _product, cached,
+                     rat_sum)
 
 
 class AdaptednessError(ValueError):
@@ -182,14 +183,8 @@ def _expand(counts):
     """prod factor^e over counts = {factor: e >= 0}, as a term map,
     multiplied in pairs of similar size so that the large products go to
     the packed kernel of LaurentQT."""
-    polys = [{(factor, 0): 1, (0, 0): -1} if type(factor) is int else dict(factor)
-             for factor, e in counts.items() for _ in range(e)]
-    if not polys:
-        return dict(L_ONE.terms)
-    while len(polys) > 1:
-        polys = [_mul(*polys[i:i + 2]) if i + 1 < len(polys) else polys[i]
-                 for i in range(0, len(polys), 2)]
-    return polys[0]
+    return _product([{(factor, 0): 1, (0, 0): -1} if type(factor) is int else dict(factor)
+                     for factor, e in counts.items() for _ in range(e)])
 
 
 def _times(x, y):

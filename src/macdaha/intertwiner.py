@@ -41,8 +41,8 @@ from .combinat import check_signature, in_window, interlaces, shift
 from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, _unpack, _width, qfact, qfall)
-from .sympoly import from_npoly
+                     UnitMono, _unpack, _width, common_den, qfact, qfall)
+from .sympoly import SymLaurent, from_npoly
 
 
 def _route_args(mu, lam, k):
@@ -294,7 +294,9 @@ def psi_qnum(lam, mu, k):
     if not interlaces(mu, lam):
         raise ValueError("mu must interlace lam")
     n = len(lam)
-    den = qfact(k - 1) ** (n - 1) * delta1(mu, k) * delta2(lam, k)
+    den = delta1(mu, k) * delta2(lam, k)
+    if n > 1:
+        den = den * qfact(k - 1) ** (n - 1)
     return delta_cross(mu, lam, k) / den
 
 
@@ -689,11 +691,26 @@ def trace_reconstruct(lam, n, k):
 
 
 def trace_ratio(lam, n, k):
-    """trace_reconstruct(lam) / ek_denominator as an exact SymLaurent."""
+    """trace_reconstruct(lam) / ek_denominator as an exact SymLaurent.
+
+    The chain sum's coefficients are brought over one common denominator
+    L by qfield.common_den, and their numerators, Laurent polynomials in
+    q, are divided by each binomial x_i - q^{2s} x_j.  The binomial is
+    monic in x_i and q^{2s} is a unit, so every quotient stays integral
+    and each carry step of NPoly.divexact_binomial is a shift and an add
+    of Laurent polynomials, with no gcd.  Symmetry is checked on the
+    numerators, which over one L are equal exactly when the values are,
+    and only the dominant coefficients are reduced, once each.  With one
+    variable or k = 1 there is nothing to divide.
+    """
     num = trace_reconstruct(lam, n, k)
+    if n == 1 or k == 1 or not num:
+        return from_npoly(num)
+    den, nums = common_den(list(num.terms.values()))
+    quo = NPoly._raw(n, dict(zip(num.terms, nums)))
     for s in range(1, k):
-        for i in range(n):
-            for j in range(i + 1, n):
-                num = num.divexact_binomial(i, j, UnitMono.q(2 * s))
-    num = num.mul_monomial(((k - 1) * (n - 1),) * n)
-    return from_npoly(num)
+        for i, j in combinations(range(n), 2):
+            quo = quo.divexact_binomial(i, j, UnitMono.q(2 * s))
+    power = (k - 1) * (n - 1)
+    return SymLaurent._raw(n, {tuple(e + power for e in key): CoeffRat(m.num, den)
+                               for key, m in quo.fold_symmetric().items()})

@@ -43,7 +43,7 @@ from .combinat import (check_signature, interlaces, interlacing_signatures, inve
                        kostka_dominant, lattice_sum, partitions)
 from .npoly import add_terms
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall,
-                     rat_dot, rat_sum)
+                     rat_dot)
 from .sympoly import SymLaurent, eval_sym, mono_shift, orbit
 
 
@@ -278,6 +278,9 @@ def branch_sum(lam, psi, sub):
     sub(mu) must be homogeneous of degree |mu|.  Then every key sig has
     (n - 1) sig[-1] <= |mu|, so a mu with (n - 1)(|lam| - |mu|) > |mu|
     keeps no term, and neither sub(mu) nor psi(mu) is called for it.
+    Each product c * psi(mu) is reduced on its own and added by add_terms:
+    summing the pairs of each key by one rat_dot made macdonald_branch
+    5-9% slower in 3 and 4 variables at degrees 7 to 10 (2-vCPU Xeon).
     """
     n = len(lam)
     if n == 1:
@@ -313,15 +316,16 @@ def macdonald_branch(lam, n, params=None):
 
 def chain_sum(lam, k, link, dominant=False):
     """The chain sum over Q(q, t), sum_chain prod_i link(mu^i, mu^{i+1}) x^w,
-    as a term map {w: coefficient}: combinat.lattice_sum with the states
-    summed by rat_sum, one reduction each.
+    as a term map {w: coefficient}: combinat.lattice_sum with the link
+    products of each state formed unreduced and summed by rat_dot, one
+    reduction per state.
 
     The trace sums over every chain of level k, because its numerator is
     not symmetric; the Gelfand-Tsetlin formula, which is, sums at k = 1
     over the dominant chains only, whose weights are the dominant keys (for
     dominant w the coefficient of x^w is that of m_w).
     """
-    return lattice_sum(lam, k, link, CR_ONE, rat_sum, dominant)
+    return lattice_sum(lam, k, link, CR_ONE, rat_dot, dominant)
 
 
 def macdonald_gt(lam, n, params=None):

@@ -12,14 +12,21 @@ sums, negation and scalar products are written once.  `add_terms` is the
 accumulator of the polynomial layer and of `macops.branch_sum`, adding
 one value at a time with `CoeffRat.__add__`.  A long sum of scalars that
 should be reduced once goes through `qfield.rat_sum` (the Jackson
-pairing, each state of the lattice walk behind `macops.chain_sum`) or
-`qfield.rat_dot` (each output coefficient of `macops.mac_apply`, of the
-triangular eigen solve and of `daha.res_map`).  Those operator sums are
-sums of products of a Laurent polynomial (an operator column entry, or
-the counted q-powers of a ladder orbit) with a fraction, so their
-products can be formed unreduced and the sum reduced once; reduced
-products added one by one through `add_terms` cost a gcd per product and
-one more per sum.
+pairing) or `qfield.rat_dot` (each output coefficient of
+`macops.mac_apply`, of the triangular eigen solve and of `daha.res_map`,
+and each state of the lattice walk behind `macops.chain_sum`).  Those
+sums are sums of products of a Laurent polynomial (an operator column
+entry, or the counted q-powers of a ladder orbit) or a reduced state
+value with a fraction, so their products can be formed unreduced and the
+sum reduced once; reduced products added one by one through `add_terms`
+cost a gcd per product and one more per sum.  The branching sums of
+`branch_sum` are the exception: there, products reduced one by one and
+added by `add_terms` measured faster than one reduction per coefficient.
+
+`divexact_binomial` divides by x_i - c*x_j with a carry from the top
+power of x_i down; with c a unit monomial and coefficients over 1 (as
+`intertwiner.trace_ratio` passes them, over one common denominator) each
+carry step is a shift and an add, with no gcd.
 """
 
 from __future__ import annotations

@@ -20,7 +20,11 @@ the distinct denominators are folded into an lcm, and the total is
 reduced once.  rat_dot does the same for a sum of products x * y,
 optionally divided by a Laurent polynomial: each product is formed
 unreduced, num * num over den * den, and the division joins the one
-reduction.
+reduction.  common_den returns each of a list of fractions as a
+numerator over their lcm, so that the exact division of the traces runs
+on Laurent polynomials alone; it and _sum_once fold the lcm in
+_lcm_fold, one gcd per distinct denominator.  qfall and qfact multiply
+their q-numbers in a balanced product tree.
 
 Term maps with a single t exponent (every scalar of a one-variable Q(q)
 computation, and many t-contents) take an exact kernel over Z[q] built on
@@ -153,6 +157,18 @@ def _kron_mul(A, B):
     v = {a - qb + D * (b - tb): c for (a, b), c in B.items()}
     q0, t0 = qa + qb, ta + tb
     return {(e % D + q0, e // D + t0): c for e, c in _q_kron_mul(u, v).items()}
+
+
+def _product(maps):
+    """The product of a list of term maps as a new term map, multiplied in
+    pairs of similar size so that the large products go to the packed
+    kernel."""
+    if len(maps) < 2:
+        return dict(maps[0] if maps else _ONE_D)
+    while len(maps) > 1:
+        maps = [_mul(*maps[i:i + 2]) if i + 1 < len(maps) else maps[i]
+                for i in range(0, len(maps), 2)]
+    return maps[0]
 
 
 def _shift(A, da, db):
@@ -1021,14 +1037,29 @@ class CoeffRat:
         return f"CoeffRat({self})"
 
 
+def _lcm_fold(dens):
+    """The lcm L of a non-empty list of term-map denominators, folded with
+    one gcd per denominator after the first, and the cofactors (a, b) of
+    each of those fold steps: with L0 the lcm of the denominators before d
+    and L0 = a g, d = b g for g = gcd(L0, d), the lcm with d is
+    L0 b = a d."""
+    den = dens[0]
+    steps = []
+    for d in dens[1:]:
+        _, a, b = _gcd_cofactors(den, d)
+        steps.append((a, b))
+        den = _mul(den, b)
+    return den, steps
+
+
 def _sum_once(fractions, divisor=None):
     """The sum of non-zero term-map fractions (num, den), divided by the
     Laurent term map divisor if given, as one reduced CoeffRat.
 
     The numerators of equal denominators are added as term maps; the
-    distinct denominators are folded into a running lcm L, each with the
-    cofactors of one gcd (N/L + n/d = (N d' + n L')/(L d') with
-    L = L' g, d = d' g), and the total is reduced by one _canonical.
+    distinct denominators are folded into their lcm L by _lcm_fold, the
+    running numerator taken along each step (N/L0 + n/d = (N b + n a)/L),
+    and the total is reduced by one _canonical.
     """
     groups = {}
     for n, d in fractions:
@@ -1037,18 +1068,16 @@ def _sum_once(fractions, divisor=None):
             _add_into(groups[key][1], n)
         else:
             groups[key] = [d, dict(n)]
-    num = den = None
-    for d, n in groups.values():
-        if not n:
-            continue
-        if num is None:
-            num, den = n, d
-        else:
-            _, den1, d1 = _gcd_cofactors(den, d)
-            num = _add(_mul(num, d1), _mul(n, den1))
-            den = _mul(den, d1)
-    if not num:
+    live = [(d, n) for d, n in groups.values() if n]
+    if not live:
         return CR_ZERO
+    den, num = live[0]
+    if len(live) > 1:
+        den, steps = _lcm_fold([d for d, _ in live])
+        for (_, n), (a, b) in zip(live[1:], steps):
+            num = _add(_mul(num, b), _mul(n, a))
+        if not num:
+            return CR_ZERO
     if divisor is not None:
         den = _mul(den, divisor)
     num, den = _canonical(num, den)
@@ -1084,6 +1113,30 @@ def rat_dot(pairs, divisor=None):
         return _mul(x.num.terms, y.num.terms), den
 
     return _sum_once((product(x, y) for x, y in live), divisor)
+
+
+def common_den(values):
+    """A non-empty list of CoeffRats over one common denominator:
+    (L, nums), with L the lcm of their denominators as a LaurentQT and
+    nums[i] the Laurent polynomial values[i] * L as a CoeffRat over 1.
+
+    L is folded by _lcm_fold, one gcd per distinct denominator after the
+    first.  L / d for the i-th distinct denominator d is the product of
+    the cofactor a of its fold step and the cofactors b of every later
+    step, so no division runs.  Over one L two numerators are equal
+    exactly when the values are, and nums[i] over L reduces to values[i].
+    """
+    keys = [frozenset(x.den.terms.items()) for x in values]
+    dens = {}
+    for key, x in zip(keys, values):
+        dens.setdefault(key, x.den.terms)
+    den, steps = _lcm_fold(list(dens.values()))
+    scales, tail = {}, _ONE_D
+    for key, (a, b) in zip(reversed(dens), reversed([(_ONE_D, _ONE_D)] + steps)):
+        scales[key] = _mul(a, tail)
+        tail = _mul(tail, b)
+    return LaurentQT._raw(den), [CoeffRat._raw(LaurentQT._raw(_mul(x.num.terms, scales[key])),
+                                              L_ONE) for key, x in zip(keys, values)]
 
 
 CR_ZERO = CoeffRat._raw(L_ZERO, L_ONE)
@@ -1154,26 +1207,22 @@ def qnum(a):
 
 @cached
 def qfact(a):
-    """[a]! = [a][a-1]...[1]; defined for a >= 0 only."""
+    """[a]! = [a][a-1]...[1] = [a]_a; defined for a >= 0 only."""
     if a < 0:
         raise ValueError("q-factorial of a negative integer")
-    if a == 0:
-        return CR_ONE
-    return qfact(a - 1) * qnum(a)
+    return qfall(a, a)
 
 
 @cached
 def qfall(a, m):
-    """Falling q-factorial [a]_m = [a][a-1]...[a-m+1]."""
+    """Falling q-factorial [a]_m = [a][a-1]...[a-m+1], zero when a factor
+    is [0], else the product of the q-numbers by _product."""
     if m < 0:
         raise ValueError("falling q-factorial with negative length")
-    r = CR_ONE
-    for i in range(m):
-        f = qnum(a - i)
-        if not f:
-            return CR_ZERO
-        r = r * f
-    return r
+    if 0 <= a < m:
+        return CR_ZERO
+    return CoeffRat._raw(LaurentQT._raw(_product([qnum(a - i).num.terms for i in range(m)])),
+                         L_ONE)
 
 
 @cached

@@ -10,11 +10,11 @@ import pytest
 from macdaha import qfield
 from macdaha.combinat import interlaces, interlacing_signatures, inversions, is_dominant, shift
 from macdaha.indexops import IndexOpParams, index_apply
-from macdaha.intertwiner import _cg_qpower
+from macdaha.intertwiner import _cg_qpower, diag_coeff_sum
 from macdaha.macops import _psi
 from macdaha.npoly import NPoly, add_terms
 from macdaha.qfield import (CR_ONE, CR_ZERO, L_ONE, L_ZERO, CoeffRat, DomainViolationError,
-                            LaurentQT, UnitMono, _add, _mul, _scale, qfact, qfall)
+                            LaurentQT, UnitMono, _add, _mul, _scale, qfact, qfall, rat_sum)
 from macdaha.sympoly import SymLaurent, from_npoly, orbit, to_npoly
 
 
@@ -826,3 +826,60 @@ def perturbed(f):
     sig = min(terms)
     terms[sig] = terms[sig] + CR_ONE
     return SymLaurent(f.n, terms)
+
+
+# ---------------------------------------------------------------------------
+# The trace as computed before each lattice state was reduced once and the
+# EK division ran over one common denominator: every edge product formed
+# (over Q(q, t), reduced) on its own, each state summed as a list of
+# products, and each binomial divided out of the reduced coefficients, so
+# that the carry adds fractions of unequal denominators.
+
+def lattice_sum_oracle(lam, k, link, one, total, dominant=False):
+    """combinat.lattice_sum with each edge product value * link formed on
+    its own and total adding a list of products."""
+    sizes, links = {}, {}
+
+    def size(row):
+        if row not in sizes:
+            sizes[row] = sum(shift(row, k, "tilde"))
+        return sizes[row]
+
+    values = {(lam, ()): one}
+    for i in range(len(lam) - 1, 0, -1):
+        incoming = {}
+        for (row, tail), value in values.items():
+            top = size(row)
+            for mu in interlacing_signatures(row, k):
+                s = size(mu)
+                w = top - s
+                if dominant and (tail and w < tail[0] or s < i * w):
+                    continue
+                pair = (mu, row)
+                if pair not in links:
+                    links[pair] = link(*pair)
+                if links[pair]:
+                    incoming.setdefault((mu, (w,) + tail), []).append(value * links[pair])
+        values = {state: v for state, terms in incoming.items() if (v := total(terms))}
+    return {((size(row),) + tail if row else tail): value
+            for (row, tail), value in values.items()}
+
+
+def trace_ratio_oracle(lam, n, k):
+    """trace_ratio with the chain sum of lattice_sum_oracle summed by
+    rat_sum, and the EK binomials divided out of its reduced coefficients."""
+    lam = tuple(lam)
+    classes = {}
+
+    def link(mu, nu):
+        s = nu[-1]
+        rep = (tuple(x - s for x in mu), tuple(x - s for x in nu))
+        if rep not in classes:
+            classes[rep] = diag_coeff_sum(*rep, k)
+        return classes[rep]
+
+    num = NPoly._raw(n, lattice_sum_oracle(lam, k, link, CR_ONE, rat_sum))
+    for s in range(1, k):
+        for i, j in combinations(range(n), 2):
+            num = num.divexact_binomial(i, j, UnitMono.q(2 * s))
+    return from_npoly(num.mul_monomial(((k - 1) * (n - 1),) * n))

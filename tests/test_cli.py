@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+from macdaha import clear_caches
 from macdaha.cli import _ENVELOPE, _SUITE_SIZE, _UNBOUNDED_SUITES, main
 from macdaha.suites import SUITES, _check, list_suites, run_suite
 
@@ -34,6 +35,16 @@ def test_poly_methods_agree(capsys):
         assert rc == 0
         docs.append(out)
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_psi_in_one_variable_at_large_k(capsys):
+    # psi_qnum forms no [k-1]! in one variable (it would be raised to the
+    # power 0), and qfact does not recurse once per factor.
+    clear_caches()
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, ["psi", "--lambda", "3", "--mu=", "--k", "500"])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 0 and json.loads(out) == {"value": "1", "route": "psi_qnum"}
 
 
 def test_psi_verbs(capsys):
@@ -267,14 +278,13 @@ def test_verify_matelt_routes_envelope(capsys):
 
 def test_verify_trace_envelope(capsys):
     # Just outside the trace envelope at d = min(--maxdeg, 3): k one above
-    # the cap for 2, 5 and 6 variables (also through --suite all), d one
-    # above the bound at (n, k) = (4, 6), and 7 variables; each exits 2 at
-    # once.
+    # the cap for 2, 4, 5 and 6 variables (also through --suite all), and
+    # 7 variables; each exits 2 at once.  No row bounds d below 3.
     for argv in (["--suite", "trace", "--n", "2", "--k", "9"],
                  ["--suite", "all", "--n", "2", "--l", "1", "--k", "9"],
+                 ["--suite", "trace", "--n", "4", "--k", "7"],
                  ["--suite", "trace", "--n", "5", "--k", "4"],
                  ["--suite", "trace", "--n", "6", "--k", "3"],
-                 ["--suite", "trace", "--n", "4", "--k", "6", "--maxdeg", "3"],
                  ["--suite", "trace", "--n", "7", "--k", "2"]):
         t0 = time.perf_counter()
         rc, out, err = run(capsys, ["verify", *argv])
@@ -423,8 +433,8 @@ def test_trace_size_envelope(capsys):
     # (5, 3) and (3, 6); each is a usage error before any computation.
     for argv in (["--lambda", ",".join(["0"] * 7), "--vars", "7", "--k", "1"],
                  ["--lambda", "0,0,0,0", "--vars", "4", "--k", "7"],
-                 ["--lambda", "8,0,0,0", "--vars", "4", "--k", "4", "--ratio"],
-                 ["--lambda", "4,0,0,0,0", "--vars", "5", "--k", "3", "--ratio"],
+                 ["--lambda", "10,0,0,0", "--vars", "4", "--k", "4", "--ratio"],
+                 ["--lambda", "5,0,0,0,0", "--vars", "5", "--k", "3", "--ratio"],
                  ["--lambda", "18,-1,-1", "--vars", "3", "--k", "6"]):
         t0 = time.perf_counter()
         rc, out, err = run(capsys, ["trace", *argv])

@@ -4,15 +4,17 @@ from itertools import product
 
 import pytest
 
-from conftest import box_chains, kostka_oracle, partitions_upto, schur_oracle, tilde_weight
+from conftest import (box_chains, kostka_oracle, lattice_sum_oracle, partitions_upto,
+                      schur_oracle, tilde_weight)
 
 from macdaha.combinat import (check_signature, format_signature, interlaces,
                               interlacing_signatures, kostka_dominant, lattice_sum,
                               parse_signature, partitions, rho, rho_tilde, shift)
 from macdaha.intertwiner import branch_reconstruct_qk, trace_reconstruct
-from macdaha.macops import chain_sum, macdonald_branch, macdonald_eigen, macdonald_gt
+from macdaha.macops import (_psi, chain_sum, generic_params, macdonald_branch, macdonald_eigen,
+                            macdonald_gt)
 from macdaha.npoly import NPoly
-from macdaha.qfield import CR_ONE
+from macdaha.qfield import CR_ONE, UnitMono, rat_sum
 from macdaha.sympoly import from_npoly
 
 
@@ -41,14 +43,19 @@ def walked_chains(lam, k, dominant=False):
     """The chains lattice_sum walks, sorted, each checked against the
     weight it is summed under."""
     sums = lattice_sum(lam, k, lambda mu, nu: mu, Chains({(lam,)}),
-                       lambda parts: Chains(c for part in parts for c in part), dominant)
+                       lambda pairs: Chains(c for value, mu in pairs for c in value * mu), dominant)
     for w, chains in sums.items():
         assert all(tilde_weight(chain, k) == w for chain in chains), (lam, k, w)
     return sorted(chain for chains in sums.values() for chain in chains)
 
 
+def int_dot(pairs):
+    """lattice_sum's total in integers: the sum of value * link."""
+    return sum(a * b for a, b in pairs)
+
+
 def pattern_count(lam, k=1):
-    return sum(lattice_sum(lam, k, lambda mu, nu: 1, 1, sum).values())
+    return sum(lattice_sum(lam, k, lambda mu, nu: 1, 1, int_dot).values())
 
 
 def weyl_dim(lam):
@@ -83,7 +90,7 @@ def test_gt_counts_match_weyl_dimension():
 
 
 def test_gt_weight_values():
-    assert lattice_sum((1, 0), 1, lambda mu, nu: 1, 1, sum) == {(1, 0): 1, (0, 1): 1}
+    assert lattice_sum((1, 0), 1, lambda mu, nu: 1, 1, int_dot) == {(1, 0): 1, (0, 1): 1}
 
 
 def test_gt_weight_sum_is_schur():
@@ -133,7 +140,7 @@ def test_dominant_chains_are_the_patterns_of_dominant_weight():
         for lam in signatures(n, -2, 3 if n < 4 else 2):
             want = [chain for chain in box_chains(lam, 1) if decreasing(tilde_weight(chain, 1))]
             assert walked_chains(lam, 1, dominant=True) == want, lam
-            counts = lattice_sum(lam, 1, lambda mu, nu: 1, 1, sum, dominant=True)
+            counts = lattice_sum(lam, 1, lambda mu, nu: 1, 1, int_dot, dominant=True)
             assert counts == Counter(tilde_weight(chain, 1) for chain in want), lam
     assert walked_chains((2, 1, 0), 1, dominant=True) == [((1,), (1, 1), (2, 1, 0)),
                                                            ((1,), (2, 0), (2, 1, 0)),
@@ -164,7 +171,7 @@ def test_shifted_chains_match_box_filter():
                            for a, b in zip(chain, chain[1:] + (lam,))))
                 assert walked_chains(lam, k) == expected, (lam, k)
     with pytest.raises(ValueError):
-        lattice_sum((0, 0), 0, lambda mu, nu: 1, 1, sum)
+        lattice_sum((0, 0), 0, lambda mu, nu: 1, 1, int_dot)
 
 
 def test_partitions_match_filtered_product():
@@ -177,7 +184,7 @@ def test_partitions_match_filtered_product():
 
 def test_chain_window_example():
     assert sorted(c[0] for c in walked_chains((0, 0), 2)) == [(-1,), (0,)]
-    assert lattice_sum((0, 0), 2, lambda mu, nu: 1, 1, sum) == {(-1, 0): 1, (0, -1): 1}
+    assert lattice_sum((0, 0), 2, lambda mu, nu: 1, 1, int_dot) == {(-1, 0): 1, (0, -1): 1}
 
 
 def test_chain_count_equals_shifted_gt_count():
@@ -219,3 +226,26 @@ def test_check_signature():
             call((2, 1), 3)
         with pytest.raises(ValueError, match=dominant):
             call((0, 1), 2)
+
+
+def test_chain_sum_matches_per_edge_products():
+    # One reduction per lattice state prints what reducing every edge
+    # product and then each state's sum printed: the Gelfand-Tsetlin sums
+    # over Q(q, t) on the dominant chains, and level-k sums over Q(q) of
+    # every chain with links of distinct denominators.
+    p = generic_params()
+    t2 = p.thalf ** 2
+
+    def psi_link(mu, nu):
+        return _psi(nu, mu, p.shift, t2)
+
+    def q_link(mu, nu):
+        return sum(mu) + 1 - (CR_ONE + UnitMono.q(abs(sum(nu) - sum(mu)) + 1)).inv()
+
+    cases = ([(lam, 1, psi_link, True) for lam in partitions_upto(5, 3) + partitions_upto(4, 4)]
+             + [(lam, k, q_link, False)
+                for lam, k in [((2, 1, 0), 2), ((1, 0, 0), 3), ((2, 0, 0, 0), 2)]])
+    for lam, k, link, dominant in cases:
+        got = chain_sum(lam, k, link, dominant)
+        want = lattice_sum_oracle(lam, k, link, CR_ONE, rat_sum, dominant)
+        assert {w: str(c) for w, c in got.items()} == {w: str(c) for w, c in want.items()}, lam

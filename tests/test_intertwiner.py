@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (box_chains, cg_diag_sq, cg_reduced_squared, eval_fraction, keyed,
                       limit_oracle, listed, live_terms, partitions_upto, perturbed,
                       principal_specialization_holds, route_factor_lists,
-                      s_factorial_sq, _telescope, _unit_atoms, _zero_atoms, window)
+                      s_factorial_sq, trace_ratio_oracle, _telescope, _unit_atoms, _zero_atoms,
+                      window)
 
-from macdaha import intertwiner
+from macdaha import clear_caches, intertwiner, qfield
 from macdaha.combinat import interlacing_signatures
 from macdaha.combinat import shift as sig_shift
 from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain, delta1,
@@ -230,6 +231,58 @@ def test_trace_five_variables_principal_specialization():
     params = lambda q, t: (q ** 2, q ** 4)
     assert principal_specialization_holds(tr, lam, random.Random(5), params)
     assert not principal_specialization_holds(perturbed(tr), lam, random.Random(5), params)
+
+
+def _trace_sweep():
+    """(lam, n, k) for n <= 4, k <= 3 and every partition of size <= 3,
+    translated by -1, 0 or 1 in turn."""
+    cases = []
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for i, lam in enumerate(partitions_upto(3, n)):
+                cases.append((tuple(x + i % 3 - 1 for x in lam), n, k))
+    return cases
+
+
+def test_trace_ratio_matches_reduced_carry_oracle():
+    # The division over one common denominator, with each lattice state
+    # reduced once, prints exactly what reducing every edge product and
+    # carrying reduced fractions through each binomial printed.
+    for lam, n, k in _trace_sweep():
+        assert str(trace_ratio(lam, n, k)) == str(trace_ratio_oracle(lam, n, k)), (lam, n, k)
+
+
+def test_ek_division_runs_no_gcd(monkeypatch):
+    # Over one common denominator every carry step of the EK division is a
+    # shift and an add of Laurent polynomials; the reduced carry of the
+    # oracle runs gcds, which shows that the counter sees the carry.
+    gcd, divide = qfield._gcd_cofactors, NPoly.divexact_binomial
+    calls, seen = [], []
+
+    def counting(A, B):
+        calls.append(None)
+        return gcd(A, B)
+
+    def watched(self, i, j, c=None):
+        before = len(calls)
+        out = divide(self, i, j, c)
+        seen.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(qfield, "_gcd_cofactors", counting)
+    monkeypatch.setattr(NPoly, "divexact_binomial", watched)
+    oracle_gcds = 0
+    for lam, n, k in [((2, 0), 2, 3), ((2, 1, 0), 3, 2), ((2, 1, 0), 3, 3), ((1, 0, 0, 0), 4, 2)]:
+        clear_caches()
+        seen.clear()
+        before = len(calls)
+        got = trace_ratio(lam, n, k)
+        assert len(calls) > before
+        assert seen == [0] * ((k - 1) * n * (n - 1) // 2), (lam, n, k)
+        seen.clear()
+        assert got == trace_ratio_oracle(lam, n, k)
+        oracle_gcds += sum(seen)
+    assert oracle_gcds > 0
 
 
 def _sympy_coeff(c, sympy, q):

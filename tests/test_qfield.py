@@ -68,6 +68,37 @@ def test_qfall_recursion():
             assert qfall(a, m) == qnum(a) * qfall(a - 1, m - 1)
 
 
+def test_qfall_and_qfact_equal_the_sequential_product():
+    # The product tree gives the product of q-numbers taken one at a time.
+    for a in range(-6, 30):
+        for m in range(0, 14):
+            want = CR_ONE
+            for i in range(m):
+                want = want * qnum(a - i)
+            assert str(qfall(a, m)) == str(want), (a, m)
+    want = CR_ONE
+    for a in range(0, 40):
+        want = want * qnum(a) if a else want
+        assert str(qfact(a)) == str(want), a
+
+
+def test_qfact_does_not_recurse():
+    # [60]! with 30 frames of stack to spare: one frame per factor would
+    # need 60.
+    macdaha.clear_caches()
+    limit = sys.getrecursionlimit()
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(depth + 30)
+    try:
+        value = qfact(60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == qfall(60, 60) and len(value.num.terms) == 60 * 59 // 2 + 1
+
+
 def test_poch_splitting():
     for a in (-3, 0, 2):
         for d1 in range(0, 4):
@@ -765,6 +796,23 @@ def test_rat_dot_edge_cases():
     # a divisor that cancels the whole numerator: (1 - q^2) / (1 - q) = 1 + q
     assert qfield.rat_dot([(CoeffRat.from_laurent(one_minus_q * one_plus_q), one)],
                           one_minus_q.terms) == CoeffRat.from_laurent(one_plus_q)
+
+
+def test_common_den_numerators_over_the_lcm():
+    one_minus_q = LaurentQT({(0, 0): 1, (1, 0): -1})
+    one_plus_q = LaurentQT({(0, 0): 1, (1, 0): 1})
+    one_minus_t = LaurentQT({(0, 0): 1, (0, 1): -1})
+    L_ONE_ = LaurentQT({(0, 0): 1})
+    xs = [CoeffRat(LaurentQT({(2, 0): 3}), one_minus_q), CoeffRat(L_ONE_, one_minus_q * one_plus_q),
+          CoeffRat.from_int(5), CoeffRat(LaurentQT({(0, 1): 1}), one_minus_t * one_plus_q),
+          CoeffRat(LaurentQT({(2, 0): 3}), one_minus_q), CR_ZERO]
+    den, nums = qfield.common_den(xs)
+    assert den == one_minus_q * one_plus_q * one_minus_t or den == -(one_minus_q * one_plus_q * one_minus_t)
+    assert all(num.den.terms == {(0, 0): 1} for num in nums)
+    assert [CoeffRat(num.num, den) for num in nums] == xs
+    assert nums[0] == nums[4] and not nums[5]
+    one, = qfield.common_den([CoeffRat.from_int(2)])[1]
+    assert one == CoeffRat.from_int(2)
 
 
 def test_fast_paths_run_no_gcd(monkeypatch):
