@@ -102,11 +102,17 @@ variables with no entry, are outside.  In the order of the table:
   (4, 3).  Their time grows with --samples.
 - `verify --suite matelt-routes` (also through `--suite all`) takes at
   most 10 variables and k up to a bound per n (for n = 1, ..., 10: 500
-  (the `matelt` bound), 14, 5, 3, 2, 1, 1, 1, 1, 1), the largest k at
+  (the `matelt` bound), 14, 6, 4, 3, 2, 2, 1, 1, 1), the largest k at
   which the suite took at most 20 s at the default --maxdeg 4 on a 2-vCPU
-  Xeon (9.0, 5.4, 12.3 and 2.0 s for n = 2, ..., 5, under 0.4 s
-  otherwise; at k + 1, 21.1, 21.6 and 26.9 s for n = 2, 3, 6, over 45 s
-  for n = 4, 5, 7, not run for n >= 8).  Its time grows with --maxdeg.
+  Xeon.  The rows for n = 3, ..., 7 were raised once `intertwiner._limit`
+  dropped dead terms over the whole product (one size per fresh process,
+  two to four runs each): at the bounds the suite took 8.5-10.6,
+  10.6-15.2, 13.3-16.1, 3.2-3.6 and 10.8-15.1 s for n = 3, ..., 7, and
+  at k + 1 40.8-47.8 s for n = 3 and over 50 s for n = 4, ..., 7; at
+  k = 2, n = 8, 9 and 10 took over 50 s as well (0.1 s at k = 1).  The
+  n = 2 row was not raised: 26.9-41.8 s at k = 15.  At k = 14 it took
+  16.4-20.9 s then, and as long on the code before that change (9.0 s
+  when the bound was set).  Its time grows with --maxdeg.
 - `verify --suite adjoint` (also through `--suite all`) takes l <= 26 in
   1 or 2 variables at every k (one index dimension has no pair factors,
   so k does not enter the run), and in n = 3, ..., 7 variables k up to 8,
@@ -230,7 +236,7 @@ _ENVELOPE = {
     },
     "res-intertwine": dict.fromkeys(range(1, 6), _ANY),
     "res-diff": dict.fromkeys(range(1, 11), _ANY),
-    "matelt-routes": {1: 500, 2: 14, 3: 5, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1},
+    "matelt-routes": {1: 500, 2: 14, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 1, 9: 1, 10: 1},
     "adjoint": {
         1: 26,
         2: 26,

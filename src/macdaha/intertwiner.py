@@ -14,9 +14,13 @@ c + z*d with a fixed generic integer direction d per coordinate pair, and
 the limit Z = q^z -> 1 is taken by one engine, _limit.  It expands in
 eps = Z - 1 only as far as the number M of denominator factors that
 vanish at the limit (the atoms [0 + z*d]); the numerator coefficients
-below eps^M must cancel (otherwise the point is a pole).  A term whose
-numerator keeps more than M vanishing atoms over its sum's common
-denominator reaches only eps^{>M} and is dropped unexpanded.  M = 0 is
+below eps^M must cancel (otherwise the point is a pole).  Over the whole
+product prod_f (sum of terms)^{p_f}, a term is dropped unexpanded when
+its own vanishing numerator atoms over its sum's common denominator, plus
+the least such counts of the other p_f - 1 copies of its sum and of every
+other sum, exceed M: every product it enters reaches only eps^{>M}.  A sum
+left with no term makes the value 0 before any series is formed, as at the
+zeros of the squared Clebsch-Gordan route (see c_squared_chain).  M = 0 is
 plain evaluation: a term with a vanishing numerator atom is zero, and
 every other atom [c + z*d] is [c] whatever d is, so atoms are merged by c
 before anything is multiplied out.
@@ -66,13 +70,21 @@ def _route_args(mu, lam, k):
 # c = 0 atoms alone.  Every series is truncated after eps^M, and the limit
 # is the eps^M coefficient of the numerator over that constant term.
 #
-# Dead terms.  A term whose c = 0 atoms over that common denominator
-# number nu > M starts at eps^nu; every other factor of the product is a
-# power series, so the term reaches only eps^{>M} and is dropped before
-# any series is formed.  At M = 0 that is any term with a c = 0 atom left
-# in its numerator.  The routes build no dead term past its c = 0 counts
-# and hand each sum's common denominator with its live terms: recomputing
-# it from the live terms would change M.
+# Dead terms.  A term t of factor f whose c = 0 atoms over that common
+# denominator number v_t starts at eps^{v_t}, and the sum of f starts at
+# eps^{m_f} or later, m_f the least v_t over its live terms.  Every product
+# that takes t from one of the p_f copies of that sum starts at
+# eps^{v_t + (p_f - 1) m_f + sum_{g != f} p_g m_g} or later, so t is dropped
+# before any series is formed when that exponent exceeds M: neither the
+# pole check nor any coefficient up to eps^M sees it.  Dropping a term can
+# only raise the minima, so the rule is applied until nothing changes, and
+# a factor with no live term left makes the product 0.  With one factor to
+# the first power (every diag_coeff_sum and mat_elt call) the rule is
+# v_t > M, decided in one pass; at M = 0 it drops any term with a c = 0
+# atom left in its numerator.  diag_coeff_sum and mat_elt build no term
+# with v_t > M past its c = 0 counts, and every route hands each sum's
+# common denominator with its terms: recomputing it from the live terms
+# would change M.
 #
 # The c != 0 atoms are units: B(c, d) -> q^c - q^-c at Z = 1 whatever d
 # is, and (q - q^-1) = B(1, 0).  At M = 0 the limit is plain evaluation,
@@ -162,24 +174,43 @@ def _limit(factors):
     order = sum(power * sum(zden.values()) for _, zden, power in factors)
     binoms = {}     # d -> binom(d, j), binom(-d, j) for j <= order, their L1 norm
 
+    # The dead-term rule over the whole product (see above): a term of
+    # factor f is dead when v + extra_f > order, extra_f = sum_g p_g m_g - m_f
+    # over the minima of the live terms, raised until it stops moving.
+    vals = []
+    for terms, zden, _ in factors:
+        base = sum(zden.values())
+        vals.append([base + sum(zero.values()) for _, _, zero, _, _ in terms])
+    extras = [0] * len(factors)
+    while True:
+        mins = []
+        low = 0
+        for vf, extra, (*_, power) in zip(vals, extras, factors):
+            live = [v for v in vf if v + extra <= order]
+            if not live:
+                return CR_ZERO
+            mins.append(min(live))
+            low += mins[-1] * power
+        new = [low - m for m in mins]
+        if new == extras:
+            break
+        extras = new
+
     # Each live term's atoms over its sum's common c = 0 denominator; the
     # taken-out c != 0 atoms (see above) and the bounds of the width.
     outer = {}                  # c -> power of q^c - q^-c taken out of the sums
     nbound = lead = 1           # lead: the product of the c = 0 lead atoms 2d
     expanded = []
-    for terms, zden, power in factors:
-        base = sum(zden.values())
+    for (terms, zden, power), vf, extra in zip(factors, vals, extras):
         live = []
-        for sign, qa, zero, units, excess in terms:
-            if base + sum(zero.values()) > order:
+        for v, (sign, qa, zero, units, excess) in zip(vf, terms):
+            if v + extra > order:
                 continue
             atoms = dict(units)
             for d in zden.keys() | zero:
                 atoms[0, d] = zden.get(d, 0) + zero.get(d, 0)
             atoms[1, 0] = atoms.get((1, 0), 0) + excess
             live.append((sign, qa, atoms))
-        if not live:
-            return CR_ZERO
         shared = {key: v for key, v in live[0][2].items() if key[0]}
         for *_, atoms in live[1:]:
             for key, v in shared.items():
@@ -579,7 +610,13 @@ def c_squared_chain(mu, lam, k):
 
     The three pieces can carry compensating factorial zeros and poles at
     boundary patterns, so they are combined into one atom product times
-    the square of the sigma-sum before the regularization limit.
+    the square of the sigma-sum before the regularization limit.  At every
+    zero of c(mu, lam) checked so far the zeros win: the atom product's
+    c = 0 numerator count plus twice the least count of the sigma-summands
+    exceeds M, so _limit's dead-term rule returns 0 before any series is
+    formed.  A test checks this on the k = 4 window of (1, 0, 0, 0) (50 of
+    its 80 points are zeros) and on the n = 3, k = 3 windows of the
+    `routes` benchmark.
     """
     mu, lam = _route_args(mu, lam, k)
     if not in_window(mu, lam, k):
@@ -635,14 +672,11 @@ def c_squared_chain(mu, lam, k):
     if sden and not keep:
         keep = 1
         walk = _sigma_walk(descs, corner, m, k, keep)
-    base = sum(sden.values())
-    order = sum(zden.values()) + 2 * base
     ufin = {}
     flips, excess = _runs_units(final, ufin, keep)
     final_term = (-1 if flips % 2 else 1, qconst, zfin, ufin, excess)
     sig_terms = [(-1 if (dsum + flips) % 2 else 1, (p - r + 1) * dsum, zero, units, excess)
-                 for dsum, flips, excess, zero, units in walk
-                 if base + sum(zero.values()) <= order]
+                 for dsum, flips, excess, zero, units in walk]
     return _limit([([final_term], zden, 1), (sig_terms, sden, 2)])
 
 

@@ -494,10 +494,27 @@ def keyed(factors):
 
 
 def live_terms(factors):
-    """The terms of keyed factors that _limit keeps, per factor."""
+    """The terms of keyed factors that _limit keeps, per factor.
+
+    With v a term's c = 0 numerator atoms over its factor's common
+    denominator and m_g the least v of the kept terms of factor g, a term
+    of factor f is dropped while v + sum_g p_g m_g - m_f > M, one factor at
+    a time until none changes; no term is kept once a factor keeps none."""
     order = sum(power * sum(zden.values()) for _, zden, power in factors)
-    return [[t for t in terms if sum(zden.values()) + sum(t[2].values()) <= order]
+    kept = [[(sum(zden.values()) + sum(t[2].values()), t) for t in terms]
             for terms, zden, _ in factors]
+    changed = True
+    while changed:
+        changed = False
+        for f in range(len(factors)):
+            if not all(kept):
+                return [[] for _ in factors]
+            lows = [min(v for v, _ in ts) for ts in kept]
+            rest = sum(p * m for m, (*_, p) in zip(lows, factors)) - lows[f]
+            keep = [(v, t) for v, t in kept[f] if v + rest <= order]
+            changed |= len(keep) < len(kept[f])
+            kept[f] = keep
+    return [[t for _, t in ts] for ts in kept]
 
 
 def listed(factors):

@@ -262,9 +262,9 @@ def test_verify_matelt_routes_envelope(capsys):
     # k one above the matelt-routes bound for 2, 3 and 4 variables (also
     # through --suite all), and 11 variables: each exits 2 at once.
     for argv in (["--suite", "matelt-routes", "--n", "2", "--k", "15"],
-                 ["--suite", "matelt-routes", "--n", "3", "--k", "6"],
-                 ["--suite", "all", "--n", "3", "--l", "1", "--k", "6"],
-                 ["--suite", "matelt-routes", "--n", "4", "--k", "4"],
+                 ["--suite", "matelt-routes", "--n", "3", "--k", "7"],
+                 ["--suite", "all", "--n", "3", "--l", "1", "--k", "7"],
+                 ["--suite", "matelt-routes", "--n", "4", "--k", "5"],
                  ["--suite", "matelt-routes", "--n", "11", "--k", "1"]):
         t0 = time.perf_counter()
         rc, out, err = run(capsys, ["verify", *argv])

@@ -12,7 +12,7 @@ from conftest import (box_chains, cg_diag_sq, cg_reduced_squared, eval_fraction,
                       s_factorial_sq, trace_ratio_oracle, _telescope, _unit_atoms, _zero_atoms,
                       window)
 
-from macdaha import clear_caches, intertwiner, qfield
+from macdaha import clear_caches, intertwiner, qfield, suites
 from macdaha.combinat import interlacing_signatures
 from macdaha.combinat import shift as sig_shift
 from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain, delta1,
@@ -419,19 +419,22 @@ def _net(terms):
 
 def test_keyed_builders_match_list_oracles(monkeypatch):
     # Each route hands _limit the net atom counts of the atom lists it built
-    # before, their live terms only, over the same common denominators; at
-    # n = 2, k <= 5 and n = 3, k <= 3, shifted, and off the window too.
+    # before, over the same common denominators, and _limit keeps the same
+    # terms of both; the one-sum routes hand it live terms only.  At n = 2,
+    # k <= 5 and n = 3, k <= 3, shifted, and off the window too.
     points = [(tuple(x + s for x in mu), tuple(x + s for x in lam), k)
               for n, kmax in ((2, 5), (3, 3)) for k in range(1, kmax + 1)
               for lam in partitions_upto(3, n) for mu in window(lam, k) for s in (-2, 3)]
     off = [((-2,), (1, 0), 2), ((3,), (1, 0), 3), ((-2, -1), (1, 0, 0), 2), ((2, 2), (1, 0, 0), 3)]
     for route in (diag_coeff_sum, mat_elt, c_squared_chain):
         for mu, lam, k in points + (off if route is not c_squared_chain else []):
-            got = _route_factors(monkeypatch, [(mu, lam, k)], (route,))
+            got = _route_factors(monkeypatch, [(mu, lam, k)], (route,))[0]
             want = keyed(route_factor_lists(route.__name__, mu, lam, k))
-            assert [(_net(terms), zden, p) for terms, zden, p in got[0]] == \
+            assert [(_net(terms), zden, p) for terms, (_, zden, p) in zip(live_terms(got), got)] == \
                 [(_net(terms), zden, p) for terms, (_, zden, p) in zip(live_terms(want), want)], \
                 (route.__name__, mu, lam, k)
+            if route is not c_squared_chain:
+                assert live_terms(got) == [terms for terms, _, _ in got]
 
 
 def test_unit_atoms_only_for_live_terms(monkeypatch):
@@ -660,6 +663,106 @@ def test_limit_drops_dead_terms_above_order():
     assert _keyed_limit([(dead, 1)]) == CR_ZERO == limit_oracle([(dead, 1)])
     finite = [(one, [(2, 1)], [(0, 1)]), (UnitMono(-1, 0, 0), [(2, 2)], [(0, 1)])]
     assert _keyed_limit([(finite, 1), (dead, 3)]) == CR_ZERO == limit_oracle([(finite, 1), (dead, 3)])
+
+
+def _series_formed(monkeypatch):
+    """A list that collects the arguments of every _term_series call."""
+    formed = []
+    series = intertwiner._term_series
+
+    def counted(*args):
+        formed.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(intertwiner, "_term_series", counted)
+    return formed
+
+
+def test_dead_terms_across_the_product(monkeypatch):
+    # A term is dead once its own c = 0 numerator count plus the least
+    # counts of every other copy of every sum exceeds M.
+    one = UnitMono(1, 0, 0)
+    # [z][2] * ([3] + [z] + [z][3z]) / [2z]: M = 1, the first factor starts
+    # at eps^1, so only [3] / [2z] of the sum is live; the value is
+    # [2][3] / 2, and a rule that dropped terms at the bound would give 0.
+    first = [(one, [(0, 1), (2, 1)], [])]
+    second = [(one, [(3, 1)], [(0, 2)]), (one, [(0, 1)], [(0, 2)]),
+              (one, [(0, 1), (0, 3)], [(0, 2)])]
+    # ([z][2] + [z][2z][3])^2 * ([3] + [3z][1]) / ([z][2z]): M = 2; the
+    # second copy of the squared sum starts at eps^1 too, so its [z][2z]
+    # term is dead although 2 <= M.
+    square = [(one, [(0, 1), (2, 1)], []), (one, [(0, 1), (0, 2), (1, 3)], [])]
+    rest = [(one, [(3, 1)], [(0, 1), (0, 2)]), (one, [(0, 3), (1, 1)], [(0, 1), (0, 2)])]
+    formed = _series_formed(monkeypatch)
+    for factors, live in (([(first, 1), (second, 1)], 2), ([(square, 2), (rest, 1)], 2)):
+        formed.clear()
+        value = _keyed_limit(factors)
+        assert value and value == limit_oracle(factors)
+        assert len(formed) == live == sum(map(len, live_terms(keyed(factors))))
+        assert sum(len(terms) for terms, _ in factors) > live
+
+
+def _with_zeros(rng, terms, counts):
+    """terms plus copies of some of them, each with a number drawn from
+    counts of extra numerator atoms [0 + z*d]."""
+    out = list(terms)
+    for mono, num, den in rng.sample(terms, min(3, len(terms))):
+        extra = [(0, rng.choice([-1, 1]) * rng.randint(1, 9)) for _ in range(rng.choice(counts))]
+        out.append((mono, num + extra, den))
+    return out
+
+
+def test_limit_drops_dead_terms_across_factors(monkeypatch):
+    # (Z^j D_A)^p * D_B / [0 + z*d]^{jp} for difference sums D_A, D_B,
+    # with copies of their terms that start past the bound of the whole
+    # product but not past M, and copies that start past M: equal to the
+    # oracle, which keeps every term, and only the terms that live_terms
+    # keeps reach a series.
+    rng = random.Random(23)
+    formed = _series_formed(monkeypatch)
+    drops = values = 0
+    for case in range(16):
+        ma, mb, j, p = rng.randint(0, 1), rng.randint(0, 1), rng.randint(1, 2), 1 + case % 2
+        order = p * ma + mb + j * p
+        zs = [(0, rng.choice([-1, 1]) * rng.randint(1, 9)) for _ in range(j)]
+        pole = [(0, rng.choice([-1, 1]) * rng.randint(1, 9)) for _ in range(j * p)]
+        a = [(mono, num + zs, den) for mono, num, den in _difference_sum(rng, ma, rng.randint(2, 4))]
+        b = [(mono, num, den + pole) for mono, num, den in _difference_sum(rng, mb, rng.randint(2, 4))]
+        a = _with_dead_terms(rng, _with_zeros(rng, a, range(ma, order - j + 1)), order)
+        b = _with_zeros(rng, b, range(mb, order + 1))
+        factors = [(a, p), (b, 1)]
+        formed.clear()
+        value = _keyed_limit(factors)
+        assert value == limit_oracle(factors), case
+        keyed_factors = keyed(factors)
+        assert len(formed) == sum(map(len, live_terms(keyed_factors))), case
+        plain = sum(1 for terms, zden, _ in keyed_factors for t in terms
+                    if sum(zden.values()) + sum(t[2].values()) <= order)
+        drops += len(formed) < plain
+        values += bool(value)
+    assert drops >= 12 and values >= 12
+
+
+def test_c_squared_chain_decides_zeros_without_series(monkeypatch):
+    # The zero values of the squared route on the k = 4 window of
+    # (1, 0, 0, 0) and the n = 3, k = 3 windows of the `routes` benchmark
+    # come from the dead-term rule: no series is formed for them.
+    points = [(mu, (1, 0, 0, 0), 4) for mu in window((1, 0, 0, 0), 4)]
+    points += [(mu, lam, 3) for lam in ((0, 0, 0), (1, 0, 0), (1, 1, 1)) for mu in window(lam, 3)]
+    formed = _series_formed(monkeypatch)
+    zeros = 0
+    for mu, lam, k in points:
+        formed.clear()
+        if not c_squared_chain(mu, lam, k):
+            zeros += 1
+            assert not formed, (mu, lam, k)
+    assert zeros == 59
+
+
+def test_matelt_routes_at_level_four_in_four_variables():
+    # The north-star reach: the three routes agree at k = 4 in 4 variables.
+    checks = suites.suite_matelt_routes(n=4, k=4, maxdeg=1)
+    assert len(checks) == 2 and all(c["pass"] for c in checks)
 
 
 def test_dead_terms_keep_the_raise_paths():
