@@ -3,7 +3,7 @@ polynomial representation, and Gelfand-Tsetlin trace reconstruction over
 the rational-function field Q(q, t)."""
 
 from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, clear_caches, poch_ratio, qfact, qfall, qnum, subst)
+                     UnitMono, clear_caches, poch_ratio, qfact, qfall, qfall_ratio, qnum, subst)
 from .combinat import (format_signature, in_window, interlaces, interlacing_signatures,
                        is_dominant, parse_signature, rho, rho_tilde, shift)
 from .npoly import NPoly
@@ -17,9 +17,8 @@ from .indexops import (AdaptednessError, Box, IndexOpParams, index_apply,
 from .daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv, act_e,
                    e_r_Y_apply, generic_daha_params, is_multiwheel,
                    p1_Yinv_apply, p1_Yinv_via_y, res_map, res_map_half)
-from .intertwiner import (branch_reconstruct_qk, c_squared_chain, delta1, delta2,
-                          delta_cross, diag_coeff_sum, ek_denominator, mat_elt,
-                          psi_qnum, trace_ratio, trace_reconstruct)
+from .intertwiner import (branch_reconstruct_qk, c_squared_chain, diag_coeff_sum,
+                          ek_denominator, mat_elt, psi_qnum, trace_ratio, trace_reconstruct)
 from .suites import (SUITES, list_suites, run_suite, verify_relations, verify_res_diff,
                      verify_res_intertwine)
 

@@ -29,6 +29,20 @@ variables with no entry, are outside.  In the order of the table:
   runs); at d + 1, 21.7 s for (19, 0, 0) and 52 s together, and 37.1 s for
   (17, 0, 0, 0) and 94 s together.  The other bounds are older.  In 11
   variables eigen took 12 s already at d = 0.
+- `psi` takes at most 10 variables and a spread s = lambda_1 - lambda_n up
+  to a bound per n (one variable: any s and k).  Without --k (row `psi
+  --generic`) the bounds for n = 2, ..., 10 are 104, 96, 80, 64, 60, 52,
+  48, 44, 44.  With --k (row `psi --k`) k is at most 8192, and s is bounded
+  at k = 2 and then for k up to 8, 32, 128, 512, 2048 and 8192 (n = 2:
+  8192, 8192, 832, 160, 68, 31, 15); at k = 1 the value is 1.  Each bound
+  is the largest s at which `psi` took at most 20 s (17-20 s at the bounds)
+  on lambda evenly spaced from s down to 0, each mu_i in the middle of its
+  gap, on a 2-vCPU Xeon: one fresh process per size, two searches at a
+  time, s doubled from 8 up to 8192 and bisected until the passing and
+  failing s were within 1/8; with --k, at k = 2, 8, 32, ..., each k from
+  the bound of the last.  The searches stopped at s = 8192 and k = 8192,
+  so those caps are not where a run got slow (n = 2: 3.9 s at k = 32768,
+  s = 5).
 - `matelt` takes a lambda of at most 10 variables.  With one variable
   every route is one term, and k is at most 500: the shift-path expansion
   recurses k - 1 deep, and k = 1000 exceeded Python's default recursion
@@ -102,7 +116,7 @@ variables with no entry, are outside.  In the order of the table:
   (4, 3).  Their time grows with --samples.
 - `verify --suite matelt-routes` (also through `--suite all`) takes at
   most 10 variables and k up to a bound per n (for n = 1, ..., 10: 500
-  (the `matelt` bound), 14, 6, 4, 3, 2, 2, 1, 1, 1), the largest k at
+  (the `matelt` bound), 13, 6, 4, 3, 2, 2, 1, 1, 1), the largest k at
   which the suite took at most 20 s at the default --maxdeg 4 on a 2-vCPU
   Xeon.  The rows for n = 3, ..., 7 were raised once `intertwiner._limit`
   dropped dead terms over the whole product (one size per fresh process,
@@ -110,9 +124,11 @@ variables with no entry, are outside.  In the order of the table:
   10.6-15.2, 13.3-16.1, 3.2-3.6 and 10.8-15.1 s for n = 3, ..., 7, and
   at k + 1 40.8-47.8 s for n = 3 and over 50 s for n = 4, ..., 7; at
   k = 2, n = 8, 9 and 10 took over 50 s as well (0.1 s at k = 1).  The
-  n = 2 row was not raised: 26.9-41.8 s at k = 15.  At k = 14 it took
-  16.4-20.9 s then, and as long on the code before that change (9.0 s
-  when the bound was set).  Its time grows with --maxdeg.
+  n = 2 row was not raised then (26.9-41.8 s at k = 15), and was later
+  lowered from 14 to 13: at k = 14 the suite took 16.4-20.9 s then and
+  18.8 s once after, and 12.3-15.2 s in five fresh processes with one
+  other search running, where k = 13 took 6.7-7.9 s.  Its time grows with
+  --maxdeg.
 - `verify --suite adjoint` (also through `--suite all`) takes l <= 26 in
   1 or 2 variables at every k (one index dimension has no pair factors,
   so k does not enter the run), and in n = 3, ..., 7 variables k up to 8,
@@ -183,9 +199,11 @@ variables with no entry, are outside.  In the order of the table:
   3, 5, 6 and 10, and every other run over 21 s.  In one variable
   the search stopped at --maxdeg 64 (0.35 s for symmetry at k = 1 and
   0.21 s at k = 10^6; 0.15 s for branch at k = 1), and branch's cap there
-  was set by psi_qnum's [k-1]! (19.1 s at k = 131), which psi_qnum no
-  longer forms in one variable; that cap is not measured again.  The time
-  at large k goes to q-factorials.  Neither suite reads --samples.
+  was set by psi_qnum's [k-1]! (19.1 s at k = 131).  At large k the time
+  went to the q-factorials of psi_qnum and symmetry_check, which
+  qfall_ratio now cancels with no gcd (branch at n = 2, k = 96, --maxdeg 0:
+  13.1-19.2 s before, 0.2-0.3 s after), so the rows are conservative; they
+  are not measured again.  Neither suite reads --samples.
 - `verify --suite qfield-axioms` has no envelope (`_UNBOUNDED_SUITES`):
   it reads only --samples and --seed.
 """
@@ -213,6 +231,27 @@ _ENVELOPE = {
     "poly --method eigen": {1: 0, 2: 25, 3: 18, 4: 16, 5: 12, 6: 11, 7: 11, 8: 10, 9: 10, 10: 9},
     "poly --method branch": {1: 0, 2: 39, 3: 18, 4: 15, 5: 14, 6: 9, 7: 8, 8: 8, 9: 7, 10: 6},
     "poly --method gt": {1: 0, 2: 39, 3: 18, 4: 14, 5: 12, 6: 8, 7: 7, 8: 6, 9: 6, 10: 5},
+    "psi --generic": {1: _ANY, 2: 104, 3: 96, 4: 80, 5: 64, 6: 60, 7: 52, 8: 48, 9: 44, 10: 44},
+    "psi --k": {
+        1: _ANY,
+        2: (_ANY,) + (8192,) * 7 + (832,) * 24 + (160,) * 96 + (68,) * 384 + (31,) * 1536 +
+           (15,) * 6144,
+        3: (_ANY, 8192) + (1024,) * 6 + (160,) * 24 + (75,) * 96 + (29,) * 384 + (15,) * 1536 +
+           (6,) * 6144,
+        4: (_ANY, 8192) + (512,) * 6 + (104,) * 24 + (52,) * 96 + (22,) * 384 + (10,) * 1536 +
+           (5,) * 6144,
+        5: (_ANY, 2816) + (165,) * 6 + (82,) * 24 + (35,) * 96 + (14,) * 384 + (6,) * 1536 +
+           (5,) * 6144,
+        6: (_ANY, 2048) + (120,) * 6 + (56,) * 24 + (24,) * 96 + (11,) * 384 + (7,) * 1536 +
+           (6,) * 6144,
+        7: (_ANY, 1024) + (80,) * 6 + (45,) * 24 + (20,) * 96 + (10,) * 384 + (7,) * 1536 +
+           (6,) * 6144,
+        8: (_ANY, 768) + (72,) * 6 + (36,) * 24 + (20,) * 96 + (10,) * 384 + (8,) * 1536 +
+           (7,) * 6144,
+        9: (_ANY, 288) + (72,) * 6 + (29,) * 24 + (13,) * 96 + (10,) * 384 + (9,) * 1536 +
+           (8,) * 6144,
+        10: (_ANY, 320) + (55,) * 6 + (27,) * 24 + (14,) * 96 + (10,) * 384 + (9,) * 7680,
+    },
     "matelt": {
         1: (0,) * 500,
         2: (8192, 8192, 8192, 8192, 8192, 5120, 3840, 2400, 1650, 1340, 753, 611, 496, 496, 372,
@@ -236,7 +275,7 @@ _ENVELOPE = {
     },
     "res-intertwine": dict.fromkeys(range(1, 6), _ANY),
     "res-diff": dict.fromkeys(range(1, 11), _ANY),
-    "matelt-routes": {1: 500, 2: 14, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 1, 9: 1, 10: 1},
+    "matelt-routes": {1: 500, 2: 13, 3: 6, 4: 4, 5: 3, 6: 2, 7: 2, 8: 1, 9: 1, 10: 1},
     "adjoint": {
         1: 26,
         2: 26,
@@ -418,8 +457,11 @@ def _run(args):
         if not interlaces(mu, lam):
             raise _UsageError("mu must interlace lambda")
         if args.k is not None:
-            k = _require_k(args.k)
-            value = intertwiner.psi_qnum(lam, mu, k)
+            _require_k(args.k)
+        _require_envelope("psi --generic" if args.k is None else "psi --k", len(lam), args.k,
+                          lam[0] - lam[-1], "lambda_1 - lambda_n")
+        if args.k is not None:
+            value = intertwiner.psi_qnum(lam, mu, args.k)
             route = "psi_qnum"
         else:
             value = macops.psi_branch(lam, mu)

@@ -8,16 +8,16 @@ border shell of the box ("adaptedness", checked exhaustively on the finite
 shell: operator shifts never reach beyond it).
 
 Every operator coefficient is a product of pair factors, quotients of
-q-numbers at bar differences.  With [x] = q^(1-x) (q^(2x) - 1)/(q^2 - 1)
-each is a unit monomial times a quotient of binomials q^b - 1 read off
-_PAIR_ARGS, and no binomial is multiplied out where it need not be.  A
-value inside the module is a pair (num, den): num a Laurent term map and
-den a map {factor: e} for num / prod factor^e.  A factor is an int b > 0,
-the binomial q^b - 1, or, for a value of f or g with another denominator,
-that denominator kept opaque as the frozenset of its terms.  e > 0 puts
-the factor in the denominator; e < 0 keeps a numerator binomial symbolic,
-so the pair factors that are identically 1 (tilde and dagger at k = 1)
-cancel in the map.
+q-numbers at bar differences.  With [c] = sgn(c) q^(1-|c|) (q^(2|c|) - 1)
+/ (q^2 - 1) each is a unit monomial times a quotient of binomials q^b - 1
+read off _PAIR_ARGS, and no binomial is multiplied out where it need not
+be.  A value inside the module is a pair (num, den): num a Laurent term
+map and den a map {factor: e} for num / prod factor^e.  A factor is an int
+b > 0, the binomial q^b - 1, or, for a value of f or g with another
+denominator, that denominator kept opaque as the frozenset of its terms.
+e > 0 puts the factor in the denominator; e < 0 keeps a numerator binomial
+symbolic, so the pair factors that are identically 1 (tilde and dagger at
+k = 1) cancel in the map.
 - A product multiplies the numerators and adds the maps.
 - A sum lifts each term to the highest exponent of each factor by
   multiplying in the factors it lacks (their product taken in pairs of
@@ -41,8 +41,8 @@ from itertools import chain, combinations, product
 
 from .combinat import shift
 from .npoly import add_terms
-from .qfield import (CR_ZERO, L_ONE, CoeffRat, DomainViolationError, LaurentQT, _product, cached,
-                     rat_sum)
+from .qfield import (CR_ZERO, L_ONE, CoeffRat, DomainViolationError, LaurentQT, _product,
+                     _qnum_binomial, cached, rat_sum)
 
 
 class AdaptednessError(ValueError):
@@ -115,13 +115,12 @@ def is_adapted(f, box, l):
     return True
 
 
-# Numerator and denominator q-number arguments of each pair factor: with
-# [x] = q^(1-x) (q^(2x) - 1)/(q^2 - 1) the q-powers and the (q^2 - 1)
-# powers cancel between them (the plain factor's q^k included).
+# Numerator and denominator q-number arguments and the q-power of each
+# pair factor.
 _PAIR_ARGS = {
-    "plain": lambda k, d: ((d + k,), (d,)),
-    "tilde": lambda k, d: ((d + k, d - k + 1), (d, d + 1)),
-    "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d)),
+    "plain": lambda k, d: ((d + k,), (d,), k),
+    "tilde": lambda k, d: ((d + k, d - k + 1), (d, d + 1), 0),
+    "dagger": lambda k, d: ((d + k - 1, d - k), (d - 1, d), 0),
 }
 # The argument shift of each selected index, per variant.
 _STEP = {"plain": 1, "tilde": 1, "dagger": -1}
@@ -135,25 +134,24 @@ def _pair_factor(variant, k, d):
         tilde:  [d+k][d-k+1] / ([d][d+1]),
         dagger: [d+k-1][d-k] / ([d-1][d]),
 
-    that is prod (q^(2a) - 1) / prod (q^(2b) - 1) over the arguments of
-    _PAIR_ARGS, returned as (c, a, den) for c q^a / prod (q^x - 1)^e over
-    den = {x: e}, read off with no polynomial arithmetic: each argument
-    y != 0 gives the binomial x = 2|y|, and y < 0 the unit -q^(2y) from
-    q^(2y) - 1 = -q^(2y) (q^(-2y) - 1).  A numerator argument 0 makes the
-    factor zero, (0, 0, {}).  Raises DomainViolationError when a
-    denominator q-number vanishes, even where a numerator one vanishes
-    too: the quotient is not cancelled formally."""
-    nums, dens = _PAIR_ARGS[variant](k, d)
+    returned as (c, a, den) for c q^a / prod (q^x - 1)^e over den = {x: e},
+    read off _PAIR_ARGS with no polynomial arithmetic: each argument y != 0
+    gives its sign, q-power and binomial q^(2|y|) - 1 over q^2 - 1 by
+    qfield._qnum_binomial (the powers of q^2 - 1 cancel).  A numerator
+    argument 0 makes the factor zero, (0, 0, {}).  Raises
+    DomainViolationError when a denominator q-number vanishes, even where a
+    numerator one vanishes too: the quotient is not cancelled formally."""
+    nums, dens, a = _PAIR_ARGS[variant](k, d)
     if 0 in dens:
         raise DomainViolationError(
             f"vanishing q-number [0] in the {variant} pair factor at d = {d}")
     if 0 in nums:
         return 0, 0, {}
-    c, a, den = 1, 0, {}
+    c, den = 1, {}
     for y, e in chain(((y, -1) for y in nums), ((y, 1) for y in dens)):
-        if y < 0:
-            c, a = -c, a - 2 * y * e
-        add_terms(den, [(2 * abs(y), e)])
+        sign, qa, x = _qnum_binomial(y)
+        c, a = c * sign, a - e * qa
+        add_terms(den, [(x, e), (2, -e)])
     return c, a, den
 
 

@@ -44,8 +44,8 @@ from math import comb
 from .combinat import check_signature, in_window, interlaces, shift
 from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
-from .qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, _unpack, _width, common_den, qfact, qfall)
+from .qfield import (CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
+                     UnitMono, _unpack, _width, common_den, qfall_ratio)
 from .sympoly import SymLaurent, from_npoly
 
 
@@ -277,60 +277,6 @@ def _q_laurent(u):
     return LaurentQT._raw({(a, 0): c for a, c in u.items()})
 
 
-def delta1(mu, k):
-    """prod_{i<j} [mubar_i - mubar_j + (k-1)]_{k-1}."""
-    b = shift(mu, k, "bar")
-    r = CR_ONE
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            r = r * qfall(b[i] - b[j] + k - 1, k - 1)
-    return r
-
-
-def delta2(mu, k):
-    """prod_{i<j} [mubar_i - mubar_j - 1]_{k-1}."""
-    b = shift(mu, k, "bar")
-    r = CR_ONE
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            r = r * qfall(b[i] - b[j] - 1, k - 1)
-    return r
-
-
-def delta_cross(mu, lam, k):
-    """prod_{i<=j} [lambar_i - mubar_j + k-1]_{k-1}
-       * prod_{i<j} [mubar_i - lambar_j - 1]_{k-1}."""
-    lb = shift(lam, k, "bar")
-    mb = shift(mu, k, "bar")
-    m = len(mu)
-    r = CR_ONE
-    for j in range(m):
-        for i in range(j + 1):
-            r = r * qfall(lb[i] - mb[j] + k - 1, k - 1)
-    for i in range(m):
-        for j in range(i + 1, len(lam)):
-            r = r * qfall(mb[i] - lb[j] - 1, k - 1)
-    return r
-
-
-def psi_qnum(lam, mu, k):
-    """Branching coefficient at t = q^k:
-
-        psi = Delta(mu, lam) / ([k-1]!^{n-1} Delta_1(mu) Delta_2(lam)),
-
-    the normalization that reproduces the generic branching coefficient
-    under q -> q^2, t -> q^{2k} (the extra [k-1]! power per row is forced
-    by that comparison)."""
-    lam, mu = tuple(lam), tuple(mu)
-    if not interlaces(mu, lam):
-        raise ValueError("mu must interlace lam")
-    n = len(lam)
-    den = delta1(mu, k) * delta2(lam, k)
-    if n > 1:
-        den = den * qfact(k - 1) ** (n - 1)
-    return delta_cross(mu, lam, k) / den
-
-
 # ---------------------------------------------------------------------------
 # Route terms in keyed form.  A run (x, L, d, s) stands for the atoms
 # [x - i + z*d], i < L, s times in the numerator (s > 0) or -s times in the
@@ -412,6 +358,33 @@ def _delta2_runs(lb, k):
     return [(lb[i] - lb[j] - 1, k - 1, i - j, -1) for i, j in combinations(range(len(lb)), 2)]
 
 
+def _den_runs(lb, mb, k):
+    """Denominator runs of Delta_2(lam) Delta_1(mu) [k-1]!^{n-1}: Delta_1(mu)
+    = prod_{i<j} [mubar_i - mubar_j + k-1]_{k-1} over the differences of mb
+    (mubar up to a constant), and one [k-1]! per i = j."""
+    m = len(mb)
+    return _delta2_runs(lb, k) + [(mb[i] - mb[j] + k - 1, k - 1, i - j, -1)
+                                  for i in range(m) for j in range(i, m)]
+
+
+def psi_qnum(lam, mu, k):
+    """Branching coefficient at t = q^k:
+
+        psi = Delta(mu, lam) / ([k-1]!^{n-1} Delta_1(mu) Delta_2(lam)),
+
+    the normalization that reproduces the generic branching coefficient
+    under q -> q^2, t -> q^{2k} (the extra [k-1]! power per row is forced
+    by that comparison).  Delta(mu, lam) is the kernel's runs at
+    nbp = mubar, the denominator is mat_elt's, and qfall_ratio cancels
+    their q-numbers formally, with no gcd."""
+    mu, lam = _route_args(mu, lam, k)
+    if not interlaces(mu, lam):
+        raise ValueError("mu must interlace lam")
+    lb, mb = shift(lam, k, "bar"), shift(mu, k, "bar")
+    runs = _kernel_runs(lb, mb, k) + _den_runs(lb, mb, k)
+    return qfall_ratio([(x, L, s) for x, L, _, s in runs])
+
+
 # ---------------------------------------------------------------------------
 # The explicit box summation for c(mu, lam).
 
@@ -465,8 +438,7 @@ def mat_elt(mu, lam, k):
     m = len(lam) - 1
     lb = shift(lam, k, "bar")
     mbp = [mu[i] + (k - 1) - k * i for i in range(m)]
-    shared = _delta2_runs(lb, k) + [(mbp[i] - mbp[j] + k - 1, k - 1, i - j, -1)
-                                    for i in range(m) for j in range(i, m)]
+    shared = _den_runs(lb, mbp, k)
     zero0 = _runs_zero(shared, {})
     cands = []
 

@@ -42,8 +42,8 @@ from itertools import combinations
 from .combinat import (check_signature, interlaces, interlacing_signatures, inversions,
                        kostka_dominant, lattice_sum, partitions)
 from .npoly import add_terms
-from .qfield import (CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached, qfall,
-                     rat_dot)
+from .qfield import (CR_ONE, CR_ZERO, CoeffRat, LaurentQT, UnitMono, binomial_ratio, cached,
+                     qfall_ratio, rat_dot)
 from .sympoly import SymLaurent, eval_sym, mono_shift, orbit
 
 
@@ -373,10 +373,7 @@ def symmetry_check(lam, mu, k):
     pt_mu = tuple(UnitMono.q(2 * mu[i] + k * (n - 1 - 2 * i)) for i in range(n))
     pt_lam = tuple(UnitMono.q(2 * lam[i] + k * (n - 1 - 2 * i)) for i in range(n))
     lhs = eval_sym(p_lam, pt_mu)
-    ratio = CR_ONE
-    for i in range(n):
-        for j in range(i + 1, n):
-            ratio = ratio * qfall(lam[i] - lam[j] + k * (j - i) + k - 1, k) \
-                / qfall(mu[i] - mu[j] + k * (j - i) + k - 1, k)
+    ratio = qfall_ratio([(a[i] - a[j] + k * (j - i) + k - 1, k, s)
+                         for a, s in ((lam, 1), (mu, -1)) for i, j in combinations(range(n), 2)])
     rhs = ratio * eval_sym(p_mu, pt_lam)
     return lhs, rhs

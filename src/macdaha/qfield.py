@@ -58,7 +58,11 @@ pseudo-remainder gcd over Z[q][t] decides.  An exact division in Z[q, t]
 is one in Z[q], through t -> q^D for D above the dividend's q-degree.
 
 Products of binomials prod (1 - q^a t^b)^e (the branching coefficients
-and the Pochhammer ratios) take binomial_ratio, which runs no gcd.
+and the Pochhammer ratios) take binomial_ratio, which runs no gcd.  So do
+ratios of falling q-factorials prod [x]_L^s (the branching coefficient at
+t = q^k and the evaluation-symmetry ratio), by qfall_ratio: with
+[c] = sgn(c) q^(1-|c|) (1 - q^(2|c|)) / (1 - q^2), such a ratio is a unit
+monomial times a product of binomials.
 - With g = gcd(a, b) and z = q^(a/g) t^(b/g) turned lexicographically
   positive, 1 - q^a t^b is a unit monomial times z^g - 1, and
   z^g - 1 = prod_{d | g} Phi_d(z) over the cyclotomic polynomials.
@@ -1223,6 +1227,34 @@ def qfall(a, m):
         return CR_ZERO
     return CoeffRat._raw(LaurentQT._raw(_product([qnum(a - i).num.terms for i in range(m)])),
                          L_ONE)
+
+
+def _qnum_binomial(c):
+    """(sign, a, x) with [c] = sign q^a (1 - q^x) / (1 - q^2), c != 0: the
+    sign of c, 1 - |c| and 2|c|."""
+    return (1 if c > 0 else -1), 1 - abs(c), 2 * abs(c)
+
+
+def qfall_ratio(runs):
+    """prod [x]_L^s over runs (x, L, s) as a canonical CoeffRat, with no gcd:
+    each [c] is a unit monomial times (1 - q^(2|c|)) / (1 - q^2), and
+    binomial_ratio reduces the binomials.  A run holding [0] (0 <= x < L)
+    makes the product 0 when s > 0 and raises DomainViolationError when
+    s < 0, whatever the other runs hold."""
+    if any(s < 0 and 0 <= x < L for x, L, s in runs):
+        raise DomainViolationError("[0] in the denominator of a q-factorial ratio")
+    if any(s > 0 and 0 <= x < L for x, L, s in runs):
+        return CR_ZERO
+    sign, qa, factors = 1, 0, {}
+    for x, L, s in runs:
+        factors[2, 0] = factors.get((2, 0), 0) - s * L
+        for c in range(x - L + 1, x + 1):
+            cs, ca, key = _qnum_binomial(c)
+            if cs < 0 and s % 2:
+                sign = -sign
+            qa += ca * s
+            factors[key, 0] = factors.get((key, 0), 0) + s
+    return _mono_mul(binomial_ratio(factors, UnitMono.q(), UnitMono.t()), (qa, 0), sign)
 
 
 @cached

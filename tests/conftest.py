@@ -805,6 +805,57 @@ def cg_diag_sq(lam, n, k):
 
 
 # ---------------------------------------------------------------------------
+# The Delta products of the branching coefficient at t = q^k, each falling
+# q-factorial multiplied out and the quotients divided in the field.
+
+def delta1_oracle(mu, k):
+    """Delta_1(mu) = prod_{i<j} [mubar_i - mubar_j + (k-1)]_{k-1}."""
+    b = shift(tuple(mu), k, "bar")
+    val = CR_ONE
+    for i, j in combinations(range(len(b)), 2):
+        val = val * qfall(b[i] - b[j] + k - 1, k - 1)
+    return val
+
+
+def delta2_oracle(lam, k):
+    """Delta_2(lam) = prod_{i<j} [lambar_i - lambar_j - 1]_{k-1}."""
+    b = shift(tuple(lam), k, "bar")
+    val = CR_ONE
+    for i, j in combinations(range(len(b)), 2):
+        val = val * qfall(b[i] - b[j] - 1, k - 1)
+    return val
+
+
+def delta_cross_oracle(mu, lam, k):
+    """Delta(mu, lam) = prod_{i<=j} [lambar_i - mubar_j + k-1]_{k-1}
+    * prod_{i<j} [mubar_i - lambar_j - 1]_{k-1}."""
+    lb, mb = shift(tuple(lam), k, "bar"), shift(tuple(mu), k, "bar")
+    val = CR_ONE
+    for j in range(len(mb)):
+        for i in range(j + 1):
+            val = val * qfall(lb[i] - mb[j] + k - 1, k - 1)
+    for i in range(len(mb)):
+        for j in range(i + 1, len(lb)):
+            val = val * qfall(mb[i] - lb[j] - 1, k - 1)
+    return val
+
+
+def psi_qnum_oracle(lam, mu, k):
+    """psi = Delta(mu, lam) / ([k-1]!^{n-1} Delta_1(mu) Delta_2(lam))."""
+    den = delta1_oracle(mu, k) * delta2_oracle(lam, k) * qfact(k - 1) ** (len(lam) - 1)
+    return delta_cross_oracle(mu, lam, k) / den
+
+
+def symmetry_ratio_oracle(lam, mu, k):
+    """prod_{i<j} [lam_i - lam_j + k(j-i) + k-1]_k / [mu_i - mu_j + k(j-i) + k-1]_k."""
+    val = CR_ONE
+    for i, j in combinations(range(len(lam)), 2):
+        val = val * qfall(lam[i] - lam[j] + k * (j - i) + k - 1, k) \
+            / qfall(mu[i] - mu[j] + k * (j - i) + k - 1, k)
+    return val
+
+
+# ---------------------------------------------------------------------------
 # Principal specialization, Macdonald VI (6.11').
 
 def principal_value(lam, Q, T):

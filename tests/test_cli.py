@@ -39,12 +39,38 @@ def test_poly_methods_agree(capsys):
 
 def test_psi_in_one_variable_at_large_k(capsys):
     # psi_qnum forms no [k-1]! in one variable (it would be raised to the
-    # power 0), and qfact does not recurse once per factor.
-    clear_caches()
-    t0 = time.perf_counter()
-    rc, out, _ = run(capsys, ["psi", "--lambda", "3", "--mu=", "--k", "500"])
-    assert time.perf_counter() - t0 < 1
-    assert rc == 0 and json.loads(out) == {"value": "1", "route": "psi_qnum"}
+    # power 0), and in 4 variables it cancels its q-numbers formally, with
+    # no q-factorial multiplied out.
+    for lam, mu in (("3", ""), ("5,3,1,0", "4,2,0")):
+        clear_caches()
+        t0 = time.perf_counter()
+        rc, out, _ = run(capsys, ["psi", "--lambda", lam, f"--mu={mu}", "--k", "500"])
+        assert time.perf_counter() - t0 < 1, lam
+        assert rc == 0 and json.loads(out)["route"] == "psi_qnum", lam
+        assert (json.loads(out)["value"] == "1") == (lam == "3"), lam
+
+
+def test_psi_size_envelope(capsys):
+    # Just outside the psi envelope: 11 variables, the spread lambda_1 -
+    # lambda_n one above the bound in 2 variables, with --generic, with
+    # neither flag (the generic row) and with --k at k = 16, and k one above
+    # the cap in 4 variables: each exits 2 at once.
+    for argv in (["--lambda", ",".join(["0"] * 11), "--mu", ",".join(["0"] * 10), "--k", "2"],
+                 ["--lambda", "105,0", "--mu", "52", "--generic"],
+                 ["--lambda", "105,0", "--mu", "52"],
+                 ["--lambda", "833,0", "--mu", "416", "--k", "16"],
+                 ["--lambda", "0,0,0,0", "--mu", "0,0,0", "--k", "8193"]):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["psi", *argv])
+        assert time.perf_counter() - t0 < 1, argv
+        assert rc == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+        assert "psi" in err, argv
+    # Just inside: one variable at any k, and the spread bound at k = 2.
+    for argv in (["--lambda", "7", "--mu=", "--k", "1000000"],
+                 ["--lambda", "7", "--mu=", "--generic"],
+                 ["--lambda", "8192,0", "--mu", "4096", "--k", "2"]):
+        rc, out, _ = run(capsys, ["psi", *argv])
+        assert rc == 0 and json.loads(out)["value"], argv
 
 
 def test_psi_verbs(capsys):
@@ -261,7 +287,7 @@ def test_verify_restriction_envelope(capsys):
 def test_verify_matelt_routes_envelope(capsys):
     # k one above the matelt-routes bound for 2, 3 and 4 variables (also
     # through --suite all), and 11 variables: each exits 2 at once.
-    for argv in (["--suite", "matelt-routes", "--n", "2", "--k", "15"],
+    for argv in (["--suite", "matelt-routes", "--n", "2", "--k", "14"],
                  ["--suite", "matelt-routes", "--n", "3", "--k", "7"],
                  ["--suite", "all", "--n", "3", "--l", "1", "--k", "7"],
                  ["--suite", "matelt-routes", "--n", "4", "--k", "5"],

@@ -129,6 +129,26 @@ def test_pair_factor_is_the_q_number_quotient():
     assert _pair_factor("dagger", 1, -7) == (1, 0, {})
 
 
+def test_pair_factor_triple_is_the_unit_rule():
+    # (c, a, den) read the other way: each argument y gives the binomial
+    # q^(2|y|) - 1, and y < 0 the unit -q^(2y) of q^(2y) - 1 =
+    # -q^(2y) (q^(-2y) - 1), the q-powers q^(1-y) of [y] cancelling with
+    # the plain factor's q^k.
+    for variant, args in PAIR_DEFS.items():
+        for k in range(1, 5):
+            for d in range(-12, 13):
+                nums, dens, _ = args(k, d)
+                if 0 in nums + dens:
+                    continue
+                c, a, den = 1, 0, {}
+                for y, e in [(y, -1) for y in nums] + [(y, 1) for y in dens]:
+                    if y < 0:
+                        c, a = -c, a - 2 * y * e
+                    den[2 * abs(y)] = den.get(2 * abs(y), 0) + e
+                want = c, a, {x: e for x, e in den.items() if e}
+                assert _pair_factor(variant, k, d) == want, (variant, k, d)
+
+
 def test_index_apply_rejects_colliding_bars():
     f = qpow_fn((1, 1))
     p = IndexOpParams(k=2, variant="tilde", r=1)

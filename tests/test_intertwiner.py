@@ -6,18 +6,19 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (box_chains, cg_diag_sq, cg_reduced_squared, eval_fraction, keyed,
-                      limit_oracle, listed, live_terms, partitions_upto, perturbed,
-                      principal_specialization_holds, route_factor_lists,
+from conftest import (box_chains, cg_diag_sq, cg_reduced_squared, delta1_oracle,
+                      delta2_oracle, delta_cross_oracle, eval_fraction, keyed, limit_oracle,
+                      listed, live_terms, partitions_upto, perturbed,
+                      principal_specialization_holds, psi_qnum_oracle, route_factor_lists,
                       s_factorial_sq, trace_ratio_oracle, _telescope, _unit_atoms, _zero_atoms,
                       window)
 
 from macdaha import clear_caches, intertwiner, qfield, suites
 from macdaha.combinat import interlacing_signatures
 from macdaha.combinat import shift as sig_shift
-from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain, delta1,
-                                 delta2, delta_cross, diag_coeff_sum, ek_denominator,
-                                 mat_elt, psi_qnum, trace_ratio, trace_reconstruct)
+from macdaha.intertwiner import (_limit, branch_reconstruct_qk, c_squared_chain,
+                                 diag_coeff_sum, ek_denominator, mat_elt, psi_qnum, trace_ratio,
+                                 trace_reconstruct)
 from macdaha.macops import macdonald_qk, psi_branch
 from macdaha.npoly import NPoly
 from macdaha.qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError,
@@ -27,20 +28,52 @@ q = UnitMono.q
 
 
 def test_delta_factors_at_k1():
-    assert delta1((3, 1), 1) == CR_ONE
-    assert delta2((3, 1), 1) == CR_ONE
-    assert delta_cross((1,), (2, 0), 1) == CR_ONE
+    # the Delta products of the psi_qnum oracle
+    assert delta1_oracle((3, 1), 1) == CR_ONE
+    assert delta2_oracle((3, 1), 1) == CR_ONE
+    assert delta_cross_oracle((1,), (2, 0), 1) == CR_ONE
 
 
 def test_delta_factors_values():
     # bar(3,1) = (3,-1): [3-(-1)+1]_1 = [5]
-    assert delta1((3, 1), 2) == qnum(5)
-    assert delta2((3, 1), 2) == qnum(3)
+    assert delta1_oracle((3, 1), 2) == qnum(5)
+    assert delta2_oracle((3, 1), 2) == qnum(3)
     # cross((1,),(2,0)): [bar(2)-bar(1)+1]_1 [bar(1)-bar(0,2nd)-1]_1
-    assert delta_cross((1,), (2, 0), 2) == qnum(2) * qnum(2)
-    assert delta1([3, 1], 2) == qnum(5)
-    assert delta2([3, 1], 2) == qnum(3)
-    assert delta_cross([1], [1, 0], 2) == delta_cross((1,), (1, 0), 2)
+    assert delta_cross_oracle((1,), (2, 0), 2) == qnum(2) * qnum(2)
+    assert delta1_oracle([3, 1], 2) == qnum(5)
+    assert delta2_oracle([3, 1], 2) == qnum(3)
+    assert delta_cross_oracle([1], [1, 0], 2) == delta_cross_oracle((1,), (1, 0), 2)
+
+
+def test_psi_qnum_is_the_delta_oracle():
+    # Byte-identical strings over every mu interlacing a shifted lam, in up
+    # to 4 variables; the sweep meets [0] nowhere (every Delta factor is
+    # nonzero on interlacing pairs) but cancels across all four products.
+    clear_caches()
+    points = 0
+    for n, top, ks in ((2, 8, range(1, 11)), (3, 5, range(1, 8)), (4, 4, range(1, 6))):
+        for lam in partitions_upto(top, n):
+            lam = tuple(x - 1 for x in lam)
+            for mu in interlacing_signatures(lam):
+                for k in ks:
+                    assert str(psi_qnum(lam, mu, k)) == str(psi_qnum_oracle(lam, mu, k)), \
+                        (lam, mu, k)
+                    points += 1
+    assert points == 1541
+
+
+def test_psi_qnum_runs_no_gcd(monkeypatch):
+    # The branching coefficient takes qfall_ratio alone: no gcd and no
+    # canonical reduction, also where a falling q-factorial multiplied out
+    # would reach degree 2090 in q ([65]_19 here).
+    def raising(*args):
+        raise AssertionError("gcd or canonical reduction called")
+
+    clear_caches()
+    monkeypatch.setattr(qfield, "_gcd_cofactors", raising)
+    monkeypatch.setattr(qfield, "_canonical", raising)
+    value = psi_qnum((6, 3, 1, 0), (5, 2, 0), 20)
+    assert value != CR_ZERO and value.den != CR_ONE.den
 
 
 def test_psi_qnum_trivial_k1():

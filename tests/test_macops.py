@@ -8,7 +8,7 @@ from random import Random
 from conftest import (box_chains, branch_oracle, eval_fraction, gt_oracle, mac_apply_oracle,
                       op_column_oracle, partitions_upto, per_chain_sum, perturbed, prime_point,
                       principal_specialization_holds, psi_branch_oracle, schur_oracle,
-                      tilde_weight)
+                      symmetry_ratio_oracle, tilde_weight)
 
 from macdaha import clear_caches
 from macdaha.combinat import interlacing_signatures, is_dominant
@@ -416,6 +416,20 @@ def test_symmetry_identity():
         assert l == r, (lam, mu, k)
     l, r = symmetry_check((2, 1), (2, 1), 3)
     assert l == r
+
+
+def test_symmetry_ratio_is_the_delta_oracle():
+    # The right side, byte-identical to the falling q-factorials
+    # multiplied out and divided in the field, times the same evaluation.
+    clear_caches()
+    for n, maxdeg, ks in ((2, 5, (1, 2, 3, 6, 10)), (3, 4, (1, 2, 3)), (4, 3, (1, 2))):
+        parts = partitions_upto(maxdeg, n)
+        for k in ks:
+            for lam in parts:
+                pt = tuple(q(2 * lam[i] + k * (n - 1 - 2 * i)) for i in range(n))
+                for mu in parts:
+                    want = symmetry_ratio_oracle(lam, mu, k) * eval_sym(macdonald_qk(mu, n, k), pt)
+                    assert str(symmetry_check(lam, mu, k)[1]) == str(want), (lam, mu, k)
 
 
 def _eval_at(f, xs, q, t):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import macdaha
 from macdaha.qfield import (CR_ONE, CR_ZERO, CoeffRat, DomainViolationError,
-                            LaurentQT, UnitMono, poch_ratio, qfact, qfall,
+                            LaurentQT, UnitMono, poch_ratio, qfact, qfall, qfall_ratio,
                             qnum, subst)
 
 import pytest
@@ -80,6 +80,44 @@ def test_qfall_and_qfact_equal_the_sequential_product():
     for a in range(0, 40):
         want = want * qnum(a) if a else want
         assert str(qfact(a)) == str(want), a
+
+
+def _qnum_product(runs):
+    """prod [x]_L^s over runs, each q-number multiplied or divided in turn
+    in field arithmetic."""
+    val = CR_ONE
+    for x, L, s in runs:
+        for _ in range(abs(s)):
+            for i in range(L):
+                val = val * qnum(x - i) if s > 0 else val / qnum(x - i)
+    return val
+
+
+def test_qfall_ratio_is_the_field_quotient():
+    # Byte-identical strings: negative arguments, runs of length 0,
+    # powers, q-numbers that cancel between runs, and an empty list.
+    cases = [[], [(5, 0, 1)], [(3, 3, 1)], [(-2, 3, 1)], [(4, 2, -1)], [(-3, 2, -1)],
+             [(7, 3, 1), (6, 2, -1)], [(5, 4, 2), (-1, 3, -1), (9, 2, -3)],
+             [(12, 5, 1), (-4, 4, 1), (8, 6, -1), (-2, 2, -2)],
+             [(a - b + 4, 3, s) for a, b, s in ((3, 1, 1), (2, 0, 1), (5, 2, -1), (1, 0, -1))]]
+    for runs in cases:
+        assert str(qfall_ratio(runs)) == str(_qnum_product(runs)), runs
+    for x in range(-6, 7):
+        for L in range(0, 4):
+            for s in (1, -1, 2):
+                runs = [(x, L, s), (x + 2, L + 1, -1)]
+                if not any(0 <= y < M for y, M, _ in runs):
+                    assert str(qfall_ratio(runs)) == str(_qnum_product(runs)), runs
+
+
+def test_qfall_ratio_zero_argument():
+    # [0] in a numerator run gives 0; in a denominator run it raises, also
+    # when a numerator run holds [0] as well.
+    assert qfall_ratio([(2, 3, 1), (5, 2, -1)]) == CR_ZERO
+    assert qfall_ratio([(0, 1, 2)]) == CR_ZERO
+    for runs in ([(1, 2, -1)], [(3, 4, -1), (2, 3, 1)], [(5, 2, 1), (0, 1, -2)]):
+        with pytest.raises(DomainViolationError):
+            qfall_ratio(runs)
 
 
 def test_qfact_does_not_recurse():
