@@ -42,7 +42,9 @@ variables with no entry, are outside.  In the order of the table:
   failing s were within 1/8; with --k, at k = 2, 8, 32, ..., each k from
   the bound of the last.  The searches stopped at s = 8192 and k = 8192,
   so those caps are not where a run got slow (n = 2: 3.9 s at k = 32768,
-  s = 5).
+  s = 5).  They predate the balanced product tree in binomial_ratio
+  (psi_branch((80, 0), (40,)): 5.0-6.3 s before, 1.5-1.6 s after), so
+  they are conservative; they are not measured again.
 - `matelt` takes a lambda of at most 10 variables.  With one variable
   every route is one term, and k is at most 500: the shift-path expansion
   recurses k - 1 deep, and k = 1000 exceeded Python's default recursion
@@ -161,11 +163,13 @@ variables with no entry, are outside.  In the order of the table:
   stopped it.  For n = 1 the search stopped at 64 (0.2 s), so that bound
   is not where a run got slow.  Neither suite reads --samples.
 - `verify --suite daha-relations` (also through `--suite all`) takes at
-  most 4 variables, and `--suite spherical-macdonald` at most 5, with
+  most 5 variables, and `--suite spherical-macdonald` at most 5, with
   --maxdeg up to 64 for n <= 4 and 24 for n = 5, each measured at the
-  default --samples 10 on a 2-vCPU Xeon.  daha-relations took 2.3-4.0 s
-  in 4 variables (seeds 0-3; --l 1, 10 and 100 took 3.6-4.0 s) and
-  79.4 s in 5 (11.6 s at --samples 1); it does not read --maxdeg.
+  default --samples 10 on a 2-vCPU Xeon.  With the symmetrizer as a
+  product of coset sums, daha-relations took 4.4-14.2 s in 5 variables
+  (one fresh process per run, seeds 0-3 at --l 1, 10 and 100, seeds 0-1
+  at --l 1000; 0.4-2.5 s at --samples 1) and 1.1-1.8 s in 4, and in 6
+  variables 24.6 and 55.1 s (seeds 0, 1); it does not read --maxdeg.
   spherical-macdonald draws parts up to max(1, --maxdeg // n), so it runs
   the same samples at every --maxdeg below 2n: in 6 variables it took
   22.4 s at --maxdeg 4 and 20.0 s at 0.  In 5 variables --maxdeg 24 took
@@ -287,7 +291,7 @@ _ENVELOPE = {
     },
     "macops-eigen": {1: 64, 2: 19, 3: 13, 4: 11, 5: 10, 6: 9, 7: 8, 8: 8, 9: 8, 10: 8},
     "constructor-agreement": {1: 64, 2: 21, 3: 13, 4: 11, 5: 10, 6: 10, 7: 9, 8: 9, 9: 9, 10: 9},
-    "daha-relations": dict.fromkeys(range(1, 5), _ANY),
+    "daha-relations": dict.fromkeys(range(1, 6), _ANY),
     "spherical-macdonald": {1: 64, 2: 64, 3: 64, 4: 64, 5: 24},
     "symmetry": {
         1: 64,

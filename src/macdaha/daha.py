@@ -10,6 +10,11 @@ X_1.  Parameters enter through their square roots (unit monomials), so the
 represented algebra has parameters (qhalf^2, thalf^2) and all
 computations stay inside Q(q, t).
 
+The Hecke symmetrizer e sums t^{l(w)/2} T_w over S_n.  With w = u*v, u in
+S_{n-1} and v a minimal coset representative (Humphreys, Reflection Groups
+and Coxeter Groups, 1.10-1.11), it is a product of n - 1 coset sums, the
+coset sum of S_n acting first (`act_e`).
+
 The restriction map collapses n*l variables onto n geometric ladders of
 ratio q^2 and intertwines the spherical actions in ranks n*l and n; the
 `suites` module checks the relations and the intertwining exactly on
@@ -22,10 +27,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combinat import inversions, is_dominant
+from .combinat import is_dominant
 from .macops import MacParams, mac_apply
 from .npoly import NPoly
-from .qfield import CR_ONE, L_ONE, CoeffRat, LaurentQT, UnitMono, cached, rat_dot
+from .qfield import CR_ONE, L_ONE, CoeffRat, LaurentQT, UnitMono, rat_dot
 from .sympoly import SymLaurent, from_npoly, mono_shift, orbit, to_npoly
 
 
@@ -111,42 +116,30 @@ def act_Y_inv(i, f, p):
     return g
 
 
-@cached
-def _perm_words(n):
-    """Reduced words for S_n: {one-line tuple: word of adjacent indices}."""
-    identity = tuple(range(n))
-    words = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for perm in frontier:
-            word = words[perm]
-            for i in range(n - 1):
-                nxt = list(perm)
-                nxt[i], nxt[i + 1] = nxt[i + 1], nxt[i]
-                nxt = tuple(nxt)
-                if nxt not in words and inversions(nxt) == len(word) + 1:
-                    words[nxt] = word + (i + 1,)
-                    new.append(nxt)
-        frontier = new
-    return words
-
-
 def act_e(f, p):
-    """The normalized Hecke symmetrizer: an idempotent projector."""
+    """The normalized Hecke symmetrizer prod_m (1 - t)/(1 - t^m) times
+    sum_w t^{l(w)/2} T_w over S_n, an idempotent projector.
+
+    Each w factors uniquely as w = u*v, u in S_{n-1} and v = s_{n-1} ...
+    s_j a minimal coset representative, with l(w) = l(u) + l(v)
+    (Humphreys 1.10-1.11 applied to w^{-1}), so T_w = T_u T_v: the coset
+    sum 1 + t^{1/2} T_{n-1}(1 + t^{1/2} T_{n-2}(... (1 + t^{1/2} T_1)))
+    acts first, then the S_{n-1} sum; n(n-1)/2 applications of T_i.
+    """
     n = f.n
     t = (p.thalf ** 2).as_coeffrat()
     norm = CR_ONE
     one_minus_t = CR_ONE - t
     for m in range(1, n + 1):
         norm = norm * one_minus_t / (CR_ONE - (p.thalf ** (2 * m)).as_coeffrat())
-    acc = NPoly.zero(n)
-    for word in _perm_words(n).values():
-        g = f
-        for i in reversed(word):
-            g = act_T(i, g, p)
-        acc = acc + g.scalar_mul((p.thalf ** len(word)).as_coeffrat())
-    return acc.scalar_mul(norm)
+    thalf = p.thalf.as_coeffrat()
+    g = f
+    for m in range(n - 1, 0, -1):
+        h = g
+        for j in range(1, m + 1):
+            h = g + act_T(j, h, p).scalar_mul(thalf)
+        g = h
+    return g.scalar_mul(norm)
 
 
 def e_r_Y_apply(f, r, p):

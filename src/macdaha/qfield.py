@@ -1386,16 +1386,13 @@ def binomial_ratio(factors, shift, t2):
     if cden < 0:
         cnum, cden = -cnum, -cden
     g = math.gcd(cnum, cden)
-    num = {(unit[1], unit[2]): unit[0] * cnum // g}
-    den = {(0, 0): cden // g}
+    nums = [{(unit[1], unit[2]): unit[0] * cnum // g}]
+    dens = [{(0, 0): cden // g}]
     for (d, u, v), c in counts.items():
         if c:
             phi = {(u * k, v * k): x for k, x in enumerate(_cyclotomic(d)) if x}
-            for _ in range(abs(c)):
-                if c > 0:
-                    num = _mul(num, phi)
-                else:
-                    den = _mul(den, phi)
+            (nums if c > 0 else dens).extend([phi] * abs(c))
+    num, den = _product(nums), _product(dens)
     da, db = _min_exps(den)
     if _lead_coeff(den) < 0:
         num, den = _neg(num), _neg(den)

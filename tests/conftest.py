@@ -9,6 +9,7 @@ import pytest
 
 from macdaha import qfield
 from macdaha.combinat import interlaces, interlacing_signatures, inversions, is_dominant, shift
+from macdaha.daha import act_T
 from macdaha.indexops import IndexOpParams, index_apply
 from macdaha.intertwiner import _cg_qpower, diag_coeff_sum
 from macdaha.macops import _psi
@@ -191,6 +192,44 @@ def res_map_oracle(f, n, l):
                 qexp += (1 - l + 2 * (idx % l)) * ex
             add_terms(acc, ((tuple(packed), c * UnitMono.q(qexp).as_coeffrat()),))
     return from_npoly(NPoly._raw(n, acc))
+
+
+def _perm_words(n):
+    """Reduced words for S_n: {one-line tuple: word of adjacent indices}."""
+    identity = tuple(range(n))
+    words = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for perm in frontier:
+            word = words[perm]
+            for i in range(n - 1):
+                nxt = list(perm)
+                nxt[i], nxt[i + 1] = nxt[i + 1], nxt[i]
+                nxt = tuple(nxt)
+                if nxt not in words and inversions(nxt) == len(word) + 1:
+                    words[nxt] = word + (i + 1,)
+                    new.append(nxt)
+        frontier = new
+    return words
+
+
+def act_e_by_words(f, p):
+    """The normalized Hecke symmetrizer as the sum of t^{l(w)/2} T_w f over
+    one reduced word of every w in S_n, each applied from scratch."""
+    n = f.n
+    t = (p.thalf ** 2).as_coeffrat()
+    norm = CR_ONE
+    one_minus_t = CR_ONE - t
+    for m in range(1, n + 1):
+        norm = norm * one_minus_t / (CR_ONE - (p.thalf ** (2 * m)).as_coeffrat())
+    acc = NPoly.zero(n)
+    for word in _perm_words(n).values():
+        g = f
+        for i in reversed(word):
+            g = act_T(i, g, p)
+        acc = acc + g.scalar_mul((p.thalf ** len(word)).as_coeffrat())
+    return acc.scalar_mul(norm)
 
 
 def kostka_oracle(mu):

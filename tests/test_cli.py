@@ -346,7 +346,7 @@ def test_verify_adjoint_envelope(capsys):
 def test_verify_operator_suite_envelopes(capsys):
     # Just outside: --maxdeg one above the macops-eigen bound in 2
     # variables and the constructor-agreement bound in 2 and 3 (also
-    # through --suite all), 11 variables, daha-relations in 5 variables,
+    # through --suite all), 11 variables, daha-relations in 6 variables,
     # spherical-macdonald in 6 and --maxdeg one above its bound in 5;
     # symmetry and branch with --maxdeg one above their bound at k = 1 and
     # with k one above their cap in 2 variables; each exits 2 at once.
@@ -358,7 +358,7 @@ def test_verify_operator_suite_envelopes(capsys):
                         "constructor-agreement"),
                        (["--suite", "all", "--n", "3", "--l", "1", "--maxdeg", "14"],
                         "macops-eigen"),
-                       (["--suite", "daha-relations", "--n", "5"], "daha-relations"),
+                       (["--suite", "daha-relations", "--n", "6"], "daha-relations"),
                        (["--suite", "spherical-macdonald", "--n", "6", "--maxdeg", "0"],
                         "spherical-macdonald"),
                        (["--suite", "spherical-macdonald", "--n", "5", "--maxdeg", "25"],
@@ -382,6 +382,7 @@ def test_verify_operator_suite_envelopes(capsys):
                  ["--suite", "branch", "--n", "1", "--k", "1", "--maxdeg", "64"],
                  ["--suite", "constructor-agreement", "--n", "1", "--maxdeg", "64"],
                  ["--suite", "daha-relations", "--n", "4", "--samples", "1"],
+                 ["--suite", "daha-relations", "--n", "5", "--samples", "1"],
                  ["--suite", "spherical-macdonald", "--n", "5", "--maxdeg", "24",
                   "--samples", "1"]):
         rc, out, _ = run(capsys, ["verify", *argv])

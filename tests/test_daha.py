@@ -1,8 +1,9 @@
 import pytest
 from random import Random
 
-from conftest import res_map_oracle
+from conftest import act_e_by_words, res_map_oracle
 
+from macdaha import daha, suites
 from macdaha.daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv,
                           act_e, e_r_Y_apply, generic_daha_params,
                           is_multiwheel, p1_Yinv_apply, p1_Yinv_via_y,
@@ -94,6 +95,74 @@ def test_symmetrizer_idempotent_and_symmetric():
             ef = act_e(f, P)
             assert act_e(ef, P) == ef
             from_npoly(ef)  # symmetric by construction
+
+
+# The two parameter sets of suite_daha_relations: generic, and special at l = 2.
+RELATION_PARAMS = (P, DahaParams(qhalf=q(-2), thalf=q(1)))
+
+
+def test_symmetrizer_equals_word_sum():
+    for p in RELATION_PARAMS:
+        rng = Random(7)
+        for n in range(1, 6):
+            for _ in range(2 if n == 5 else 4):
+                f = _rand_npoly(rng, n)
+                assert act_e(f, p) == act_e_by_words(f, p), (n, f)
+
+
+def _act_e_one_level(bad):
+    """A copy of act_e whose coset level m = bad weighs T_j by t, not t^{1/2}."""
+    def act_e_copy(f, p):
+        n = f.n
+        t = (p.thalf ** 2).as_coeffrat()
+        norm = CR_ONE
+        one_minus_t = CR_ONE - t
+        for m in range(1, n + 1):
+            norm = norm * one_minus_t / (CR_ONE - (p.thalf ** (2 * m)).as_coeffrat())
+        thalf = p.thalf.as_coeffrat()
+        g = f
+        for m in range(n - 1, 0, -1):
+            c = t if m == bad else thalf
+            h = g
+            for j in range(1, m + 1):
+                h = g + act_T(j, h, p).scalar_mul(c)
+            g = h
+        return g.scalar_mul(norm)
+    return act_e_copy
+
+
+def _idempotent_check(n, p):
+    rep = verify_relations(n, p, seed=0, samples=5)
+    return [c["pass"] for c in rep if c["name"] == "symmetrizer-idempotent"]
+
+
+def test_symmetrizer_with_a_wrong_coset_power_is_not_idempotent(monkeypatch):
+    for p in RELATION_PARAMS:
+        monkeypatch.setattr(suites, "act_e", _act_e_one_level(None))
+        assert _idempotent_check(3, p) == [True]
+        for bad in (1, 2):
+            monkeypatch.setattr(suites, "act_e", _act_e_one_level(bad))
+            assert _idempotent_check(3, p) == [False], (p, bad)
+
+
+def test_symmetrizer_applies_T_once_per_pair(monkeypatch):
+    calls = []
+
+    def counting(i, f, p):
+        calls.append(i)
+        return act_T(i, f, p)
+
+    monkeypatch.setattr(daha, "act_T", counting)
+    for n in range(1, 6):
+        calls.clear()
+        act_e(_rand_npoly(Random(n), n), P)
+        assert len(calls) == n * (n - 1) // 2, n
+
+
+def test_verify_relations_five_variables():
+    for p in RELATION_PARAMS:
+        rep = verify_relations(5, p, seed=0, samples=1)
+        assert rep and all(c["pass"] for c in rep), rep
 
 
 def test_erY_equals_difference_operator():
