@@ -30,7 +30,8 @@ from itertools import combinations
 from .combinat import is_dominant
 from .macops import MacParams, mac_apply
 from .npoly import NPoly
-from .qfield import CR_ONE, L_ONE, CoeffRat, LaurentQT, UnitMono, rat_dot
+from .qfield import (L_ONE, CoeffRat, LaurentQT, UnitMono, binomial_ratio, common_den,
+                     rat_dot)
 from .sympoly import SymLaurent, from_npoly, mono_shift, orbit, to_npoly
 
 
@@ -125,21 +126,27 @@ def act_e(f, p):
     (Humphreys 1.10-1.11 applied to w^{-1}), so T_w = T_u T_v: the coset
     sum 1 + t^{1/2} T_{n-1}(1 + t^{1/2} T_{n-2}(... (1 + t^{1/2} T_1)))
     acts first, then the S_{n-1} sum; n(n-1)/2 applications of T_i.
+
+    T_i has Laurent matrix coefficients, so the loop runs on the
+    numerators of f over one common denominator L (qfield.common_den) and
+    its sums run no gcd.  Each output coefficient is multiplied by norm / L
+    once, by rat_dot, and binomial_ratio gives the norm's binomials.
     """
     n = f.n
-    t = (p.thalf ** 2).as_coeffrat()
-    norm = CR_ONE
-    one_minus_t = CR_ONE - t
-    for m in range(1, n + 1):
-        norm = norm * one_minus_t / (CR_ONE - (p.thalf ** (2 * m)).as_coeffrat())
+    if not f.terms:
+        return f
+    norm = {(0, 1): n - 1}
+    norm.update({(0, m): -1 for m in range(2, n + 1)})
+    norm = binomial_ratio(norm, UnitMono.q(), p.thalf ** 2)
+    den, nums = common_den(list(f.terms.values()))
     thalf = p.thalf.as_coeffrat()
-    g = f
+    g = NPoly._raw(n, dict(zip(f.terms, nums)))
     for m in range(n - 1, 0, -1):
         h = g
         for j in range(1, m + 1):
             h = g + act_T(j, h, p).scalar_mul(thalf)
         g = h
-    return g.scalar_mul(norm)
+    return NPoly._raw(n, {key: rat_dot([(v, norm)], den.terms) for key, v in g.terms.items()})
 
 
 def e_r_Y_apply(f, r, p):

@@ -127,6 +127,11 @@ def _mul(A, B):
         return {}
     if len(A) > len(B):
         A, B = B, A
+    if len(A) == 1:
+        ((a1, b1), c1), = A.items()
+        if c1 == 1 and not (a1 or b1):
+            return dict(B)
+        return {(a1 + a2, b1 + b2): c1 * c2 for (a2, b2), c2 in B.items()}
     if len(A) >= 4 and len(A) * len(B) >= _KRON_TERMS:
         C = _kron_mul(A, B)
         if C is not None:
@@ -868,8 +873,9 @@ class CoeffRat:
     Operands may be ints and UnitMonos.  The arithmetic skips every gcd
     whose answer the operands' reduced forms already fix: a zero operand,
     a/b + c with c a Laurent polynomial (gcd(a + cb, b) = gcd(a, b) = 1),
-    a product with a monomial, and inv(), which only moves the monomial
-    content and the sign.  rat_sum and rat_dot reduce a many-term sum once.
+    a product with a monomial or of two Laurent polynomials, a square, and
+    inv(), which only moves the monomial content and the sign.  rat_sum
+    and rat_dot reduce a many-term sum once.
     """
 
     __slots__ = ("num", "den")
@@ -964,8 +970,14 @@ class CoeffRat:
     def __mul__(self, other):
         if isinstance(other, UnitMono):
             return _mono_mul(self, (other.a, other.b), other.sign)
-        other = _scalar(other)
         a, b = self.num.terms, self.den.terms
+        if other is self:
+            # gcd(a, b) = 1 gives gcd(a^2, b^2) = 1, and b^2 keeps b's
+            # exponent minima 0 and a positive lead coefficient.
+            if not a:
+                return CR_ZERO
+            return CoeffRat._raw(LaurentQT._raw(_mul(a, a)), LaurentQT._raw(_mul(b, b)))
+        other = _scalar(other)
         c, d = other.num.terms, other.den.terms
         if not a or not c:
             return CR_ZERO
@@ -975,6 +987,8 @@ class CoeffRat:
         if b == _ONE_D and len(a) == 1:
             (key, v), = a.items()
             return _mono_mul(other, key, v)
+        if b == _ONE_D and d == _ONE_D:
+            return CoeffRat._raw(LaurentQT._raw(_mul(a, c)), L_ONE)
         if d != _ONE_D:
             _, a, d = _gcd_cofactors(a, d)
         if b != _ONE_D:

@@ -3,7 +3,7 @@ from random import Random
 
 from conftest import act_e_by_words, res_map_oracle
 
-from macdaha import daha, suites
+from macdaha import daha, qfield, suites
 from macdaha.daha import (DahaParams, act_T, act_T_inv, act_Y, act_Y_inv,
                           act_e, e_r_Y_apply, generic_daha_params,
                           is_multiwheel, p1_Yinv_apply, p1_Yinv_via_y,
@@ -157,6 +157,40 @@ def test_symmetrizer_applies_T_once_per_pair(monkeypatch):
         calls.clear()
         act_e(_rand_npoly(Random(n), n), P)
         assert len(calls) == n * (n - 1) // 2, n
+
+
+def _fraction_npoly(rng, n):
+    """_rand_npoly with its coefficients scaled by random Q(q, t) fractions,
+    so that they have several distinct denominators."""
+    f = _rand_npoly(rng, n)
+    return NPoly(n, {key: v * suites._rand_coeffrat(rng) for key, v in f.terms.items()})
+
+
+def test_symmetrizer_over_fraction_coefficients():
+    for p in RELATION_PARAMS:
+        rng = Random(13)
+        for n in range(1, 5):
+            for _ in range(3):
+                f = _fraction_npoly(rng, n)
+                assert act_e(f, p) == act_e_by_words(f, p), (n, f)
+        assert act_e(NPoly.zero(3), p) == NPoly.zero(3)
+
+
+def test_symmetrizer_reduces_each_output_coefficient_once(monkeypatch):
+    # One gcd per distinct input denominator (the common denominator's
+    # fold) and one per output coefficient (its final reduction): the
+    # coset loop runs on Laurent numerators and reduces nothing.
+    rng = Random(6)
+    f = _fraction_npoly(rng, 6)
+    while len(f.terms) < 3:
+        f = _fraction_npoly(rng, 6)
+    dens = {frozenset(v.den.terms.items()) for v in f.terms.values()}
+    calls = []
+    gcd = qfield._gcd_cofactors
+    monkeypatch.setattr(qfield, "_gcd_cofactors", lambda A, B: calls.append(1) or gcd(A, B))
+    g = act_e(f, P)
+    assert len(dens) > 1 and g.terms
+    assert len(calls) <= len(dens) + len(g.terms), len(calls)
 
 
 def test_verify_relations_five_variables():

@@ -669,6 +669,66 @@ def test_limit_merges_directions_at_order_zero():
     assert _keyed_limit([(terms, 1)]) == CoeffRat.from_int(2) == limit_oracle([(terms, 1)])
 
 
+def _order_zero_factors(rng):
+    """Seeded list-form factors with no denominator atom [0 + z*d], in the
+    shapes the routes hand to _limit: one sum to the first power
+    (diag_coeff_sum, mat_elt), one term times a squared sum
+    (c_squared_chain), and 1-3 sums to powers 1-2.  Some terms carry a
+    numerator [0 + z*d] (dead), and now and then every term of one sum
+    does."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        factors = [(_shared_c_sum(rng, rng.randint(1, 8)), 1)]
+    elif shape == 1:
+        factors = [(_shared_c_sum(rng, 1), 1), (_shared_c_sum(rng, rng.randint(1, 8)), 2)]
+    else:
+        factors = [(_shared_c_sum(rng, rng.randint(1, 6)), rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        f = rng.randrange(len(factors))
+        terms, power = factors[f]
+        factors[f] = ([(mono, num + [(0, rng.choice([-1, 1]) * rng.randint(1, 6))], den)
+                       for mono, num, den in terms], power)
+    return factors
+
+
+def test_limit_at_order_zero_matches_oracle():
+    # The M = 0 branch against the series oracle, which keeps dead terms;
+    # a sum whose terms are all dead makes the value 0.
+    rng = random.Random(26)
+    zeros = values = 0
+    for case in range(300):
+        factors = _order_zero_factors(rng)
+        assert not any(zden for _, zden, _ in keyed(factors)), case
+        value = _keyed_limit(factors)
+        assert value == limit_oracle(factors), case
+        assert eval_fraction(value, 3, 1) == _plain_value(factors, 3), case
+        zeros += not value
+        values += bool(value)
+    assert zeros > 50 and values > 150
+
+
+def test_limit_at_order_zero_builds_no_binomial(monkeypatch):
+    # M = 0 bounds every atom by 2: no binomial table is built, on the
+    # route lists with no denominator [0 + z*d] and on synthetic sums,
+    # while a difference sum at M > 0 does build one.
+    points = [(mu, lam, k) for n in (2, 3) for k in (2, 3)
+              for lam in partitions_upto(3, n) for mu in window(lam, k)]
+    lists = _route_factors(monkeypatch, points)
+    rng = random.Random(45)
+    lists += [keyed(_order_zero_factors(rng)) for _ in range(100)]
+    calls = []
+    binom = intertwiner._binom
+    monkeypatch.setattr(intertwiner, "_binom", lambda d, j: calls.append(d) or binom(d, j))
+    plain = [factors for factors in lists if not any(zden for _, zden, _ in factors)]
+    assert len(plain) > 200
+    for factors in plain:
+        _limit(factors)
+    assert not calls
+    _keyed_limit([(_difference_sum(rng, 2, 4), 1)])
+    assert calls
+
+
 def _with_dead_terms(rng, terms, order):
     """terms plus copies of some of them whose numerator carries c = 0
     atoms enough to start above eps^order."""

@@ -581,7 +581,7 @@ def test_clear_caches_reaches_every_cache():
 
 from fractions import Fraction
 
-from conftest import eval_fraction, prime_point
+from conftest import brute_mul, eval_fraction, prime_point
 
 
 def test_cyclotomic_matches_sympy():
@@ -865,8 +865,9 @@ def test_fast_paths_run_no_gcd(monkeypatch):
     x + c, c + x, x - c, 1 - x, x + 1
     x * UnitMono(-1, 3, -2), UnitMono.q(2) * x, x * UnitMono.q(1).as_coeffrat(), x * 4
     x.inv(), c.inv(), 1 / x, (-x).inv()
+    x * x, x ** 4, c * c, c * (c + 1)              # squares, and Laurent polynomials
     assert calls == []
-    x * x, x + x.inv()                             # the general paths do run one
+    x * CoeffRat._raw(x.num, x.den), x + x.inv()   # the general paths do run one
     assert calls
 
 
@@ -882,3 +883,38 @@ def test_scalar_operators_and_unit_monos():
     assert (2 / x) * x == CoeffRat.from_int(2)
     assert 3 + x == x + 3 and 3 * x == x * 3
     assert UnitMono.q(1) - x == CoeffRat(LaurentQT({(1, 0): 1})) - x
+
+
+def test_squares_run_no_gcd(monkeypatch):
+    # x * x is num^2 / den^2 with no gcd, and equals the general product
+    # against an equal but distinct object; x ** e squares the same way.
+    rng = Random(26)
+    xs = [_rand_rat(rng) for _ in range(120)] + [CoeffRat(LaurentQT({(2, 1): 3, (0, 0): -1}),
+                                                          LaurentQT({(0, 0): 2, (1, 2): 1}))]
+    squares = [x * CoeffRat._raw(x.num, x.den) for x in xs]
+    fourths = [y * CoeffRat._raw(y.num, y.den) for y in squares]
+
+    def raising(A, B):
+        raise AssertionError("gcd called")
+
+    monkeypatch.setattr(qfield, "_gcd_cofactors", raising)
+    for x, sq, sq4 in zip(xs, squares, fourths):
+        assert same(x * x, sq) and same(x ** 2, sq) and same(x ** 4, sq4)
+
+
+one_term_maps = st.dictionaries(
+    st.tuples(small_ints, st.integers(min_value=-2, max_value=2)),
+    st.sampled_from([-3, -1, 1, 2, 7]), min_size=1, max_size=1)
+term_maps = st.one_of(one_term_maps, st.just({(0, 0): 1}), st.just({}),
+                      st.dictionaries(st.tuples(small_ints, st.integers(min_value=-2, max_value=2)),
+                                      st.integers(min_value=-9, max_value=9).filter(bool),
+                                      max_size=12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(term_maps, term_maps)
+def test_mul_matches_brute_force(A, B):
+    # one-term and unit operands take the shift-and-scale path
+    got = qfield._mul(A, B)
+    assert got == brute_mul(A, B) == qfield._mul(B, A)
+    assert got is not A and got is not B
