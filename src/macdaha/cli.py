@@ -170,7 +170,10 @@ variables with no entry, are outside.  In the order of the table:
   (one fresh process per run, seeds 0-3 at --l 1, 10 and 100, seeds 0-1
   at --l 1000; 0.4-2.5 s at --samples 1) and 1.1-1.8 s in 4.  With its
   coset sums over one common denominator, 6 variables took 10.6-42.2 s
-  (seeds 0-3; over 20 s at seeds 0 and 3).  It does not read --maxdeg.
+  (seeds 0-3; over 20 s at seeds 0 and 3), and with one final reduction
+  per distinct output value 34.9, 12.6, 9.3 and 21.1 s at seeds 0-3
+  (40.0, 16.5, 10.6 and 27.7 s before, in the same session), so the row
+  stays at 5.  It does not read --maxdeg.
   spherical-macdonald draws parts up to max(1, --maxdeg // n), so it runs
   the same samples at every --maxdeg below 2n: in 6 variables it took
   22.4 s at --maxdeg 4 and 20.0 s at 0.  In 5 variables --maxdeg 24 took

@@ -129,8 +129,11 @@ def act_e(f, p):
 
     T_i has Laurent matrix coefficients, so the loop runs on the
     numerators of f over one common denominator L (qfield.common_den) and
-    its sums run no gcd.  Each output coefficient is multiplied by norm / L
-    once, by rat_dot, and binomial_ratio gives the norm's binomials.
+    its sums run no gcd.  Over the one L equal numerators are equal
+    values, so each distinct numerator is multiplied by norm / L once, by
+    rat_dot, and binomial_ratio gives the norm's binomials.  The output is
+    symmetric, so its coefficients on one S_n orbit of exponents share one
+    reduction.
     """
     n = f.n
     if not f.terms:
@@ -146,7 +149,8 @@ def act_e(f, p):
         for j in range(1, m + 1):
             h = g + act_T(j, h, p).scalar_mul(thalf)
         g = h
-    return NPoly._raw(n, {key: rat_dot([(v, norm)], den.terms) for key, v in g.terms.items()})
+    reduced = {v: rat_dot([(v, norm)], den.terms) for v in dict.fromkeys(g.terms.values())}
+    return NPoly._raw(n, {key: reduced[v] for key, v in g.terms.items()})
 
 
 def e_r_Y_apply(f, r, p):

@@ -49,8 +49,8 @@ from math import comb
 from .combinat import check_signature, in_window, interlaces, shift
 from .macops import branch_sum, chain_sum, macdonald_qk
 from .npoly import NPoly
-from .qfield import (CR_ZERO, CoeffRat, DomainViolationError, LaurentQT,
-                     UnitMono, _unpack, _width, common_den, qfall_ratio)
+from .qfield import (CR_ZERO, CoeffRat, DomainViolationError, UnitMono,
+                     _q_packed_ratio, _width, common_den, qfall_ratio)
 from .sympoly import SymLaurent, from_npoly
 
 
@@ -121,8 +121,15 @@ def _route_args(mu, lam, k):
 # the taken-out numerator atoms.  The denominator, a product of lead
 # atoms 2d and of taken-out atoms q^-c (q^{2c} - 1), stays below the
 # product of their norms.  qfield._width of the larger bound gives s; the
-# pole check any(num[:M]) is then exact on the integers, and numerator and
-# denominator are decoded once each.
+# pole check any(num[:M]) is then exact on the integers, and the result is
+# reduced on them too, by one GCDHEU step at the same s
+# (qfield._q_packed_ratio): the powers of q and the integer contents come
+# out, and the cofactors are read from the digits of integer quotients.
+# CoeffRat of the decoded numerator and denominator decides instead when
+# 2^s > 2 min(|a|, |b|) + 2 fails for their primitive parts a and b, or a
+# cofactor f of the candidate g misses |f| |g| min(#f, #g) < 2^(s-1): in
+# a seed-1 round 16 of the 345 nonzero limits of `routes` and 2 of the 373
+# of `lattice`, every one a true common factor with a too wide cofactor.
 
 def _binom(d, j):
     """The binomial coefficient d choose j for any integer d."""
@@ -186,6 +193,10 @@ def _limit(factors):
     one pass, no c = 0 atoms merged, no binomial table, and one packed
     integer per live term.  It is most calls: 379 of 405 in a seed-1 round
     of the `routes` benchmark workload and 394 of 401 in `lattice`.
+
+    The value is reduced on the packed integers by qfield._q_packed_ratio,
+    which falls back to CoeffRat of the decoded numerator and denominator
+    when its GCDHEU bound or a cofactor's digit bound fails (see above).
     """
     order = sum(power * sum(zden.values()) for _, zden, power in factors)
     binoms = {}     # d -> binom(d, j), binom(-d, j) for j <= order, their L1 norm
@@ -295,13 +306,7 @@ def _limit(factors):
         elif e:
             den *= ((1 << 2 * c * s) - 1) ** -e
             doff -= c * e
-    return CoeffRat(_q_laurent(_unpack(top, -noff, w)),
-                    _q_laurent(_unpack(den, -doff, w)))
-
-
-def _q_laurent(u):
-    """The LaurentQT of a {q_exp: coeff} map."""
-    return LaurentQT._raw({(a, 0): c for a, c in u.items()})
+    return _q_packed_ratio(top, -noff, den, -doff, w)
 
 
 # ---------------------------------------------------------------------------

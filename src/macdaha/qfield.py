@@ -45,6 +45,13 @@ u(2^s), and two polynomials whose coefficients all lie inside
   only after both exact divisions (trivial for the candidate 1), whose
   quotients are the cofactors.
   After a few widths the pseudo-remainder gcd decides.
+- _q_packed_ratio reduces a fraction whose numerator and denominator are
+  given packed, as intertwiner._limit holds them, by one GCDHEU step at
+  their own width, with no repacking.  g(2^s) divides both integers, and
+  a cofactor f read from a quotient's digits is kept when
+  |f| |g| min(#f, #g) < 2^(s-1) proves f g equal to the polynomial; a
+  candidate that is no divisor fails that bound.  When the bound or
+  GCDHEU's own fails it hands the decoded maps to CoeffRat.
 Maps in both variables take the same gcd one level up (Liao and Fateman,
 ISSAC 1995): with their integer contents removed, t is evaluated at 2^s
 with 2^(s-1) > 2 min(|A|, |B|) + 2, the Z[q] kernel gives the gcd g of the
@@ -473,6 +480,60 @@ def _q_gcd_primitive(u, v):
         w *= 2
     g = _q_gcd(u, v)
     return g, _q_divexact(u, g), _q_divexact(v, g)
+
+
+def _low_digits(x, s):
+    """The number of zero low base-2^s digits of a non-zero integer x."""
+    return ((x & -x).bit_length() - 1) // s
+
+
+def _q_packed_ratio(x, xlo, y, ylo, w):
+    """The canonical CoeffRat of q^xlo u / q^ylo v, where the balanced
+    base-2^(8w) digits of the integers x and y make up u and v (y != 0).
+
+    One GCDHEU step at that width, on the integers themselves: the zero
+    low digits (powers of q) and the integer contents come out, giving
+    a(2^s) and b(2^s) for primitive a and b.  When 2^s > 2 min(|a|, |b|) + 2
+    and |a|, |b| < 2^(s-1), a constant candidate (the digits of
+    gcd(a(2^s), b(2^s)) are one digit) proves a and b coprime.  Otherwise
+    the primitive part g of those digits has g(2^s) dividing the gcd, so
+    a(2^s) and b(2^s) divide exactly, and their quotients' digits are the
+    cofactors f once |f| |g| min(#f, #g) < 2^(s-1) proves f g equal to a
+    or b.  When any of these fails, CoeffRat of the decoded numerator and
+    denominator decides.
+    """
+    if not x:
+        return CR_ZERO
+    s = 8 * w
+    half = 1 << (s - 1)
+    k = _low_digits(x, s)
+    x, xlo = x >> k * s, xlo + k
+    k = _low_digits(y, s)
+    y, ylo = y >> k * s, ylo + k
+    u, v = _unpack(x, 0, w), _unpack(y, 0, w)
+    cu, cv = _q_int_content(u), _q_int_content(v)
+    na, nb = _norm(u) // cu, _norm(v) // cv
+    num = None
+    if na < half and nb < half and 2 * min(na, nb) + 2 < 1 << s:
+        A, B = x // cu, y // cv
+        H = math.gcd(A, B)
+        g = _unpack(H, 0, w)
+        c = math.gcd(cu, cv)
+        if len(g) == 1:                 # a and b are coprime
+            num, den = _q_divexact_int(u, c), _q_divexact_int(v, c)
+        else:
+            cg = _q_int_content(g)
+            g, G = _q_divexact_int(g, cg), H // cg
+            f, e = _unpack(A // G, 0, w), _unpack(B // G, 0, w)
+            ng = _norm(g)
+            if all(_norm(z) * ng * min(len(z), len(g)) < half for z in (f, e)):
+                num, den = _q_scale(f, cu // c), _q_scale(e, cv // c)
+    if num is None:
+        return CoeffRat(LaurentQT._raw({(a + xlo, 0): c for a, c in u.items()}),
+                        LaurentQT._raw({(a + ylo, 0): c for a, c in v.items()}))
+    sign = 1 if den[max(den)] > 0 else -1
+    return CoeffRat._raw(LaurentQT._raw({(a + xlo - ylo, 0): sign * c for a, c in num.items()}),
+                         LaurentQT._raw({(a, 0): sign * c for a, c in den.items()}))
 
 
 # ---------------------------------------------------------------------------

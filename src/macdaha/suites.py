@@ -82,10 +82,12 @@ def _rand_npoly(rng, n, deg=2):
 
 
 def suite_qfield_axioms(n=2, l=2, k=2, maxdeg=4, samples=10, seed=0):
+    # Drawn as the checks run, in the order of whole lists (each _check
+    # runs its generator out before the next starts): O(1) memory in samples.
     rng = Random(seed)
-    xyz = [[_rand_coeffrat(rng) for _ in range(3)] for _ in range(samples)]
-    poch = [(rng.randint(-4, 4), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
-            for _ in range(samples)]
+    xyz = ([_rand_coeffrat(rng) for _ in range(3)] for _ in range(samples))
+    poch = ((rng.randint(-4, 4), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
+            for _ in range(samples))
     return [
         _check("field-axioms", (ok for x, y, z in xyz for ok in
                                 ((x + y) * z == x * z + y * z, x * y == y * x)

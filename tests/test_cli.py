@@ -4,8 +4,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
-from macdaha import clear_caches
+from macdaha import clear_caches, suites
 from macdaha.cli import _ENVELOPE, _SUITE_SIZE, _UNBOUNDED_SUITES, main
 from macdaha.suites import SUITES, _check, list_suites, run_suite
 
@@ -168,6 +169,32 @@ def test_check_with_no_instance_fails(capsys, monkeypatch):
     doc = json.loads(out)
     assert rc == 1 and err == ""
     assert doc["checks"] == [{"name": "nothing", "pass": False}] and doc["pass"] is False
+
+
+def test_qfield_axioms_draws_its_samples_lazily(monkeypatch):
+    # The suite draws each sample as its checks run, in the order the
+    # whole lists were drawn in before: the triples, then the Pochhammer
+    # samples.  No triple is drawn before the first check starts.
+    for seed, samples in ((0, 1), (3, 10)):
+        rng = Random(seed)
+        want = [suites._rand_coeffrat(rng) for _ in range(3 * samples)]
+        want_poch = [(rng.randint(-4, 4), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2))
+                     for _ in range(samples)]
+        drawn, at_check = [], []
+        rand, check = suites._rand_coeffrat, suites._check
+        monkeypatch.setattr(suites, "_rand_coeffrat",
+                            lambda r: drawn.append(rand(r)) or drawn[-1])
+        monkeypatch.setattr(suites, "_check",
+                            lambda name, outcomes: at_check.append(len(drawn)) or
+                            check(name, outcomes))
+        poch = suites.poch_ratio
+        args = []
+        monkeypatch.setattr(suites, "poch_ratio",
+                            lambda a, d, b: args.append((a, d, b)) or poch(a, d, b))
+        assert all(c["pass"] for c in suites.suite_qfield_axioms(samples=samples, seed=seed))
+        assert drawn == want and at_check[0] == 0
+        assert args[::3] == [(a, d1 + d2, b) for a, d1, d2, b in want_poch]
+        monkeypatch.undo()
 
 
 def test_check_evaluates_every_instance():

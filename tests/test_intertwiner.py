@@ -443,6 +443,26 @@ def test_limit_matches_oracle_on_route_factors(monkeypatch):
         assert _limit(factors) == limit_oracle(listed(factors))
 
 
+def test_limit_reduces_on_the_packed_integers(monkeypatch):
+    # Every factor list of the three routes on the n = 3, k = 2 windows of
+    # |lam| <= 3 and the n = 2, k = 3 windows of |lam| <= 2 has its limit
+    # reduced by qfield._q_packed_ratio with no CoeffRat fallback.  The one
+    # point left out, c_squared_chain at ((0, 0), (2, 0, 0), 2), falls back:
+    # its true cofactor is too wide for the digit bound at one byte.
+    points = [(mu, lam, 2) for lam in partitions_upto(3, 3) for mu in window(lam, 2)]
+    points += [(mu, lam, 3) for lam in partitions_upto(2, 2) for mu in window(lam, 3)]
+    points.remove(((0, 0), (2, 0, 0), 2))
+    lists = _route_factors(monkeypatch, points)
+    want = [limit_oracle(listed(factors)) for factors in lists]
+    assert len(lists) > 100 and sum(map(bool, want)) > 100
+
+    def raising(*args):
+        raise AssertionError("canonical reduction called")
+
+    monkeypatch.setattr(qfield, "_canonical", raising)
+    assert [_limit(factors) for factors in lists] == want
+
+
 def _net(terms):
     """Keyed terms with their zero counts dropped, in one order."""
     return sorted((sign, qa, sorted((d, v) for d, v in zero.items() if v),

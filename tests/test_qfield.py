@@ -415,6 +415,76 @@ def test_t_free_poly_divexact_rejects_inexact():
                                  two_d({2: 5}, 1)) == two_d(big, 3)
 
 
+# ---------------------------------------------------------------------------
+# The packed GCDHEU step of the limit engine against CoeffRat.
+
+# Fractions that fall back at one byte per digit (s = 8), one per branch.
+_WIDE = {0: 1, 1: 2, 2: 1}                          # (1 + q)^2
+PACKED_FALLBACKS = [
+    # GCDHEU bound: 2 min(|a|, |b|) + 2 = 256 is not below 2^s
+    ({0: 127, 1: 1}, {0: 1, 1: 127}),
+    # |a| = 2^(s-1): the digit -128 is at the balanced range's edge
+    ({0: -128, 1: 1}, {0: 3, 1: 1}),
+    # a non-dividing candidate: 385 = gcd(a(256), b(256)) has digits
+    # 2q - 127, a divisor of neither; its quotients fail the digit bound
+    ({0: -27, 1: 28, 2: -34, 3: -22, 4: 10}, {0: 2, 1: 3}),
+    # a true common factor (1 + q)^2 whose cofactor 21q^2 + 22q + 21
+    # is too wide for the bound: 22 * 2 * 3 >= 128
+    (qfield._q_mul(_WIDE, {0: 21, 1: 22, 2: 21}), qfield._q_mul(_WIDE, {0: -1, 1: 1})),
+]
+
+
+def packed_cases():
+    """(u, ulo, v, vlo, w): q^ulo u and q^vlo v packed from exponent 0 at
+    w bytes per digit.  Planted common factors, integer contents, integer
+    denominators (as at M > 0), signs, q-power factors (zero low digits
+    and exponent offsets), and the tightest width _limit could pick or
+    twice it."""
+    rng = Random(27)
+    cases = [(u, 0, v, 0, 1) for u, v in PACKED_FALLBACKS]
+    for i in range(400):
+        if i % 4:
+            g, h = q_poly(rng, rng.randint(1, 4), hi=4, cmax=3), q_poly(rng, rng.randint(1, 5), hi=6)
+        else:
+            # factors q^2c - 1 over an integer, as in _limit's denominators
+            g, h = {0: 1}, {0: 1}
+            for _ in range(rng.randint(0, 4)):
+                b = {0: -1, 2 * rng.randint(1, 4): 1}
+                g, h = (qfield._q_mul(g, b), h) if rng.random() < 0.5 else (g, qfield._q_mul(h, b))
+        u = qfield._q_mul(g, q_poly(rng, rng.randint(1, 5), hi=6))
+        v = qfield._q_mul(g, h)
+        u = qfield._q_scale(u, rng.choice((1, 1, -1, 2, -6, 35)))
+        v = qfield._q_scale(v, rng.choice((1, -1, 4, 6, -10, 2 * 3 * 5 * 7)))
+        w = qfield._width(max(qfield._norm(u), qfield._norm(v))) * rng.choice((1, 1, 2))
+        cases.append((u, rng.randint(-6, 4), v, rng.randint(-3, 3), w))
+    return cases
+
+
+def test_packed_ratio_matches_coeffrat():
+    for u, ulo, v, vlo, w in packed_cases():
+        want = CoeffRat(LaurentQT({(a + ulo, 0): c for a, c in u.items()}),
+                        LaurentQT({(a + vlo, 0): c for a, c in v.items()}))
+        got = qfield._q_packed_ratio(qfield._pack(u, 0, w), ulo, qfield._pack(v, 0, w), vlo, w)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), \
+            (u, ulo, v, vlo, w)
+
+
+def test_packed_ratio_fast_path_and_fallbacks(monkeypatch):
+    # Every PACKED_FALLBACKS case ends in CoeffRat, most random pairs don't.
+    canonical, calls = qfield._canonical, []
+    monkeypatch.setattr(qfield, "_canonical",
+                        lambda num, den: calls.append(1) or canonical(num, den))
+    cases = packed_cases()
+    went = []
+    for u, ulo, v, vlo, w in cases:
+        calls.clear()
+        qfield._q_packed_ratio(qfield._pack(u, 0, w), ulo, qfield._pack(v, 0, w), vlo, w)
+        went.append(bool(calls))
+    assert went[:len(PACKED_FALLBACKS)] == [True] * len(PACKED_FALLBACKS)
+    assert sum(went[len(PACKED_FALLBACKS):]) < len(cases) // 4
+    assert qfield._q_packed_ratio(0, 0, 5, 0, 1) is CR_ZERO
+
+
 def test_t_primitive_content_and_quotient():
     from functools import reduce
     rng = Random(5)
