@@ -23,8 +23,10 @@ unreduced, num * num over den * den, and the division joins the one
 reduction.  common_den returns each of a list of fractions as a
 numerator over their lcm, so that the exact division of the traces runs
 on Laurent polynomials alone; it and _sum_once fold the lcm in
-_lcm_fold, one gcd per distinct denominator.  qfall and qfact multiply
-their q-numbers in a balanced product tree.
+_lcm_fold, one step per distinct denominator.  Denominators often divide
+one another, so a step first tries one exact division, and runs a gcd
+only when that fails.  qfall and qfact multiply their q-numbers in a
+balanced product tree.
 
 Term maps with a single t exponent (every scalar of a one-variable Q(q)
 computation, and many t-contents) take an exact kernel over Z[q] built on
@@ -49,9 +51,11 @@ u(2^s), and two polynomials whose coefficients all lie inside
   given packed, as intertwiner._limit holds them, by one GCDHEU step at
   their own width, with no repacking.  g(2^s) divides both integers, and
   a cofactor f read from a quotient's digits is kept when
-  |f| |g| min(#f, #g) < 2^(s-1) proves f g equal to the polynomial; a
-  candidate that is no divisor fails that bound.  When the bound or
-  GCDHEU's own fails it hands the decoded maps to CoeffRat.
+  |f| |g| min(#f, #g) < 2^(s-1) proves f g equal to the polynomial, or
+  else when one packed product f g, at a width that bounds its
+  coefficients, is the polynomial; a candidate that is no divisor fails
+  both.  When these or GCDHEU's own bound fail it hands the decoded maps
+  to CoeffRat.
 Maps in both variables take the same gcd one level up (Liao and Fateman,
 ISSAC 1995): with their integer contents removed, t is evaluated at 2^s
 with 2^(s-1) > 2 min(|A|, |B|) + 2, the Z[q] kernel gives the gcd g of the
@@ -63,6 +67,12 @@ equal at t = 2^s, are equal (else an exact division decides); the
 candidate 1 needs no check.  After a few widths the recursive
 pseudo-remainder gcd over Z[q][t] decides.  An exact division in Z[q, t]
 is one in Z[q], through t -> q^D for D above the dividend's q-degree.
+A unit binomial +-x^u +- x^v against a map A of two or more terms runs
+no GCDHEU: it is a unit times z^n - 1 or z^n + 1 for a primitive monomial
+z, a squarefree product of irreducible Phi_d(z) (see below), and the gcd
+is the product of those Phi_d(z) that divide A.  Each test is one pass
+over A in coordinates where z is a variable (_cyclotomic_gcd), and the
+cofactors of a non-trivial gcd are exact divisions.
 
 Products of binomials prod (1 - q^a t^b)^e (the branching coefficients
 and the Pochhammer ratios) take binomial_ratio, which runs no gcd.  So do
@@ -498,9 +508,9 @@ def _q_packed_ratio(x, xlo, y, ylo, w):
     gcd(a(2^s), b(2^s)) are one digit) proves a and b coprime.  Otherwise
     the primitive part g of those digits has g(2^s) dividing the gcd, so
     a(2^s) and b(2^s) divide exactly, and their quotients' digits are the
-    cofactors f once |f| |g| min(#f, #g) < 2^(s-1) proves f g equal to a
-    or b.  When any of these fails, CoeffRat of the decoded numerator and
-    denominator decides.
+    cofactors f once |f| |g| min(#f, #g) < 2^(s-1), or else one packed
+    product (_q_kron_mul), proves f g equal to a or b.  When any of these
+    fails, CoeffRat of the decoded numerator and denominator decides.
     """
     if not x:
         return CR_ZERO
@@ -526,7 +536,9 @@ def _q_packed_ratio(x, xlo, y, ylo, w):
             g, G = _q_divexact_int(g, cg), H // cg
             f, e = _unpack(A // G, 0, w), _unpack(B // G, 0, w)
             ng = _norm(g)
-            if all(_norm(z) * ng * min(len(z), len(g)) < half for z in (f, e)):
+            if all(_norm(z) * ng * min(len(z), len(g)) < half
+                   or _q_kron_mul(z, g) == _q_divexact_int(y, cy)
+                   for z, y, cy in ((f, u, cu), (e, v, cv))):
                 num, den = _q_scale(f, cu // c), _q_scale(e, cv // c)
     if num is None:
         return CoeffRat(LaurentQT._raw({(a + xlo, 0): c for a, c in u.items()}),
@@ -708,32 +720,102 @@ def _qt_heu_gcd(A, B):
     return None
 
 
+def _unit_binomial(X):
+    return len(X) == 2 and all(c * c == 1 for c in X.values())
+
+
+def _cyclotomic_gcd(X, A):
+    """gcd(X, A) for a unit binomial X and a term map A, normalized as
+    _gcd_cofactors normalizes it; no gcd runs.
+
+    X is a unit monomial times z^n - 1 or z^n + 1, z = q^al t^be with
+    gcd(al, be) = 1, so it is the squarefree product of the Phi_d(z) over
+    the d | n, or over the d | 2n with d not dividing n.  With
+    al de - be ga = 1, q^a t^b = z^i w^j for i = a de - b ga and
+    j = b al - a be (w = q^ga t^de), so Phi_d(z) divides A exactly when
+    it divides every sum of A's terms at one j, as a Laurent polynomial in
+    z.  Those sums are taken modulo z^N - 1 (N = n or 2n), which every
+    candidate Phi_d(z) divides, folded modulo z^d - 1 and reduced modulo
+    Phi_d; the gcd is the product of the Phi_d(z) that leave no
+    remainder.
+    """
+    (k1, c1), (k2, c2) = X.items()
+    ea, eb = k2[0] - k1[0], k2[1] - k1[1]
+    n = math.gcd(ea, eb)
+    al, be = ea // n, eb // n
+    if be:
+        de = pow(al, -1, abs(be))
+        ga = (al * de - 1) // be
+    else:
+        de, ga = al, 0
+    N = n if c1 != c2 else 2 * n
+    rows = {}
+    for (a, b), c in A.items():
+        j = b * al - a * be
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = [0] * N
+        row[(a * de - b * ga) % N] += c
+    factors = []
+    for d in _divisors(N):
+        if c1 == c2 and n % d == 0:
+            continue
+        phi = _cyclotomic(d)
+        m = len(phi) - 1
+        for row in rows.values():
+            r = [sum(row[k::d]) for k in range(d)]
+            for k in range(d - 1, m - 1, -1):
+                x = r[k]
+                if x:
+                    for l in range(m):
+                        r[k - m + l] -= x * phi[l]
+            if any(r[:m]):
+                break
+        else:
+            factors.append({(al * k, be * k): x for k, x in enumerate(phi) if x})
+    if not factors:
+        return {(0, 0): 1}
+    g = _product(factors)
+    g = _shift(g, *(-e for e in _min_exps(g)))
+    return g if _lead_coeff(g) > 0 else _neg(g)
+
+
 def _gcd_cofactors(A, B):
     """(g, A/g, B/g) for non-zero Laurent term maps A and B.
 
     Monomials are units in the Laurent ring: g has exponent minimum 0 in
     each variable, a positive graded-lex leading coefficient and the
     integer content, and A/g and B/g keep the monomial parts of A and B.
-    Two maps with one t exponent each take the Z[q] kernel, other
-    non-monomial maps the heuristic gcd, and the pseudo-remainder gcd
-    decides when that gives up.
+    A unit binomial +-x^u +- x^v against a map of two or more terms takes
+    _cyclotomic_gcd, and its cofactors are exact divisions by g (none
+    when g = 1).  Otherwise two maps with one t exponent each take the
+    Z[q] kernel, other non-monomial maps the heuristic gcd, and the
+    pseudo-remainder gcd decides when that gives up.
     """
-    FA, FB = _to_t(A), _to_t(B)
-    if len(FA) == 1 and len(FB) == 1:
-        (ta, u), = FA.items()
-        (tb, v), = FB.items()
-        g, f, h = _q_gcd_cofactors(u, v)
-        m = min(g)
-        return ({(a - m, 0): c for a, c in g.items()},
-                {(a + m, ta): c for a, c in f.items()},
-                {(a + m, tb): c for a, c in h.items()})
+    X, Y = (A, B) if _unit_binomial(A) else (B, A)
+    g = r = None
+    if len(Y) > 1 and _unit_binomial(X):
+        g = _cyclotomic_gcd(X, Y)
+        if g == _ONE_D:
+            return g, A, B
+    else:
+        FA, FB = _to_t(A), _to_t(B)
+        if len(FA) == 1 and len(FB) == 1:
+            (ta, u), = FA.items()
+            (tb, v), = FB.items()
+            g, f, h = _q_gcd_cofactors(u, v)
+            m = min(g)
+            return ({(a - m, 0): c for a, c in g.items()},
+                    {(a + m, ta): c for a, c in f.items()},
+                    {(a + m, tb): c for a, c in h.items()})
     qa, ta = _min_exps(A)
     qb, tb = _min_exps(B)
     A0, B0 = _shift(A, -qa, -ta), _shift(B, -qb, -tb)
-    r = _qt_heu_gcd(A0, B0) if len(A0) > 1 and len(B0) > 1 else None
-    g = r[0] if r else _poly_gcd(A0, B0)
-    if g == _ONE_D:
-        return g, A, B
+    if g is None:
+        r = _qt_heu_gcd(A0, B0) if len(A0) > 1 and len(B0) > 1 else None
+        g = r[0] if r else _poly_gcd(A0, B0)
+        if g == _ONE_D:
+            return g, A, B
     if r is None:
         r = g, _poly_divexact(A0, g), _poly_divexact(B0, g)
     return g, _shift(r[1], qa, ta), _shift(r[2], qb, tb)
@@ -936,7 +1018,10 @@ class CoeffRat:
     a/b + c with c a Laurent polynomial (gcd(a + cb, b) = gcd(a, b) = 1),
     a product with a monomial or of two Laurent polynomials, a square, and
     inv(), which only moves the monomial content and the sign.  rat_sum
-    and rat_dot reduce a many-term sum once.
+    and rat_dot reduce a many-term sum once.  Two gcds are settled by the
+    operands' shape instead of GCDHEU: against a unit binomial, by
+    cyclotomic root tests (_cyclotomic_gcd), and an lcm fold step whose
+    denominators divide one another, by one exact division (_lcm_fold).
     """
 
     __slots__ = ("num", "den")
@@ -1117,17 +1202,30 @@ class CoeffRat:
 
 
 def _lcm_fold(dens):
-    """The lcm L of a non-empty list of term-map denominators, folded with
-    one gcd per denominator after the first, and the cofactors (a, b) of
-    each of those fold steps: with L0 the lcm of the denominators before d
-    and L0 = a g, d = b g for g = gcd(L0, d), the lcm with d is
-    L0 b = a d."""
+    """The lcm L of a non-empty list of canonical denominators (exponent
+    minima 0, positive graded-lex leading coefficient), folded one
+    denominator d at a time, and the cofactors (a, b) of each fold step:
+    with L0 the lcm of the denominators before d and L0 = a g, d = b g for
+    g = gcd(L0, d), the lcm with d is L0 b = a d.
+
+    Denominators often form divisibility chains, so each step first tries
+    one exact division toward the operand with more terms: L0 | d gives
+    (1, d / L0) and d | L0 gives (L0 / d, 1), the cofactors of g = L0 or
+    g = d, which is the normalized gcd since both are canonical.  Only a
+    step that is no chain step runs _gcd_cofactors.
+    """
     den = dens[0]
     steps = []
     for d in dens[1:]:
-        _, a, b = _gcd_cofactors(den, d)
+        if len(d) > len(den):
+            a, b = _ONE_D, _poly_divexact(d, den)
+        else:
+            a, b = _poly_divexact(den, d), _ONE_D
+        if a is None or b is None:
+            _, a, b = _gcd_cofactors(den, d)
         steps.append((a, b))
-        den = _mul(den, b)
+        if b is not _ONE_D:
+            den = _mul(den, b)
     return den, steps
 
 

@@ -426,12 +426,15 @@ PACKED_FALLBACKS = [
     # |a| = 2^(s-1): the digit -128 is at the balanced range's edge
     ({0: -128, 1: 1}, {0: 3, 1: 1}),
     # a non-dividing candidate: 385 = gcd(a(256), b(256)) has digits
-    # 2q - 127, a divisor of neither; its quotients fail the digit bound
+    # 2q - 127, a divisor of neither; its quotients fail the digit bound,
+    # and their packed products with it are not a and b
     ({0: -27, 1: 28, 2: -34, 3: -22, 4: 10}, {0: 2, 1: 3}),
-    # a true common factor (1 + q)^2 whose cofactor 21q^2 + 22q + 21
-    # is too wide for the bound: 22 * 2 * 3 >= 128
-    (qfield._q_mul(_WIDE, {0: 21, 1: 22, 2: 21}), qfield._q_mul(_WIDE, {0: -1, 1: 1})),
 ]
+# A true common factor (1 + q)^2 whose cofactor 21q^2 + 22q + 21 is too
+# wide for the digit bound (22 * 2 * 3 >= 128): one packed product proves
+# it, and the fraction stays on the packed path.
+PACKED_WIDE_COFACTOR = (qfield._q_mul(_WIDE, {0: 21, 1: 22, 2: 21}),
+                        qfield._q_mul(_WIDE, {0: -1, 1: 1}))
 
 
 def packed_cases():
@@ -441,7 +444,7 @@ def packed_cases():
     and exponent offsets), and the tightest width _limit could pick or
     twice it."""
     rng = Random(27)
-    cases = [(u, 0, v, 0, 1) for u, v in PACKED_FALLBACKS]
+    cases = [(u, 0, v, 0, 1) for u, v in PACKED_FALLBACKS + [PACKED_WIDE_COFACTOR]]
     for i in range(400):
         if i % 4:
             g, h = q_poly(rng, rng.randint(1, 4), hi=4, cmax=3), q_poly(rng, rng.randint(1, 5), hi=6)
@@ -470,18 +473,26 @@ def test_packed_ratio_matches_coeffrat():
 
 
 def test_packed_ratio_fast_path_and_fallbacks(monkeypatch):
-    # Every PACKED_FALLBACKS case ends in CoeffRat, most random pairs don't.
+    # Every PACKED_FALLBACKS case ends in CoeffRat, the wide cofactor and
+    # most random pairs don't.
     canonical, calls = qfield._canonical, []
     monkeypatch.setattr(qfield, "_canonical",
                         lambda num, den: calls.append(1) or canonical(num, den))
+    kron, products = qfield._q_kron_mul, []
+    monkeypatch.setattr(qfield, "_q_kron_mul",
+                        lambda u, v: products.append(1) or kron(u, v))
     cases = packed_cases()
     went = []
     for u, ulo, v, vlo, w in cases:
         calls.clear()
+        products.clear()
         qfield._q_packed_ratio(qfield._pack(u, 0, w), ulo, qfield._pack(v, 0, w), vlo, w)
         went.append(bool(calls))
-    assert went[:len(PACKED_FALLBACKS)] == [True] * len(PACKED_FALLBACKS)
-    assert sum(went[len(PACKED_FALLBACKS):]) < len(cases) // 4
+        if len(went) == len(PACKED_FALLBACKS) + 1:
+            assert products == [1]          # the numerator's cofactor only
+    n = len(PACKED_FALLBACKS)
+    assert went[:n + 1] == [True] * n + [False]
+    assert sum(went[n + 1:]) < len(cases) // 4
     assert qfield._q_packed_ratio(0, 0, 5, 0, 1) is CR_ZERO
 
 
@@ -988,3 +999,114 @@ def test_mul_matches_brute_force(A, B):
     got = qfield._mul(A, B)
     assert got == brute_mul(A, B) == qfield._mul(B, A)
     assert got is not A and got is not B
+
+
+# ---------------------------------------------------------------------------
+# Unit-binomial gcds by cyclotomic root tests, against the pseudo-remainder
+# `_poly_gcd`, and the lcm fold's chain steps.
+
+def phi_of(d, al, be):
+    """Phi_d(q^al t^be) as a term map."""
+    return {(al * k, be * k): c for k, c in enumerate(qfield._cyclotomic(d)) if c}
+
+
+def unit_binomial_cases():
+    """(X, A): X = s1 x^off + s2 x^(off + n z) over all four signs
+    (n = 12 for z^12 - 1, n = 6 for z^6 + 1 = Phi_4(z) Phi_12(z)), A a
+    random map times planted Phi_d(z) factors (some squared) at a monomial
+    offset; z runs over q-only, t-only and mixed monomials, one with a
+    negative t-exponent."""
+    rng = Random(2028)
+    cases = []
+    for al, be in [(1, 0), (0, 1), (1, 1), (2, 1), (1, -2), (3, -1)]:
+        for s1, s2 in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            off = (rng.randint(-3, 3), rng.randint(-3, 3))
+            n = 12 if s1 != s2 else 6
+            X = {off: s1, (off[0] + n * al, off[1] + n * be): s2}
+            A = qt_poly(rng, rng.randint(2, 4), hi=2)
+            for d in rng.sample([1, 2, 3, 4, 6, 12], rng.randint(0, 3)):
+                for _ in range(rng.choice((1, 1, 2))):
+                    A = schoolbook(A, phi_of(d, al, be))
+            cases.append((X, qfield._shift(A, rng.randint(-4, 4), rng.randint(-4, 4))))
+    return cases
+
+
+def _oracle(P, Q):
+    return qfield._poly_gcd(*(qfield._shift(X, *(-e for e in qfield._min_exps(X))) for X in (P, Q)))
+
+
+def test_unit_binomial_gcd_matches_prs_oracle(monkeypatch):
+    cases = unit_binomial_cases()
+    want = [_oracle(X, A) for X, A in cases]
+    assert sum(g != {(0, 0): 1} for g in want) > len(cases) // 3
+
+    def raising(*args):
+        raise AssertionError("GCDHEU ran on a unit binomial")
+
+    monkeypatch.setattr(qfield, "_qt_heu_gcd", raising)
+    monkeypatch.setattr(qfield, "_q_gcd_primitive", raising)
+    for (X, A), g in zip(cases, want):
+        for P, Q in ((X, A), (A, X)):
+            G, F, H = qfield._gcd_cofactors(P, Q)
+            assert G == g, (P, Q)
+            assert schoolbook(G, F) == P and schoolbook(G, H) == Q
+    # a copy that drops the divisors d >= 3 misses planted factors
+    divisors = qfield._divisors
+    monkeypatch.setattr(qfield, "_divisors", lambda n: [d for d in divisors(n) if d < 3])
+    assert any(qfield._gcd_cofactors(X, A)[0] != g for (X, A), g in zip(cases, want))
+
+
+def test_non_unit_binomials_take_the_old_path(monkeypatch):
+    def raising(*args):
+        raise AssertionError("cyclotomic gcd on a non-unit binomial")
+
+    monkeypatch.setattr(qfield, "_cyclotomic_gcd", raising)
+    heu, calls = qfield._q_gcd_primitive, []
+    monkeypatch.setattr(qfield, "_q_gcd_primitive", lambda u, v: calls.append(1) or heu(u, v))
+    for X in ({(1, 0): 2, (0, 0): -1}, {(2, 0): 1, (0, 0): -4}, {(1, 0): 2, (0, 1): -1}):
+        A = schoolbook(X, {(0, 0): 3, (1, 1): 1})
+        G, F, H = qfield._gcd_cofactors(X, A)
+        assert G == _oracle(X, A) and schoolbook(G, F) == X and schoolbook(G, H) == A
+    assert calls
+
+
+def _den(*pairs):
+    return CoeffRat(L({(0, 0): 1}), L(binomials(*pairs))).den.terms
+
+
+def test_lcm_fold_chain_steps_run_no_gcd(monkeypatch):
+    chain = [_den((10, 2)), _den((10, 2), (4, 2)), _den((4, 2)), _den((10, 2), (4, 2), (3, 1), (2, 2))]
+
+    def raising(A, B):
+        raise AssertionError("gcd on a chain step")
+
+    monkeypatch.setattr(qfield, "_gcd_cofactors", raising)
+    den, steps = qfield._lcm_fold(chain)
+    assert den == chain[-1]
+    L0 = chain[0]
+    for d, (a, b) in zip(chain[1:], steps):
+        assert schoolbook(L0, b) == schoolbook(a, d)
+        L0 = schoolbook(L0, b)
+    assert steps[1][1] == {(0, 0): 1}          # d | L0: the step (L0 / d, 1)
+
+
+def test_lcm_fold_other_steps_run_their_gcd(monkeypatch):
+    dens, want = [_den((1, 0), (1, 1)), _den((1, 1), (0, 1))], _den((1, 0), (1, 1), (0, 1))
+    gcd, calls = qfield._gcd_cofactors, []
+    monkeypatch.setattr(qfield, "_gcd_cofactors", lambda A, B: calls.append(1) or gcd(A, B))
+    den, ((a, b),) = qfield._lcm_fold(dens)
+    assert calls == [1] and den == want
+    assert schoolbook(dens[0], b) == schoolbook(a, dens[1])
+
+
+def test_mac_apply_gcd_count(monkeypatch):
+    # Binomial denominators and chain steps leave 5 heuristic gcds in one
+    # mac_apply of P_(6,0,0); every gcd ran GCDHEU before (15 calls).
+    from macdaha import clear_caches
+    from macdaha.macops import generic_params, mac_apply, macdonald_eigen
+    clear_caches()
+    f = macdonald_eigen((6, 0, 0), 3)
+    heu, calls = qfield._qt_heu_gcd, []
+    monkeypatch.setattr(qfield, "_qt_heu_gcd", lambda A, B: calls.append(1) or heu(A, B))
+    mac_apply(f, 1, generic_params())
+    assert len(calls) <= 5
